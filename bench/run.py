@@ -18,6 +18,13 @@ Workloads (see workloads.py): corpus-verify, ladder-regconst, cli-queries.
   cold_start_s  median wall time of `factoreq relations C2`
   query_p50_s, query_p90_s
                 latency of the workload's operations, one child each
+Their times are in reference seconds.  The shared host's speed swings by up
+to a factor of two over seconds to minutes, which moves a run's raw medians
+by a third and more, so every timed child and set-up is followed by a run of
+a fixed job, calibrate.py, and its wall time is scaled by CAL_REF_S over the
+median wall time of the calibration runs around it (see Clock).  A slower
+program reads slower; a slower host does not.  The raw medians, and that of
+calibrate.py, are printed too, as `raw.*` lines, outside the result.
 fail_frac (failed / attempted) is printed with them and carried by the
 `attempted` and `failed` fields of the result line; it is not a metric
 because it is 0 whenever the program is right.
@@ -36,6 +43,7 @@ standard output is one JSON object with the keys `correct`, `attempted`,
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import shutil
@@ -54,6 +62,10 @@ WORK = BENCH / "_work"
 SETUP_REPEATS = 5
 COLD_PROBES_PER_PASS = 5
 INTERP_PROBES = 5
+# calibrate.py's wall time on a quiet host of this benchmark's kind (2 CPUs,
+# Python 3.11), so that reference seconds read close to seconds there.
+CAL_REF_S = 0.09
+CAL_WINDOW = 3
 
 
 def die(msg):
@@ -123,6 +135,41 @@ class Runner:
         return Child(proc.returncode, wall, usage.ru_maxrss / 1024.0, text, errs, killed.is_set())
 
 
+class Clock:
+    """Turns wall times into reference seconds (see the module docstring).
+
+    Calibration runs before and after each timed child; a time is scaled by
+    the median of the CAL_WINDOW calibrations before it and the CAL_WINDOW
+    after it, which follows the host's slow swings and damps the jitter of
+    single runs.
+    """
+
+    def __init__(self, runner):
+        self.runner = runner
+        self.cals = []
+        for _ in range(CAL_WINDOW):
+            self.calibrate()
+
+    def calibrate(self):
+        child = self.runner.run([sys.executable, str(BENCH / "calibrate.py")], 30)
+        if child.code != 0:
+            die(f"calibrate.py failed with exit code {child.code}")
+        self.cals.append(child.wall)
+
+    def mark(self, wall):
+        """Record `wall`, just measured; scale it with `reference` after `close`."""
+        self.calibrate()
+        return wall, len(self.cals) - 1
+
+    def close(self):
+        for _ in range(CAL_WINDOW - 1):
+            self.calibrate()
+
+    def reference(self, mark):
+        wall, after = mark
+        return wall * CAL_REF_S / statistics.median(self.cals[after - CAL_WINDOW:after + CAL_WINDOW])
+
+
 def judge(op, child):
     """None if the child's answer is right, else a one-line reason."""
     if child.timed_out:
@@ -137,11 +184,27 @@ def judge(op, child):
 
 
 def quantile(values, q):
-    """Linear-interpolation quantile (statistics.quantiles, inclusive)."""
-    if len(values) == 1:
-        return values[0]
-    cuts = statistics.quantiles(values, n=100, method="inclusive")
-    return cuts[round(q * 100) - 1]
+    """Harrell-Davis estimate of the q-quantile.
+
+    A mean of all the order statistics, weighted by the Beta((n+1)q,
+    (n+1)(1-q)) probability of each interval [(i-1)/n, i/n] (midpoint rule,
+    64 points each).  One or two order statistics, as plain interpolation
+    takes, jump between the query kinds of a sparse latency tail from run to
+    run; this weighted mean moves smoothly.
+    """
+    xs = sorted(values)
+    n = len(xs)
+    if n == 1:
+        return xs[0]
+    a, b, steps = (n + 1) * q, (n + 1) * (1 - q), 64
+    logs = []
+    for i in range(n):
+        for k in range(steps):
+            x = (i + (k + 0.5) / steps) / n
+            logs.append((a - 1) * math.log(x) + (b - 1) * math.log1p(-x))
+    top = max(logs)
+    weights = [sum(math.exp(v - top) for v in logs[i * steps:(i + 1) * steps]) for i in range(n)]
+    return sum(w * x for w, x in zip(weights, xs)) / sum(weights)
 
 
 def span_metrics(dumps):
@@ -265,42 +328,51 @@ class Tally:
             self.failures.append(reason)
 
 
-def untraced(workload, ops, runner, seconds, tally, py):
-    """Passes over `ops` until `seconds` have gone by, cold-start probes between them."""
+def untraced(workload, ops, clock, seconds, tally, py):
+    """Passes over `ops` until `seconds` have gone by, cold-start probes between them.
+
+    Returns the metrics in reference seconds and the raw medians.
+    """
     cold, rss, latencies, passes, done = [], [], [], [], []
-    pass_wall = 0.0
+
+    def timed(op):
+        child = clock.runner.run(op.argv(py), op.timeout)
+        done.append((op, child))
+        rss.append(child.rss_mb)
+        mark = clock.mark(child.wall)
+        if op.cold:
+            cold.append(mark)
+        return mark
+
     t0 = time.perf_counter()
     i = 0
     while i < len(ops) or time.perf_counter() - t0 < seconds:
-        if i % len(ops) == 0 and not workload.has_cold_queries:
-            # Probes spread over the run, so their median is the run's.
-            for _ in range(COLD_PROBES_PER_PASS):
-                probe = workload.cold_probe()
-                child = runner.run(probe.argv(py), probe.timeout)
-                cold.append(child.wall)
-                rss.append(child.rss_mb)
-                done.append((probe, child))
-        op = ops[i % len(ops)]
-        child = runner.run(op.argv(py), op.timeout)
-        done.append((op, child))
-        latencies.append(child.wall)
-        rss.append(child.rss_mb)
-        if op.cold:
-            cold.append(child.wall)
-        pass_wall += child.wall
-        i += 1
         if i % len(ops) == 0:
-            passes.append(pass_wall)
-            pass_wall = 0.0
+            passes.append([])
+            if not workload.has_cold_queries:
+                # Probes spread over the run, so their median is the run's.
+                for _ in range(COLD_PROBES_PER_PASS):
+                    timed(workload.cold_probe())
+        mark = timed(ops[i % len(ops)])
+        latencies.append(mark)
+        passes[-1].append(mark)
+        i += 1
+    if len(passes[-1]) < len(ops):
+        passes.pop()
+    clock.close()
     for op, child in done:  # oracle comparison, outside the timed loop
         tally.add(op, child)
-    return {
-        "wall_s": (statistics.median(passes), len(passes)),
-        "peak_rss_mb": (max(rss), len(rss)),
-        "cold_start_s": (statistics.median(cold), len(cold)),
-        "query_p50_s": (statistics.median(latencies), len(latencies)),
-        "query_p90_s": (quantile(latencies, 0.9), len(latencies)),
-    }
+    out = {"peak_rss_mb": (max(rss), len(rss))}
+    raw = {}
+    ref = clock.reference
+    for name, values, stat in (
+            ("wall_s", [(sum(w for w, _ in p), sum(map(ref, p))) for p in passes], statistics.median),
+            ("cold_start_s", [(m[0], ref(m)) for m in cold], statistics.median),
+            ("query_p50_s", [(m[0], ref(m)) for m in latencies], statistics.median),
+            ("query_p90_s", [(m[0], ref(m)) for m in latencies], lambda v: quantile(v, 0.9))):
+        out[name] = (stat([t[1] for t in values]), len(values))
+        raw[name] = stat([t[0] for t in values])
+    return out, raw
 
 
 def traced(workload, ops, runner, tally, py):
@@ -384,6 +456,8 @@ def main(argv=None):
             pass
     for name, m in record["metrics"].items():
         print(f"{name:52s} {m['value']:.6g} {m['unit']} (n={m['samples']})")
+    for name, value in record["raw"].items():
+        print(f"{'raw.' + name:52s} {value:.6g} s")
     print(f"{'fail_frac':52s} {record['fail_frac']:.6g} frac (n={record['attempted']})")
     for reason in record["failures"][:20]:
         print(f"FAILED {reason}", file=sys.stderr)
@@ -402,6 +476,7 @@ def run(args, workloads, work):
     py = sys.executable
     runner = Runner(work)
     tally = Tally()
+    clock = Clock(runner)
     setups = []
     for i in range(SETUP_REPEATS):
         t0 = time.perf_counter()
@@ -410,13 +485,16 @@ def run(args, workloads, work):
         if Path(probe.out.strip()).resolve().parent != SRC / "factoreq":
             die(f"children import factoreq from {probe.out.strip()!r}, not from {SRC}")
         ops = workload.setup()
-        setups.append(time.perf_counter() - t0)
+        setups.append(clock.mark(time.perf_counter() - t0))
+    raw = {}
     if args.trace:
         measured = traced(workload, ops, runner, tally, py)
         units = dict(PER_LAYER)
     else:
-        measured = untraced(workload, ops, runner, args.seconds, tally, py)
-        measured["setup_s"] = (statistics.median(setups), len(setups))
+        measured, raw = untraced(workload, ops, clock, args.seconds, tally, py)
+        measured["setup_s"] = (statistics.median(map(clock.reference, setups)), len(setups))
+        raw["setup_s"] = statistics.median(w for w, _ in setups)
+        raw["calibrate_s"] = statistics.median(clock.cals)
         units = dict(END_TO_END)
     metrics = {name: {"value": measured[name][0], "unit": units[name], "samples": measured[name][1]}
                for name in units}
@@ -435,6 +513,7 @@ def run(args, workloads, work):
             "note": "CPUs were not pinned; one child runs at a time.",
         },
         "metrics": metrics,
+        "raw": raw,
         "attempted": tally.attempted,
         "failures": tally.failures,
         "fail_frac": len(tally.failures) / tally.attempted if tally.attempted else 1.0,
