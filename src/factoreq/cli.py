@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input error, 3 precondition violation,
-4 verification failure.
+4 verification failure, 5 internal error (a library bug).
 """
 
 import argparse
@@ -13,7 +13,7 @@ from .corpus import corpus_group, corpus_names
 from .grp import GroupError, all_subgroups
 from .burnside import RelationError, brauer_relation_basis
 from .zgmod import ModuleError
-from .regfe import PairingError, factor_equivalent, regulator_constant
+from .regfe import InternalError, PairingError, factor_equivalent, regulator_constant
 from .jsonio import (
     InputError,
     burnside_from_json,
@@ -219,8 +219,11 @@ def _emit(report, lines, args):
     else:
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -236,13 +239,16 @@ def main(argv=None):
             format=args.format,
         )
         report, lines = args.func(args, config)
+        _emit(report, lines, args)
     except (InputError, GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RelationError, ModuleError, PairingError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
-    _emit(report, lines, args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     if args.command == "verify" and not report["summary"]["ok"]:
         return 4
     return 0

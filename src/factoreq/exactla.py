@@ -6,7 +6,8 @@ equalities downstream are exact.
 """
 
 from fractions import Fraction
-from operator import index as _as_int
+from itertools import repeat
+from operator import add, index as _as_int, mul, neg, sub
 
 
 class ExactLinAlgError(ValueError):
@@ -37,6 +38,20 @@ class IntMatrix:
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "_data", data)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, data, cols):
+        """Wrap a tuple of equal-length tuples of ints without coercion.
+
+        Only for rows the library built itself from ints; anything read from
+        outside goes through the coercing constructor.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_data", data)
+        object.__setattr__(m, "_hash", None)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -82,7 +97,7 @@ class IntMatrix:
     def transpose(self):
         if self.rows == 0 or self.cols == 0:
             return IntMatrix.zeros(self.cols, self.rows)
-        return IntMatrix(zip(*self._data), cols=self.rows)
+        return IntMatrix._trusted(tuple(zip(*self._data)), self.rows)
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -91,11 +106,6 @@ class IntMatrix:
             (a + b for a, b in zip(self._data, other._data)),
             cols=self.cols + other.cols,
         ) if self.rows else IntMatrix([], cols=self.cols + other.cols)
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ExactLinAlgError("column count mismatch in vstack")
-        return IntMatrix(self._data + other._data, cols=self.cols)
 
     def __eq__(self, other):
         return (
@@ -114,21 +124,21 @@ class IntMatrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ExactLinAlgError("shape mismatch")
-        return IntMatrix(
-            (tuple(x + y for x, y in zip(r, s)) for r, s in zip(self._data, other._data)),
-            cols=self.cols,
+        return IntMatrix._trusted(
+            tuple(tuple(map(add, r, s)) for r, s in zip(self._data, other._data)),
+            self.cols,
         )
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ExactLinAlgError("shape mismatch")
-        return IntMatrix(
-            (tuple(x - y for x, y in zip(r, s)) for r, s in zip(self._data, other._data)),
-            cols=self.cols,
+        return IntMatrix._trusted(
+            tuple(tuple(map(sub, r, s)) for r, s in zip(self._data, other._data)),
+            self.cols,
         )
 
     def __neg__(self):
-        return IntMatrix((tuple(-x for x in r) for r in self._data), cols=self.cols)
+        return IntMatrix._trusted(tuple(tuple(map(neg, r)) for r in self._data), self.cols)
 
     def __mul__(self, scalar):
         c = _as_int(scalar)
@@ -137,20 +147,30 @@ class IntMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
+        """Product as row combinations: row i of A·B is Σ_j a_ij·(row j of B).
+
+        Zero entries of the left factor are skipped, so products with
+        permutation actions and fixed-point bases cost about their nonzeros.
+        """
         if self.cols != other.rows:
             raise ExactLinAlgError("shape mismatch in product")
-        if self.rows == 0 or other.cols == 0:
-            return IntMatrix.zeros(self.rows, other.cols)
-        bt = list(zip(*other._data)) if other.rows else []
-        return IntMatrix(
-            (
-                tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                if bt
-                else (0,) * other.cols
-                for row in self._data
-            ),
-            cols=other.cols,
-        )
+        zero = (0,) * other.cols
+        out = []
+        for row in self._data:
+            acc = zero
+            for x, brow in zip(row, other._data):
+                if not x:
+                    continue
+                if acc is zero:
+                    acc = brow if x == 1 else tuple(map(mul, brow, repeat(x)))
+                elif x == 1:
+                    acc = tuple(map(add, acc, brow))
+                elif x == -1:
+                    acc = tuple(map(sub, acc, brow))
+                else:
+                    acc = tuple(map(add, acc, map(mul, brow, repeat(x))))
+            out.append(acc)
+        return IntMatrix._trusted(tuple(out), other.cols)
 
     def apply(self, vector):
         """Matrix-vector product; `vector` is a length-`cols` sequence."""
@@ -213,10 +233,15 @@ def _snf_engine(a, want_u, want_v):
         # Find the minimal-absolute-value nonzero entry of the trailing block.
         best = None
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                x = d[i][j]
+                x = row[j]
                 if x and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
+                    if best[0] == 1:
+                        break  # nothing later is smaller
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         swap_rows(t, best[1])
@@ -245,19 +270,17 @@ def _snf_engine(a, want_u, want_v):
             if smaller is not None:
                 swap_cols(t, smaller)
                 continue
-            # Divisibility sweep over the untouched block.
+            # Divisibility sweep over the untouched block; a unit pivot divides all.
             viol = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % p:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
+            if p != 1:
+                viol = next(
+                    (i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1:])),
+                    None,
+                )
             if viol is None:
                 break
             add_row(t, viol, 1)
-    diag = IntMatrix(d, cols=n)
+    diag = IntMatrix._trusted(tuple(map(tuple, d)), n)
     return u, diag, v
 
 
@@ -290,8 +313,7 @@ def integer_kernel(a):
     """
     _, d, v = _snf_engine(a, want_u=False, want_v=True)
     r = sum(1 for i in range(min(a.rows, a.cols)) if d[i, i])
-    cols = [tuple(v[i][j] for i in range(a.cols)) for j in range(r, a.cols)]
-    return IntMatrix.from_columns(cols, rows=a.cols)
+    return IntMatrix._trusted(tuple(tuple(row[r:]) for row in v), a.cols - r)
 
 
 def determinant(a):

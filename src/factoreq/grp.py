@@ -99,24 +99,28 @@ class FiniteGroup:
 
     def closure(self, gens):
         """Subgroup generated by the given elements."""
-        elems = {0}
-        queue = [0]
-        for g in gens:
-            if g not in elems:
-                elems.add(g)
-                queue.append(g)
-        t = self.table
-        while queue:
-            x = queue.pop()
-            for y in tuple(elems):
-                for z in (t[x][y], t[y][x]):
-                    if z not in elems:
-                        elems.add(z)
-                        queue.append(z)
-        return Subgroup(self, elems)
+        return Subgroup(self, _generated(self.table, tuple(gens)))
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
+
+
+def _generated(table, gens):
+    """Sorted elements of <gens>: the identity's orbit under right multiplication.
+
+    In a finite group every inverse is a positive power, so products of the
+    generators alone reach the whole subgroup.
+    """
+    elems = {0}
+    queue = [0]
+    for x in queue:
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            if y not in elems:
+                elems.add(y)
+                queue.append(y)
+    return tuple(sorted(elems))
 
 
 def _validate_table(table):
@@ -292,8 +296,12 @@ class SubgroupClassTable:
 def all_subgroups(group, bound=64):
     """Enumerate all subgroups of `group` up to conjugacy.
 
-    Layered closure: start from the cyclic subgroups, then repeatedly extend
-    every known subgroup by one outside element until nothing new appears.
+    Cyclic extension (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005): start from the cyclic subgroups, then repeatedly extend one
+    member of each new class by one outside element per coset until nothing
+    new appears. A subgroup's whole conjugacy class is recorded when it is
+    first seen; extending one member suffices because
+    x<K, g>x^-1 = <xKx^-1, xgx^-1>.
     """
     key = ("subgroup_table", bound)
     cached = group._cache.get(key)
@@ -302,45 +310,39 @@ def all_subgroups(group, bound=64):
     if group.order > bound:
         raise GroupError(f"group order {group.order} exceeds bound {bound}")
     n = group.order
+    t, inv = group.table, group.inverse
     found = set()
-    frontier = []
-    for g in range(n):
-        h = group.closure((g,)).elements
-        if h not in found:
-            found.add(h)
-            frontier.append(h)
-    while frontier:
-        fresh = []
-        for elems in frontier:
-            present = set(elems)
-            for g in range(n):
-                if g in present:
-                    continue
-                h = group.closure(elems + (g,)).elements
-                if h not in found:
-                    found.add(h)
-                    fresh.append(h)
-        frontier = fresh
-    # Partition into conjugacy classes.
-    remaining = set(found)
     raw_classes = []
-    for elems in sorted(found, key=lambda t: (len(t), t)):
-        if elems not in remaining:
-            continue
-        sub = Subgroup(group, elems)
-        members = sorted({sub.conjugate_by(x).elements for x in range(n)})
-        for m in members:
-            remaining.discard(m)
-        raw_classes.append(members)
+    fresh = []
+
+    def discover(gens):
+        elems = _generated(t, gens)
+        if elems in found:
+            return
+        members = {tuple(sorted(t[t[x][h]][inv[x]] for h in elems)) for x in range(n)}
+        found.update(members)
+        raw_classes.append(sorted(members))
+        fresh.append((elems, gens))
+
+    for g in range(n):
+        discover((g,))
+    while fresh:
+        frontier, fresh = fresh, []
+        for elems, gens in frontier:
+            done = set(elems)
+            for g in range(n):
+                if g in done:
+                    continue
+                # <K, kg> = <K, g> for every k in K: one element per coset.
+                done.update(t[k][g] for k in elems)
+                discover(gens + (g,))
     raw_classes.sort(key=lambda ms: (len(ms[0]), ms[0]))
-    classes = [
-        SubgroupClass(
-            representative=Subgroup(group, ms[0]),
-            members=tuple(ms),
-            is_cyclic=Subgroup(group, ms[0]).is_cyclic(),
+    classes = []
+    for ms in raw_classes:
+        rep = Subgroup(group, ms[0])
+        classes.append(
+            SubgroupClass(representative=rep, members=tuple(ms), is_cyclic=rep.is_cyclic())
         )
-        for ms in raw_classes
-    ]
     table = SubgroupClassTable(group, classes)
     group._cache[key] = table
     return table

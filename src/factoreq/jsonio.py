@@ -3,6 +3,8 @@
 Rationals travel as {"num": "...", "den": "..."} decimal strings so
 arbitrary-precision values survive transport; output is canonical
 (sorted keys, fixed separators, trailing newline) for byte-stable reports.
+Integers in the input must be JSON integers: floats, booleans and strings
+are refused rather than truncated.
 """
 
 import json
@@ -18,6 +20,31 @@ class InputError(ValueError):
     """Malformed or inconsistent JSON input."""
 
 
+def _json_int(x, what):
+    """`x` itself if it is a JSON integer; bool, float and str are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{what} must be an integer, got {json.dumps(x)}")
+    return x
+
+
+def _index_key(key, what):
+    """An object key naming an index, in canonical decimal form only.
+
+    " 1", "01", "1_0" and non-ASCII digits would otherwise parse, and two keys
+    could then name one index with the later silently winning.
+    """
+    if not (key.isascii() and key.isdigit()) or str(int(key)) != key:
+        raise InputError(f"bad {what} {key!r}")
+    return int(key)
+
+
+def _int_rows(obj, what):
+    """A list of lists of JSON integers, as lists of ints."""
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise InputError(f"malformed {what}: expected a list of integer lists")
+    return [[_json_int(x, f"{what} entry") for x in row] for row in obj]
+
+
 def rational_to_json(x):
     x = Fraction(x)
     return {"num": str(x.numerator), "den": str(x.denominator)}
@@ -25,8 +52,11 @@ def rational_to_json(x):
 
 def rational_from_json(obj):
     try:
-        return Fraction(int(obj["num"]), int(obj["den"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        num, den = obj["num"], obj["den"]
+        if not (isinstance(num, str) and isinstance(den, str)):
+            raise TypeError("num and den must be decimal strings")
+        return Fraction(int(num), int(den))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational: {obj!r}") from exc
 
 
@@ -44,9 +74,11 @@ def group_from_json(obj, bound=64):
     labels = obj.get("labels")
     try:
         if "generators" in obj:
-            return group_from_generators(obj["generators"], bound=bound)
+            return group_from_generators(_int_rows(obj["generators"], "generators"), bound=bound)
         if "cayley_table" in obj:
-            return group_from_table(obj["cayley_table"], labels=labels)
+            return group_from_table(_int_rows(obj["cayley_table"], "cayley_table"), labels=labels)
+    except InputError:
+        raise
     except GroupError as exc:
         raise InputError(str(exc)) from exc
     except (TypeError, ValueError) as exc:
@@ -54,10 +86,11 @@ def group_from_json(obj, bound=64):
     raise InputError("group input needs 'generators' or 'cayley_table'")
 
 
-def _int_matrix(obj, what):
+def _int_matrix(obj, what, cols):
+    rows = _int_rows(obj, what)
     try:
-        return IntMatrix([[int(x) for x in row] for row in obj])
-    except (TypeError, ValueError) as exc:
+        return IntMatrix(rows, cols=None if rows else cols)
+    except ValueError as exc:
         raise InputError(f"malformed {what}: {exc}") from exc
 
 
@@ -95,13 +128,10 @@ def _action_from_json(group, obj, rank):
         raise InputError("action must be a non-empty object of element matrices")
     given = {}
     for key, mat in obj.items():
-        try:
-            g = int(key)
-        except ValueError as exc:
-            raise InputError(f"bad element index {key!r}") from exc
-        if not 0 <= g < group.order:
+        g = _index_key(key, "element index")
+        if g >= group.order:
             raise InputError(f"element index {g} out of range")
-        m = _int_matrix(mat, f"action matrix for element {g}")
+        m = _int_matrix(mat, f"action matrix for element {g}", rank)
         if m.rows != rank or m.cols != rank:
             raise InputError(f"action matrix for element {g} has wrong shape")
         given[g] = m
@@ -115,15 +145,17 @@ def module_from_json(group, obj):
     try:
         if "presentation" in obj:
             pres = obj["presentation"]
-            gens = int(pres["gens"])
-            rel_rows = [[int(x) for x in vec] for vec in pres["relations"]]
+            gens = _json_int(pres["gens"], "presentation gens")
+            if gens < 0:
+                raise InputError("presentation gens must be non-negative")
+            rel_rows = _int_rows(pres["relations"], "presentation relations")
             for vec in rel_rows:
                 if len(vec) != gens:
                     raise InputError("each relation must have one entry per generator")
             relations = IntMatrix.from_columns(rel_rows, rows=gens)
             action = _action_from_json(group, pres["action"], gens)
             return FpModule(group, gens, relations, action)
-        rank = int(obj["rank"])
+        rank = _json_int(obj["rank"], "rank")
         if rank < 0:
             raise InputError("rank must be non-negative")
         action = _action_from_json(group, obj["action"], rank)
@@ -138,17 +170,14 @@ def module_from_json(group, obj):
 
 def burnside_from_json(group, obj):
     """Load {"coeffs": {"<class-id>": n}} against the canonical class table."""
-    if not isinstance(obj, dict) or "coeffs" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), dict):
         raise InputError("relation input needs a 'coeffs' object")
     table = all_subgroups(group)
     coeffs = [0] * len(table)
     for key, val in obj["coeffs"].items():
-        try:
-            ci = int(key)
-            n = int(val)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad coefficient entry {key!r}: {val!r}") from exc
-        if not 0 <= ci < len(table):
+        ci = _index_key(key, "subgroup class id")
+        n = _json_int(val, f"coefficient of class {key}")
+        if ci >= len(table):
             raise InputError(f"subgroup class id {ci} out of range")
         coeffs[ci] = n
     return BurnsideElement(group, coeffs)

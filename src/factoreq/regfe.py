@@ -35,6 +35,10 @@ class PairingError(ValueError):
     """Raised when a bilinear form fails the invariant-pairing contract."""
 
 
+class InternalError(RuntimeError):
+    """Raised when two routes that theory proves equal disagree: a library bug."""
+
+
 class InvariantPairing:
     """Symmetric, positive-definite, G-invariant integer form on a lattice."""
 
@@ -308,7 +312,7 @@ def factor_equivalent(m, n, seed=0, relations=None, retry_budget=64):
     Definitional route: a random equivariant embedding's index function must
     have defect 1 on every basis relation. Regulator route: the two constant
     tables must coincide. The routes are provably equivalent; any divergence
-    is raised as a bug.
+    is raised as InternalError.
     """
     if isinstance(m, FpModule) or isinstance(n, FpModule):
         raise ModuleError(
@@ -325,11 +329,11 @@ def factor_equivalent(m, n, seed=0, relations=None, retry_budget=64):
     constants_n = regulator_constants_table(basis, n)
     for i in range(len(basis)):
         if defects[i] ** 2 != constants_m[i] / constants_n[i]:
-            raise AssertionError(
-                "defect does not square to the regulator ratio; this is a bug"
+            raise InternalError(
+                f"defect of relation {i} does not square to the regulator ratio"
             )
     if verdict != (constants_m == constants_n):
-        raise AssertionError("factorisability and regulator routes disagree; this is a bug")
+        raise InternalError("factorisability and regulator routes disagree")
     return FactorEquivalenceReport(
         verdict=verdict,
         relations=basis,

@@ -254,7 +254,9 @@ def _pairing_checks(name, gi, count=50):
     basis = brauer_relation_basis(group)
     rng = _rng("pairing", gi)
     ok = True
+    instances = 0
     for _ in range(count):
+        instances += 1
         m = _random_module(group, rng)
         p1 = random_invariant_pairing(m, rng)
         p2 = random_invariant_pairing(m, rng)
@@ -264,7 +266,7 @@ def _pairing_checks(name, gi, count=50):
         if not (t0 == t1 == t2):
             ok = False
             break
-    return [_check("pairing.independence", name, ok, instances=count, relations=basis.rank)]
+    return [_check("pairing.independence", name, ok, instances=instances, relations=basis.rank)]
 
 
 def _linearity_checks(name, gi, count=16):
@@ -274,7 +276,9 @@ def _linearity_checks(name, gi, count=16):
         return []
     rng = _rng("additivity", gi)
     add_ok = mult_ok = True
+    add_runs = mult_runs = 0
     for _ in range(count):
+        add_runs += 1
         m = _random_module(group, rng)
         t1 = _random_relation(basis, rng)
         t2 = _random_relation(basis, rng)
@@ -283,6 +287,7 @@ def _linearity_checks(name, gi, count=16):
             add_ok = False
             break
     for _ in range(count):
+        mult_runs += 1
         m = _random_module(group, rng, max_rank=8)
         n = _random_module(group, rng, max_rank=8)
         theta = _random_relation(basis, rng)
@@ -291,8 +296,8 @@ def _linearity_checks(name, gi, count=16):
             mult_ok = False
             break
     return [
-        _check("pairing.additivity", name, add_ok, instances=count),
-        _check("pairing.multiplicativity", name, mult_ok, instances=count),
+        _check("pairing.additivity", name, add_ok, instances=add_runs),
+        _check("pairing.multiplicativity", name, mult_ok, instances=mult_runs),
     ]
 
 

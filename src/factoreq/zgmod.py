@@ -99,13 +99,10 @@ def permutation_lattice(group, gset):
     n = gset.size
     mats = []
     for g in range(group.order):
-        img = gset.images[g]
-        mats.append(
-            IntMatrix(
-                (tuple(1 if img[j] == i else 0 for j in range(n)) for i in range(n)),
-                cols=n,
-            )
-        )
+        rows = [[0] * n for _ in range(n)]
+        for j, i in enumerate(gset.images[g]):
+            rows[i][j] = 1
+        mats.append(IntMatrix._trusted(tuple(map(tuple, rows)), n))
     return ZGLattice(group, n, mats, check=False)
 
 
@@ -230,8 +227,31 @@ def sublattice_action(m, basis):
     return ZGLattice(m.group, t, mats, check=False)
 
 
+def _generating_set(group, elems):
+    """Greedy generators of the subgroup `elems`: each one leaves the span so far.
+
+    At most log2 |H| elements; cached per group and element tuple.
+    """
+    key = ("generating_set", elems)
+    gens = group._cache.get(key)
+    if gens is None:
+        gens, span = [], {0}
+        for g in elems:
+            if g not in span:
+                gens.append(g)
+                span = set(group.closure(gens).elements)
+        gens = tuple(gens)
+        group._cache[key] = gens
+    return gens
+
+
 def fixed_sublattice(m, h):
-    """Saturated basis (matrix columns) of M^H = {x : ρ(h)x = x for all h in H}."""
+    """Saturated basis (matrix columns) of M^H = {x : ρ(h)x = x for all h in H}.
+
+    Only a generating set s_1, ..., s_k of H is stacked: if x is fixed by
+    every s_i it is fixed by every product of them, hence by all of H. So
+    the kernel of the k·r rows ρ(s_i) − I is M^H, at a fraction of |H|·r.
+    """
     if isinstance(m, FpModule):
         raise ModuleError("fixed_sublattice expects a lattice; use fp_fixed_lattice")
     elems = h.elements if isinstance(h, Subgroup) else tuple(sorted(set(h)))
@@ -239,15 +259,13 @@ def fixed_sublattice(m, h):
     cached = m._cache.get(key)
     if cached is not None:
         return cached
-    r = m.rank
-    ident = IntMatrix.identity(r)
-    stack = None
-    for g in elems:
-        block = m.action[g] - ident
-        stack = block if stack is None else stack.vstack(block)
-    if stack is None:
-        stack = IntMatrix.zeros(0, r)
-    basis = integer_kernel(stack)
+    rows = []
+    for g in _generating_set(m.group, elems):
+        a = m.action[g]
+        for i in range(m.rank):
+            row = a.row(i)
+            rows.append(row[:i] + (row[i] - 1,) + row[i + 1:])
+    basis = integer_kernel(IntMatrix._trusted(tuple(rows), m.rank))
     m._cache[key] = basis
     return basis
 

@@ -7,6 +7,7 @@ exact — every quantity in the library is an integer or a Fraction.
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -25,6 +26,7 @@ from factoreq import (
 from factoreq.cli import main
 from factoreq.suites import _sunit_d_lists
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = ("C2", "C4", "C6", "V4", "S3", "D4", "Q8")
 RELATION_BEARING = ("V4", "S3", "D4", "Q8")
 KNOWN_RANKS = {"C2": 0, "C4": 0, "C6": 0, "V4": 1, "S3": 1, "D4": 3, "Q8": 1}
@@ -162,8 +164,11 @@ def test_criterion_10_determinism(tmp_path, capfd):
         ok = ok and code == 0
     same, again, other = (p.read_bytes() for p in paths)
     ok = ok and same == again
+    # Pinned reports: any change to a check, count or constant shows here.
+    ok = ok and same == (GOLDEN / "verify_all_seed0.json").read_bytes()
+    ok = ok and other == (GOLDEN / "verify_all_seed99.json").read_bytes()
     r0, r99 = json.loads(same), json.loads(other)
     ok = ok and r0["summary"]["ok"] and r99["summary"]["ok"]
     ok = ok and r0["verdicts"] == r99["verdicts"]
     ok = ok and r0["regulator_constants"] == r99["regulator_constants"]
-    _emit(capfd, 10, "byte-identical reports per seed, verdicts seed-independent", ok)
+    _emit(capfd, 10, "byte-identical reports per seed and to the golden files", ok)

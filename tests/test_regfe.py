@@ -14,6 +14,7 @@ from factoreq import (
     BurnsideElement,
     FpModule,
     IntMatrix,
+    InternalError,
     InvariantPairing,
     ModuleError,
     PairingError,
@@ -324,6 +325,24 @@ def test_factor_equivalent_rejects_fp_modules():
     m = FpModule(c2, 1, IntMatrix([[2]]), (IntMatrix([[1]]), IntMatrix([[1]])))
     with pytest.raises(ModuleError):
         factor_equivalent(m, trivial_lattice(c2))
+
+
+def test_factor_equivalent_raises_internal_error_on_route_mismatch(monkeypatch):
+    import factoreq.regfe as regfe
+
+    _, m, n = _v4_false_pair()
+    real = regfe.regulator_constants_table
+    calls = []
+
+    def doubled_on_m(basis, module, pairing=None):
+        calls.append(module)
+        out = real(basis, module, pairing)
+        return tuple(2 * c for c in out) if module is m else out
+
+    monkeypatch.setattr(regfe, "regulator_constants_table", doubled_on_m)
+    with pytest.raises(InternalError, match="does not square"):
+        factor_equivalent(m, n)
+    assert calls[:2] == [m, n]
 
 
 # --- the index-correction identity -------------------------------------------------

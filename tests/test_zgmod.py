@@ -16,6 +16,7 @@ from factoreq import (
     all_subgroups,
     as_fp_module,
     character,
+    column_lattice_basis,
     conjugated_lattice,
     corpus_group,
     corpus_names,
@@ -25,7 +26,9 @@ from factoreq import (
     find_equivariant_embedding,
     fixed_sublattice,
     fp_fixed_data,
+    group_from_generators,
     induced_lattice,
+    integer_kernel,
     invariant_factors,
     permutation_lattice,
     rationally_isomorphic,
@@ -374,3 +377,35 @@ def test_lattice_quotient_respects_action():
     assert quot.rank == 1
     for g in range(4):
         assert proj @ m.act(g) @ sec == quot.act(g)
+
+
+# --- fixed sublattices from generators against the all-elements stack ------------
+
+S4_GENERATORS = [[1, 0, 2, 3], [1, 2, 3, 0]]
+
+
+def _all_elements_fixed_basis(m, h):
+    """Canonical basis of M^H from the kernel of ρ(h) − I stacked over every h in H."""
+    ident = IntMatrix.identity(m.rank)
+    rows = [row for g in h.elements for row in (m.act(g) - ident).tolist()]
+    return column_lattice_basis(integer_kernel(IntMatrix(rows, cols=m.rank)))
+
+
+def _unitriangular(n):
+    return IntMatrix(
+        [[1 if i == j else ((i + 2 * j) % 5 - 2 if j > i else 0) for j in range(n)] for i in range(n)]
+    )
+
+
+@pytest.mark.parametrize("name", corpus_names() + ("S4",))
+def test_fixed_sublattice_matches_all_elements_stack(name):
+    group = group_from_generators(S4_GENERATORS) if name == "S4" else corpus_group(name)
+    table = all_subgroups(group)
+    reg = regular_lattice(group)
+    modules = [reg, permutation_lattice(group, coset_action(group, table[1].representative))]
+    if name in ("S3", "D4"):
+        modules.append(conjugated_lattice(reg, _unitriangular(reg.rank)))
+    for m in modules:
+        for h in table.all_subgroups():
+            got = column_lattice_basis(fixed_sublattice(m, h))
+            assert got == _all_elements_fixed_basis(m, h)
