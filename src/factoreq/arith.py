@@ -10,7 +10,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .exactla import IntMatrix, lattice_index, rational_solve
+from .exactla import IntMatrix, integer_solve, lattice_index
 from .grp import Subgroup, all_subgroups
 from .burnside import PermAction, coset_action
 from .regfe import InvariantPairing, regulator_constant, regulator_constants_table
@@ -174,12 +174,9 @@ def verify_sunit_index(sunit, h):
         h = Subgroup(sunit.group, h)
     rd = residue_degrees(sunit.model, h)
     ambient_vectors = subfield_lattice_embedding(sunit, h)
-    sol = rational_solve(sunit.basis, ambient_vectors)
-    if sol is None or any(x.denominator != 1 for row in sol for x in row):
+    coords = integer_solve(sunit.basis, ambient_vectors)
+    if coords is None:
         raise ArithmeticModelError("subfield image escapes the augmentation kernel")
-    coords = IntMatrix(
-        ((x.numerator for x in row) for row in sol), cols=ambient_vectors.cols
-    )
     fixed = fixed_sublattice(sunit.lattice, h)
     index = Fraction(lattice_index(coords, fixed))
     expected = Fraction(rd.n, rd.l)

@@ -1,8 +1,11 @@
-"""Exact linear algebra over Z and Q.
+"""Exact linear algebra over Z.
 
-Everything here is arbitrary-precision: matrices hold Python ints, rational
-results are `fractions.Fraction`. No floating point is used anywhere, so all
-equalities downstream are exact.
+Matrices hold arbitrary-precision Python ints and every elimination is
+integer-only: Smith normal form (kernels, solves, invariant factors), row
+Hermite form (lattice bases) and Bareiss (determinants). Fractions appear only
+in results, such as a scaled Gram determinant or a rational solution read off
+an integer one. No floating point is used anywhere, so all equalities
+downstream are exact.
 """
 
 from fractions import Fraction
@@ -292,7 +295,11 @@ def smith_normal_form(a):
     the next.
     """
     u, d, v = _snf_engine(a, want_u=True, want_v=True)
-    return IntMatrix(u, cols=a.rows), d, IntMatrix(v, cols=a.cols)
+    return (
+        IntMatrix._trusted(tuple(map(tuple, u)), a.rows),
+        d,
+        IntMatrix._trusted(tuple(map(tuple, v)), a.cols),
+    )
 
 
 def invariant_factors(a):
@@ -361,56 +368,6 @@ def is_positive_definite(a):
     return True
 
 
-def rational_solve(a, b):
-    """Solve A X = B over Q columnwise; None if inconsistent.
-
-    B may be an IntMatrix or a matrix of Fractions (list of rows). Returns the
-    solution as a list of rows of Fractions (cols(A) x cols(B)), with free
-    variables set to zero.
-    """
-    m, n = a.rows, a.cols
-    brows = b.tolist() if isinstance(b, IntMatrix) else [list(r) for r in b]
-    k = len(brows[0]) if brows else (b.cols if isinstance(b, IntMatrix) else 0)
-    if len(brows) != m:
-        raise ExactLinAlgError("right-hand side row count mismatch")
-    aug = [
-        [Fraction(x) for x in a._data[i]] + [Fraction(x) for x in brows[i]]
-        for i in range(m)
-    ]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if any(aug[i][n:]):
-            return None
-    x = [[Fraction(0)] * k for _ in range(n)]
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][n:]
-    return x
-
-
-def invert_unimodular(u):
-    """Inverse of a matrix with determinant +-1, over Z."""
-    sol = rational_solve(u, IntMatrix.identity(u.rows))
-    if sol is None or any(x.denominator != 1 for r in sol for x in r):
-        raise ExactLinAlgError("matrix is not unimodular")
-    return IntMatrix(((x.numerator for x in r) for r in sol), cols=u.rows)
-
-
 class ImageSolver:
     """Repeated solving of A x = b over Z against a fixed A.
 
@@ -421,36 +378,58 @@ class ImageSolver:
     def __init__(self, a):
         self.a = a
         u, d, v = smith_normal_form(a)
-        self._u, self._d, self._v = u, d, v
-        self._r = sum(1 for i in range(min(a.rows, a.cols)) if d[i, i])
+        self._u, self._v = u, v
+        self.factors = tuple(d[i, i] for i in range(min(a.rows, a.cols)) if d[i, i])
+        self.rank = len(self.factors)
 
     def solve(self, b):
-        """Integer X with A X = B, or None if no integral solution exists."""
+        """Integer X with A X = B, or None if no integral solution exists.
+
+        With y = V⁻¹X the system reads D y = U B: row i < rank needs d_i to
+        divide it, every later row of U B must vanish, and free coordinates
+        of y are set to zero.
+        """
         if b.rows != self.a.rows:
             raise ExactLinAlgError("right-hand side row count mismatch")
-        c = self._u @ b
+        c = (self._u @ b)._data
+        if any(any(row) for row in c[self.rank:]):
+            return None
         y = []
-        for i in range(self.a.cols):
-            if i < min(self.a.rows, self.a.cols) and self._d[i, i]:
-                di = self._d[i, i]
-                roww = []
-                for j in range(b.cols):
-                    q, rem = divmod(c[i, j], di)
-                    if rem:
-                        return None
-                    roww.append(q)
-                y.append(tuple(roww))
-            else:
-                y.append((0,) * b.cols)
-        for i in range(self._r, self.a.rows):
-            if any(c[i, j] for j in range(b.cols)):
-                return None
-        return self._v @ IntMatrix(y, cols=b.cols)
+        for row, di in zip(c, self.factors):
+            if di != 1:
+                if any(x % di for x in row):
+                    return None
+                row = tuple(x // di for x in row)
+            y.append(row)
+        y.extend(repeat((0,) * b.cols, self.a.cols - self.rank))
+        return self._v @ IntMatrix._trusted(tuple(y), b.cols)
 
 
 def integer_solve(a, b):
     """Integer solution X of A X = B, or None."""
     return ImageSolver(a).solve(b)
+
+
+def rational_solve(a, b):
+    """One solution of A X = B over Q as rows of Fractions; None if inconsistent.
+
+    Every invariant factor divides the last one, d, so A Y = d·B is solvable
+    over Z exactly when A X = B is solvable over Q, and X = Y / d.
+    """
+    solver = ImageSolver(a)
+    d = solver.factors[-1] if solver.factors else 1
+    y = solver.solve(b * d)
+    return None if y is None else [[Fraction(x, d) for x in row] for row in y.tolist()]
+
+
+def invert_unimodular(u):
+    """Inverse of a square matrix with determinant +-1, over Z."""
+    if u.rows != u.cols:
+        raise ExactLinAlgError("matrix is not square")
+    inv = integer_solve(u, IntMatrix.identity(u.rows))
+    if inv is None:
+        raise ExactLinAlgError("matrix is not unimodular")
+    return inv
 
 
 def column_lattice_basis(a):
@@ -507,16 +486,12 @@ def lattice_index(sub, sup):
         raise ExactLinAlgError("infinite index: ranks differ")
     if pb.cols == 0:
         return 1
-    coords = rational_solve(pb, sb)
+    # Both bases have full column rank t, so the t x t coordinates of sub in
+    # sup are unique and nonsingular; they exist iff sub lies in sup.
+    coords = integer_solve(pb, sb)
     if coords is None:
-        raise ExactLinAlgError("infinite index: spans differ")
-    if any(x.denominator != 1 for r in coords for x in r):
-        raise ExactLinAlgError("not a sublattice")
-    c = IntMatrix(((x.numerator for x in r) for r in coords), cols=sb.cols)
-    det = determinant(c)
-    if det == 0:
-        raise ExactLinAlgError("infinite index: ranks differ")
-    return abs(det)
+        raise ExactLinAlgError("not a sublattice: spans differ or sub is not contained")
+    return abs(determinant(coords))
 
 
 def gram_determinant(pairing, basis, scale=1):

@@ -12,9 +12,9 @@ from .exactla import (
     gram_determinant,
     invariant_factors,
     integer_kernel,
+    integer_solve,
     is_positive_definite,
     lattice_index,
-    rational_solve,
 )
 from .grp import all_subgroups
 from .burnside import BrauerRelationBasis, RelationError, brauer_relation_basis, is_brauer_relation
@@ -140,23 +140,21 @@ def regulator_constant(theta, module, pairing=None):
         raise RelationError("relation and module live over different groups")
     if not is_brauer_relation(theta):
         raise RelationError("not a Brauer relation")
-    dets = _class_determinants(module, pairing)
-    out = Fraction(1)
-    for idx, coeff in theta.support():
-        out *= dets[idx] ** coeff
-    return out
+    return _evaluate(theta, _class_determinants(module, pairing))
 
 
 def regulator_constants_table(basis, module, pairing=None):
     """Componentwise regulator constants for a whole relation basis."""
     dets = _class_determinants(module, pairing)
-    out = []
-    for theta in basis:
-        val = Fraction(1)
-        for idx, coeff in theta.support():
-            val *= dets[idx] ** coeff
-        out.append(val)
-    return tuple(out)
+    return tuple(_evaluate(theta, dets) for theta in basis)
+
+
+def _evaluate(theta, values):
+    """Π values[H] ** n_H over the support of Θ, one value per subgroup class."""
+    out = Fraction(1)
+    for idx, coeff in theta.support():
+        out *= values[idx] ** coeff
+    return out
 
 
 @dataclass(frozen=True)
@@ -223,10 +221,9 @@ def index_function(m, n, t):
         if v.cols == 0:
             korder = 1
         else:
-            sol = rational_solve(v, fp_m.relations)
-            if sol is None or any(x.denominator != 1 for row in sol for x in row):
+            coords = integer_solve(v, fp_m.relations)
+            if coords is None:
                 raise ModuleError("relation columns escape the kernel lattice")
-            coords = IntMatrix(((x.numerator for x in row) for row in sol), cols=fp_m.relations.cols)
             korder = 1
             for d in invariant_factors(coords):
                 korder *= d
@@ -236,13 +233,7 @@ def index_function(m, n, t):
 
 def is_factorisable(f, basis):
     """Defect of f on each basis relation; factorisable iff all defects are 1."""
-    defects = []
-    for theta in basis:
-        d = Fraction(1)
-        for idx, coeff in theta.support():
-            d *= f[idx] ** coeff
-        defects.append(d)
-    defects = tuple(defects)
+    defects = tuple(_evaluate(theta, f) for theta in basis)
     return all(d == 1 for d in defects), defects
 
 

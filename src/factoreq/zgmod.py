@@ -15,9 +15,9 @@ from .exactla import (
     column_lattice_basis,
     determinant,
     integer_kernel,
+    integer_solve,
     invariant_factors,
     invert_unimodular,
-    rational_solve,
     smith_normal_form,
 )
 from .grp import GroupError, Subgroup
@@ -155,6 +155,17 @@ def induced_lattice(group, d, sub_action):
     return ZGLattice(group, k * r, mats, check=False)
 
 
+def _block_diagonal(blocks):
+    """The matrices `blocks` placed corner to corner, zeros elsewhere."""
+    cols = sum(b.cols for b in blocks)
+    rows, left = [], 0
+    for b in blocks:
+        pad_left, pad_right = (0,) * left, (0,) * (cols - left - b.cols)
+        rows.extend(pad_left + r + pad_right for r in b._data)
+        left += b.cols
+    return IntMatrix._trusted(tuple(rows), cols)
+
+
 def direct_sum(*modules):
     """Block-diagonal direct sum; mixes lattices and FpModules freely."""
     if not modules:
@@ -163,42 +174,12 @@ def direct_sum(*modules):
     if any(m.group is not group for m in modules):
         raise ModuleError("summands live over different groups")
     if all(isinstance(m, ZGLattice) for m in modules):
-        rank = sum(m.rank for m in modules)
-        mats = []
-        for g in range(group.order):
-            rows = [[0] * rank for _ in range(rank)]
-            off = 0
-            for m in modules:
-                a = m.action[g]
-                for i in range(m.rank):
-                    for j in range(m.rank):
-                        rows[off + i][off + j] = a[i, j]
-                off += m.rank
-            mats.append(IntMatrix(rows, cols=rank))
-        return ZGLattice(group, rank, mats, check=False)
+        mats = [_block_diagonal([m.action[g] for m in modules]) for g in range(group.order)]
+        return ZGLattice(group, sum(m.rank for m in modules), mats, check=False)
     parts = [as_fp_module(m) for m in modules]
-    gens = sum(p.gens for p in parts)
-    rel_cols = sum(p.relations.cols for p in parts)
-    rel = [[0] * rel_cols for _ in range(gens)]
-    goff = coff = 0
-    for p in parts:
-        for i in range(p.gens):
-            for j in range(p.relations.cols):
-                rel[goff + i][coff + j] = p.relations[i, j]
-        goff += p.gens
-        coff += p.relations.cols
-    mats = []
-    for g in range(group.order):
-        rows = [[0] * gens for _ in range(gens)]
-        off = 0
-        for p in parts:
-            a = p.action[g]
-            for i in range(p.gens):
-                for j in range(p.gens):
-                    rows[off + i][off + j] = a[i, j]
-            off += p.gens
-        mats.append(IntMatrix(rows, cols=gens))
-    return FpModule(group, gens, IntMatrix(rel, cols=rel_cols), mats, check=False)
+    rel = _block_diagonal([p.relations for p in parts])
+    mats = [_block_diagonal([p.action[g] for p in parts]) for g in range(group.order)]
+    return FpModule(group, rel.rows, rel, mats, check=False)
 
 
 def conjugated_lattice(m, u):
@@ -215,16 +196,18 @@ def conjugated_lattice(m, u):
 def sublattice_action(m, basis):
     """Action of G on the sublattice spanned by `basis` columns, in basis coordinates.
 
-    Errors if the span is not G-stable.
+    Errors if the columns are linearly dependent or their span is not G-stable.
     """
-    t = basis.cols
+    solver = ImageSolver(basis)
+    if solver.rank < basis.cols:
+        raise ModuleError("basis columns are linearly dependent")
     mats = []
     for g in range(m.group.order):
-        sol = rational_solve(basis, m.action[g] @ basis)
-        if sol is None or any(x.denominator != 1 for row in sol for x in row):
+        coords = solver.solve(m.action[g] @ basis)
+        if coords is None:
             raise ModuleError("basis does not span a G-stable sublattice")
-        mats.append(IntMatrix(((x.numerator for x in row) for row in sol), cols=t))
-    return ZGLattice(m.group, t, mats, check=False)
+        mats.append(coords)
+    return ZGLattice(m.group, basis.cols, mats, check=False)
 
 
 def _generating_set(group, elems):
@@ -473,10 +456,9 @@ def fp_fixed_data(module, h):
         out = (t, 1)
         module._cache[key] = out
         return out
-    sol = rational_solve(basis, module.relations)
-    if sol is None or any(x.denominator != 1 for row in sol for x in row):
+    coords = integer_solve(basis, module.relations)
+    if coords is None:
         raise ModuleError("relation columns escape the fixed preimage lattice")
-    coords = IntMatrix(((x.numerator for x in row) for row in sol), cols=module.relations.cols)
     factors = invariant_factors(coords)
     tors = 1
     for d in factors:

@@ -31,7 +31,8 @@ from factoreq import (
 
 
 def _as_sympy(m):
-    return sympy.Matrix([list(m.row(i)) for i in range(m.rows)])
+    """Shape-preserving sympy copy (also for 0-row and 0-column matrices)."""
+    return sympy.Matrix(m.rows, m.cols, [x for i in range(m.rows) for x in m.row(i)])
 
 
 # --- Smith normal form -------------------------------------------------------
@@ -190,6 +191,8 @@ def test_invert_unimodular():
     assert u @ invert_unimodular(u) == IntMatrix.identity(2)
     with pytest.raises(ExactLinAlgError):
         invert_unimodular(IntMatrix([[2, 0], [0, 1]]))
+    with pytest.raises(ExactLinAlgError):
+        invert_unimodular(IntMatrix([[1, 0]]))  # has a right inverse, but is not square
 
 
 # --- lattice indexes ----------------------------------------------------------
@@ -352,3 +355,62 @@ def test_built_and_coerced_matrices_compare_and_hash_alike():
         assert built == coerced and coerced == built
         assert hash(built) == hash(coerced)
         assert len({built, coerced}) == 1
+
+
+# --- the solve layer against sympy ----------------------------------------------
+
+
+def _random_system(rng, m, n, k):
+    """A (m x n), about half the time of deficient rank, and an integer X0 (n x k)."""
+    if m and n and rng.random() < 0.5:
+        r = rng.randrange(min(m, n))  # A = L R through r < min(m, n) columns
+        a = _from_rows(_random_rows(rng, m, r), r) @ _from_rows(_random_rows(rng, r, n), n)
+    else:
+        a = _from_rows(_random_rows(rng, m, n), n)
+    return a, _from_rows(_random_rows(rng, n, k), k)
+
+
+# (rows of A, columns of A, columns of B)
+SOLVE_SHAPES = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 1), (1, 1, 1), (3, 3, 2), (5, 3, 2), (3, 5, 2), (5, 5, 1)]
+
+
+@pytest.mark.parametrize("m,n,k", SOLVE_SHAPES)
+def test_solves_match_sympy(m, n, k):
+    rng = random.Random(1000 * m + 100 * n + k)
+    for _ in range(6):
+        a, x0 = _random_system(rng, m, n, k)
+        solver = ImageSolver(a)
+        assert solver.rank == _as_sympy(a).rank()
+        # A right-hand side in the integer image is always solved.
+        b = a @ x0
+        x = integer_solve(a, b)
+        assert x is not None and a @ x == b
+        # Random right-hand sides, and ones solvable over Q but maybe not over Z.
+        for lhs, rhs in ((a, _from_rows(_random_rows(rng, m, k), k)), (a * 2, b), (a * 3, b)):
+            x = integer_solve(lhs, rhs)
+            if x is not None:
+                assert lhs @ x == rhs
+            q = rational_solve(lhs, rhs)
+            inconsistent = _as_sympy(lhs.hstack(rhs)).rank() > _as_sympy(lhs).rank()
+            assert (q is None) == inconsistent
+            if q is not None:
+                assert len(q) == n and all(len(row) == k for row in q)
+                assert all(
+                    sum(lhs[i, l] * q[l][j] for l in range(n)) == rhs[i, j]
+                    for i in range(m)
+                    for j in range(k)
+                )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_lattice_index_matches_sympy_determinant(n):
+    rng = random.Random(n)
+    done = 0
+    while done < 6:
+        sup = _from_rows(_random_rows(rng, n, n), n)
+        coords = _from_rows(_random_rows(rng, n, n), n)
+        det = _as_sympy(coords).det()
+        if _as_sympy(sup).det() == 0 or det == 0:
+            continue
+        assert lattice_index(sup @ coords, sup) == abs(det)
+        done += 1

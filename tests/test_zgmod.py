@@ -218,6 +218,10 @@ def test_sublattice_action_rejects_unstable_span():
     basis = IntMatrix.from_columns([(1, 0, 0, 0, 0, 0)], rows=6)
     with pytest.raises(ModuleError):
         sublattice_action(m, basis)
+    # Dependent columns span a stable line but are no basis of it.
+    c2 = regular_lattice(corpus_group("C2"))
+    with pytest.raises(ModuleError):
+        sublattice_action(c2, IntMatrix.from_columns([(1, 1), (1, 1)]))
 
 
 def test_conjugated_lattice_preserves_character():
