@@ -323,49 +323,55 @@ def integer_kernel(a):
     return IntMatrix._trusted(tuple(tuple(row[r:]) for row in v), a.cols - r)
 
 
+def _bareiss_pivots(a):
+    """Fraction-free (Bareiss) elimination of a square matrix, one pivot per step.
+
+    Yields (pivot, swapped) for k = 0, 1, ...: a zero pivot is first replaced
+    by swapping in a later row, and a pivot that stays zero (the matrix is
+    singular) ends the run. While no row has been swapped, pivot k is the
+    leading principal minor of order k + 1; the last pivot is ± det(A).
+    """
+    n = a.rows
+    m = [list(r) for r in a._data]
+    prev = 1
+    for k in range(n):
+        swapped = False
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                yield 0, False
+                return
+            m[k], m[pivot] = m[pivot], m[k]
+            swapped = True
+        p, mk = m[k][k], m[k]
+        yield p, swapped
+        for i in range(k + 1, n):
+            mi = m[i]
+            c = mi[k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * p - c * mk[j]) // prev
+        prev = p
+
+
 def determinant(a):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:
         raise ExactLinAlgError("determinant of non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [list(r) for r in a._data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
+    sign, last = 1, 1
+    for last, swapped in _bareiss_pivots(a):
+        if swapped:
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * last
 
 
 def is_positive_definite(a):
-    """Sylvester test: all leading principal minors positive."""
+    """Sylvester test: all leading principal minors positive.
+
+    A swap means a leading minor was zero, so it fails the test as well.
+    """
     if a.rows != a.cols:
         return False
-    n = a.rows
-    if n == 0:
-        return True
-    m = [list(r) for r in a._data]
-    prev = 1
-    for k in range(n):
-        if m[k][k] <= 0:
-            # Bareiss pivot k equals the k+1st leading principal minor.
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return True
+    return all(p > 0 and not swapped for p, swapped in _bareiss_pivots(a))
 
 
 class ImageSolver:

@@ -26,7 +26,6 @@ from .zgmod import (
     find_equivariant_embedding,
     fixed_sublattice,
     fp_fixed_data,
-    fp_fixed_lattice,
     rationally_isomorphic,
 )
 
@@ -90,14 +89,13 @@ def random_invariant_pairing(module, rng, spread=5):
     """P = sum over g of ρ(g)ᵀ D ρ(g) for a random positive diagonal D."""
     lattice = _underlying_lattice(module)
     r = lattice.rank
-    diag = [rng.randint(1, spread) for _ in range(r)]
+    d = IntMatrix._trusted(
+        tuple((0,) * i + (rng.randint(1, spread),) + (0,) * (r - i - 1) for i in range(r)), r
+    )
     p = IntMatrix.zeros(r, r)
     for g in range(lattice.group.order):
         a = lattice.action[g]
-        scaled = IntMatrix(
-            (tuple(diag[i] * x for x in a.row(i)) for i in range(r)), cols=r
-        )
-        p = p + a.transpose() @ scaled
+        p = p + a.transpose() @ (d @ a)
     return InvariantPairing(lattice, p, check=False)
 
 
@@ -119,11 +117,9 @@ def _class_determinants(module, pairing):
     dets = []
     for cls in table:
         h = cls.representative
+        basis = fixed_sublattice(module, h)
         if isinstance(module, FpModule):
-            _, proj, _ = module.lattice_quotient()
-            basis = column_lattice_basis(proj @ fp_fixed_lattice(module, h))
-        else:
-            basis = fixed_sublattice(module, h)
+            basis = column_lattice_basis(module.lattice_quotient()[1] @ basis)
         dets.append(gram_determinant(pairing.gram, basis, Fraction(1, h.order)))
     dets = tuple(dets)
     module._cache[key] = dets
@@ -204,8 +200,8 @@ def index_function(m, n, t):
     values = []
     for ci, cls in enumerate(table):
         h = cls.representative
-        lm = fp_fixed_lattice(fp_m, h)
-        ln = fp_fixed_lattice(fp_n, h)
+        lm = fixed_sublattice(m, h)
+        ln = fixed_sublattice(n, h)
         image = (t @ lm).hstack(fp_n.relations)
         try:
             num = lattice_index(image, ln)
@@ -266,13 +262,11 @@ def verify_lemma(m, n, t, theta, pairing=None):
     (averaged by default) and its pullback through T on M.
     """
     f = index_function(m, n, t)
-    fp_m, fp_n = as_fp_module(m), as_fp_module(n)
-    table = f.table
     factors = []
-    for ci, cls in enumerate(table):
+    for ci, cls in enumerate(f.table):
         h = cls.representative
-        _, tors_m = fp_fixed_data(fp_m, h)
-        _, tors_n = fp_fixed_data(fp_n, h)
+        _, tors_m = fp_fixed_data(m, h)
+        _, tors_n = fp_fixed_data(n, h)
         factors.append(f[ci] * Fraction(tors_m, tors_n))
     pairing_n = pairing if pairing is not None else averaged_pairing(n)
     pairing_m = pullback_pairing(m, n, t, pairing_n)

@@ -24,6 +24,7 @@ from .burnside import (
 from .zgmod import (
     FpModule,
     ZGLattice,
+    _averaged_map,
     as_fp_module,
     conjugated_lattice,
     direct_sum,
@@ -121,19 +122,15 @@ def _random_equivariant_endo(m, rng, tries=8):
     Falls back to a diagonally dominant shift c·I + T, which is equivariant
     and nonsingular regardless of the random draw.
     """
-    group = m.group
     r = m.rank
     if r == 0:
         return IntMatrix.zeros(0, 0)
-    inv_acts = [m.action[group.inverse[g]] for g in range(group.order)]
     t = None
     for _ in range(tries):
         rand = IntMatrix(
             (tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(r)), cols=r
         )
-        t = IntMatrix.zeros(r, r)
-        for g in range(group.order):
-            t = t + m.action[g] @ rand @ inv_acts[g]
+        t = _averaged_map(m, m, rand)
         if determinant(t) != 0:
             return t
     c = 1 + max(sum(abs(x) for x in t.row(i)) for i in range(r))

@@ -414,3 +414,47 @@ def test_lattice_index_matches_sympy_determinant(n):
             continue
         assert lattice_index(sup @ coords, sup) == abs(det)
         done += 1
+
+
+# --- Bareiss pivots against sympy -------------------------------------------------
+
+
+def _random_symmetric(rng, n, kind):
+    """Symmetric n x n matrix of the given kind, entries sometimes above 2**64.
+
+    "gram" is Bᵀ B for a tall B (positive definite when B has full column
+    rank), "psd" is Bᵀ B for a short B (singular, positive semidefinite),
+    "indefinite" is a Gram matrix with a positive (1,1) entry and a negative
+    last diagonal entry, "any" is symmetric with random entries.
+    """
+    if kind == "any":
+        rows = _random_rows(rng, n, n)
+        return _from_rows([[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)], n)
+    tall = kind != "psd"
+    rows = _random_rows(rng, n + 1 if tall else max(n - 1, 0), n)
+    if rows and n:
+        rows[0][0] = rows[0][0] or 1  # a nonzero first column keeps the (1,1) entry positive
+    b = _from_rows(rows, n)
+    gram = (b.transpose() @ b).tolist()
+    if kind == "indefinite" and n > 1:
+        gram[n - 1][n - 1] = -1 - abs(gram[n - 1][n - 1])
+    return _from_rows(gram, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_bareiss_matches_sympy(n):
+    rng = random.Random(500 + n)
+    for kind in ("gram", "psd", "indefinite", "any"):
+        for _ in range(5):
+            a = _random_symmetric(rng, n, kind)
+            s = _as_sympy(a)
+            assert determinant(a) == s.det()
+            assert is_positive_definite(a) == s.is_positive_definite
+            if kind == "psd" and n:
+                assert determinant(a) == 0 and not is_positive_definite(a)
+            if kind == "indefinite" and n > 1:
+                assert a[0, 0] > 0 and not is_positive_definite(a)
+    # Non-symmetric matrices, many with zero pivots that force row swaps.
+    for _ in range(10):
+        a = _from_rows(_random_rows(rng, n, n), n)
+        assert determinant(a) == _as_sympy(a).det()

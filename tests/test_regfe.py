@@ -25,12 +25,15 @@ from factoreq import (
     brauer_relation_basis,
     conjugated_lattice,
     corpus_group,
+    corpus_names,
     coset_action,
     direct_sum,
+    double_cosets,
     factor_equivalent,
     find_equivariant_embedding,
     fixed_sublattice,
     gram_determinant,
+    group_from_generators,
     index_function,
     is_factorisable,
     permutation_lattice,
@@ -408,3 +411,37 @@ def test_pullback_pairing_is_valid():
     # constructor ran with check=True, so definiteness and invariance held
     theta = brauer_relation_basis(v4)[0]
     assert regulator_constant(theta, m, p) == Fraction(1, 4)
+
+
+# --- permutation lattices against the orbit closed form -----------------------------
+
+
+@pytest.mark.parametrize("name", corpus_names() + ("S4",))
+def test_permutation_lattice_constants_match_closed_form(name):
+    """C_Θ(Z[G/K]) = Π_H Π_{HgK} |H ∩ gKg⁻¹|^(−n_H) for every class K.
+
+    The H-orbit sums form an orthogonal basis of Z[G/K]^H, and an orbit of
+    gK has |H| / |H ∩ gKg⁻¹| points, so each class contributes the product
+    of the stabiliser orders to the power −n_H (Dokchitser & Dokchitser,
+    Regulator constants and the parity conjecture, Invent. Math. 2009).
+    Nothing on this side goes through fixed sublattices or determinants.
+    """
+    group = group_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]]) if name == "S4" else corpus_group(name)
+    table = all_subgroups(group)
+    basis = brauer_relation_basis(group)
+    for k_cls in table:
+        k = k_cls.representative
+        stabilisers = []
+        for cls in table:
+            prod = 1
+            for dc in double_cosets(group, cls.representative, k):
+                prod *= dc.stabilizer_order
+            stabilisers.append(prod)
+        expected = []
+        for theta in basis:
+            value = Fraction(1)
+            for idx, coeff in theta.support():
+                value /= Fraction(stabilisers[idx]) ** coeff
+            expected.append(value)
+        lattice = permutation_lattice(group, coset_action(group, k))
+        assert regulator_constants_table(basis, lattice) == tuple(expected)

@@ -4,6 +4,7 @@ Characters are hand-derived frozen oracles; fixed-point ranks are checked
 against the averaging formula rank(M^H) = (1/|H|)·sum of traces over H.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from factoreq import (
     induced_lattice,
     integer_kernel,
     invariant_factors,
+    invert_unimodular,
     permutation_lattice,
     rationally_isomorphic,
     regular_lattice,
@@ -38,6 +40,7 @@ from factoreq import (
     trivial_lattice,
     zero_lattice,
 )
+from factoreq.suites import _torsion_twist
 
 
 def _char_by_element_order(m):
@@ -389,10 +392,22 @@ S4_GENERATORS = [[1, 0, 2, 3], [1, 2, 3, 0]]
 
 
 def _all_elements_fixed_basis(m, h):
-    """Canonical basis of M^H from the kernel of ρ(h) − I stacked over every h in H."""
-    ident = IntMatrix.identity(m.rank)
-    rows = [row for g in h.elements for row in (m.act(g) - ident).tolist()]
-    return column_lattice_basis(integer_kernel(IntMatrix(rows, cols=m.rank)))
+    """Canonical basis of L_H from the kernel of [ρ(h) − I | −R] stacked over every h in H.
+
+    Every element gets its own −R block; the top rows of the kernel span L_H.
+    A lattice has no relation columns, so there L_H = M^H is the whole kernel.
+    """
+    fp = as_fp_module(m)
+    n, k, count = fp.gens, fp.relations.cols, len(h.elements)
+    ident = IntMatrix.identity(n)
+    rows = []
+    for idx, g in enumerate(h.elements):
+        for i, row in enumerate((fp.act(g) - ident).tolist()):
+            pad = [0] * (count * k)
+            pad[idx * k:(idx + 1) * k] = [-x for x in fp.relations.row(i)]
+            rows.append(row + pad)
+    kernel = integer_kernel(IntMatrix(rows, cols=n + count * k))
+    return column_lattice_basis(IntMatrix([kernel.row(i) for i in range(n)], cols=kernel.cols))
 
 
 def _unitriangular(n):
@@ -409,7 +424,34 @@ def test_fixed_sublattice_matches_all_elements_stack(name):
     modules = [reg, permutation_lattice(group, coset_action(group, table[1].representative))]
     if name in ("S3", "D4"):
         modules.append(conjugated_lattice(reg, _unitriangular(reg.rank)))
+    modules.extend(_fp_modules_with_relations(group, table, name))
     for m in modules:
         for h in table.all_subgroups():
             got = column_lattice_basis(fixed_sublattice(m, h))
             assert got == _all_elements_fixed_basis(m, h)
+
+
+def _fp_modules_with_relations(group, table, name):
+    """Z ⊕ Z/5, torsion twists of a coset lattice, their sum, and a changed presentation."""
+    rng = random.Random(name)
+    index2 = [c.representative for c in table if 2 * c.order == group.order]
+    coset = permutation_lattice(group, coset_action(group, table[1].representative))
+    twist = _torsion_twist(coset, 3, rng, index2[0] if index2 else None)
+    both = direct_sum(twist, _torsion_twist(trivial_lattice(group), 5, rng))
+    # New generators x' = U x: relations U·R, action U ρ(g) U⁻¹.
+    u = _unitriangular(both.gens)
+    uinv = invert_unimodular(u)
+    mixed = FpModule(group, both.gens, u @ both.relations, [u @ a @ uinv for a in both.action])
+    return [_z5_plus_trivial(group), twist, both, mixed]
+
+
+def test_fixed_sublattice_accepts_fp_module():
+    # Z ⊕ Z/3 with the torsion negated by elements 1 and 3: (ρ(1) − I)x = (0, −2·x2)
+    # lies in im R = 0 ⊕ 3Z exactly when 3 | x2, so L_{0,1} = Z ⊕ 3Z.
+    v4 = corpus_group("V4")
+    plus = IntMatrix([[1, 0], [0, 1]])
+    minus = IntMatrix([[1, 0], [0, -1]])
+    m = FpModule(v4, 2, IntMatrix.from_columns([(0, 3)], rows=2), (plus, minus, plus, minus))
+    assert fixed_sublattice(m, v4.subgroup([0, 1])) == IntMatrix([[1, 0], [0, 3]])
+    assert fixed_sublattice(m, v4.subgroup([0, 2])) == IntMatrix.identity(2)
+    assert fixed_sublattice(m, v4.trivial_subgroup()) == IntMatrix.identity(2)
