@@ -7,7 +7,6 @@ surrogate of an H-orbit is |H ∩ Stab(q)| (everywhere-unramified model).
 
 import math
 from fractions import Fraction
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exactla import IntMatrix, integer_solve, lattice_index
@@ -32,8 +31,7 @@ class ArithmeticModelError(ValueError):
     """Raised when a place-model invariant fails at runtime."""
 
 
-@dataclass(frozen=True)
-class PlaceModel:
+class PlaceModel(NamedTuple):
     """Chosen decomposition groups and the G-set S they generate."""
 
     group: object
@@ -105,8 +103,7 @@ def residue_degrees(model, h):
     )
 
 
-@dataclass(frozen=True)
-class SUnitLattice:
+class SUnitLattice(NamedTuple):
     """The augmentation kernel I_S with its difference basis and restricted pairing."""
 
     model: PlaceModel

@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 input error, 3 precondition violation,
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .corpus import corpus_group, corpus_names
@@ -28,20 +27,20 @@ from .jsonio import (
 from .suites import SUITE_NAMES, run_suites
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
-    group_size_bound: int = 64
-    retry_budget: int = 64
-    format: str = "text"
+    __slots__ = ("seed", "group_size_bound", "retry_budget", "format")
 
-    def __post_init__(self):
-        if self.seed < 0:
+    def __init__(self, seed=0, group_size_bound=64, retry_budget=64, format="text"):
+        if seed < 0:
             raise InputError("seed must be non-negative")
-        if self.group_size_bound <= 0 or self.retry_budget <= 0:
+        if group_size_bound <= 0 or retry_budget <= 0:
             raise InputError("bounds must be positive")
-        if self.format not in ("text", "json"):
-            raise InputError(f"unknown format {self.format!r}")
+        if format not in ("text", "json"):
+            raise InputError(f"unknown format {format!r}")
+        self.seed = seed
+        self.group_size_bound = group_size_bound
+        self.retry_budget = retry_budget
+        self.format = format
 
 
 def _read_source(path):
@@ -171,8 +170,15 @@ def cmd_verify(args, config):
 # --- plumbing ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad flags exit 2 with one stderr line; subparsers inherit this class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="factoreq",
         description=(
             "Brauer relations, regulator constants, and factor-equivalence "

@@ -5,7 +5,7 @@ permutations under composition or from an explicit multiplication table.
 """
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class GroupError(ValueError):
@@ -232,8 +232,7 @@ class Subgroup:
         return f"Subgroup{self.elements}"
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     """One conjugacy class of subgroups."""
 
     representative: Subgroup
@@ -419,8 +418,7 @@ def group_from_table(table, labels=None):
     return FiniteGroup(table, labels=labels)
 
 
-@dataclass(frozen=True)
-class DoubleCoset:
+class DoubleCoset(NamedTuple):
     """One H-orbit on the coset space G/K."""
 
     representative: int  # least group element of the representative coset

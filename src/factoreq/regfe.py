@@ -1,7 +1,6 @@
 """Regulator constants, index functions, and factor-equivalence certificates."""
 
 from fractions import Fraction
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exactla import (
@@ -22,7 +21,6 @@ from .zgmod import (
     FpModule,
     ModuleError,
     ZGLattice,
-    as_fp_module,
     find_equivariant_embedding,
     fixed_sublattice,
     fp_fixed_data,
@@ -153,16 +151,24 @@ def _evaluate(theta, values):
     return out
 
 
-@dataclass(frozen=True)
 class SubgroupFunction:
     """Positive rational function on subgroup conjugacy classes."""
 
-    table: object
-    values: tuple
+    __slots__ = ("table", "values")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.table):
+    def __init__(self, table, values):
+        if len(values) != len(table):
             raise ValueError("one value per subgroup class required")
+        self.table = table
+        self.values = values
+
+    def __eq__(self, other):
+        if type(other) is not SubgroupFunction:
+            return NotImplemented
+        return (self.table, self.values) == (other.table, other.values)
+
+    def __hash__(self):
+        return hash((self.table, self.values))
 
     def __getitem__(self, class_index):
         return self.values[class_index]
@@ -177,38 +183,42 @@ class SubgroupFunction:
         return tuple(enumerate(self.values))
 
 
-def _validate_equivariant(fp_m, fp_n, t):
-    if fp_m.group is not fp_n.group:
+def _relations(module):
+    """The relation matrix of an FP module; a lattice has none (rank x 0)."""
+    return module.relations if isinstance(module, FpModule) else IntMatrix.zeros(module.rank, 0)
+
+
+def _validate_equivariant(m, n, t, rel_m, rel_n):
+    if m.group is not n.group:
         raise ModuleError("modules live over different groups")
-    if t.rows != fp_n.gens or t.cols != fp_m.gens:
+    if t.rows != rel_n.rows or t.cols != rel_m.rows:
         raise ModuleError("map matrix has wrong shape")
-    solver = ImageSolver(fp_n.relations)
-    if solver.solve(t @ fp_m.relations) is None:
+    solver = ImageSolver(rel_n)
+    if solver.solve(t @ rel_m) is None:
         raise ModuleError("map does not send relations into relations")
-    for g in range(fp_m.group.order):
-        if solver.solve(t @ fp_m.action[g] - fp_n.action[g] @ t) is None:
+    for g in range(m.group.order):
+        if solver.solve(t @ m.action[g] - n.action[g] @ t) is None:
             raise ModuleError("map is not equivariant")
-    return solver
 
 
 def index_function(m, n, t):
     """f(H) = [N^H : T(M^H)] / |ker(T restricted to M^H)| per subgroup class."""
-    fp_m, fp_n = as_fp_module(m), as_fp_module(n)
-    _validate_equivariant(fp_m, fp_n, t)
-    table = all_subgroups(fp_m.group)
-    rank_rm = len(invariant_factors(fp_m.relations))
+    rel_m, rel_n = _relations(m), _relations(n)
+    _validate_equivariant(m, n, t, rel_m, rel_n)
+    table = all_subgroups(m.group)
+    rank_rm = len(invariant_factors(rel_m))
     values = []
     for ci, cls in enumerate(table):
         h = cls.representative
         lm = fixed_sublattice(m, h)
         ln = fixed_sublattice(n, h)
-        image = (t @ lm).hstack(fp_n.relations)
+        image = (t @ lm).hstack(rel_n)
         try:
             num = lattice_index(image, ln)
         except ExactLinAlgError as exc:
             raise ModuleError(f"infinite cokernel at subgroup class {ci}") from exc
         # Kernel of T on M^H: solutions of T(LM c) = R_N y, modulo im(R_M).
-        system = (t @ lm).hstack(-fp_n.relations)
+        system = (t @ lm).hstack(-rel_n)
         ker = integer_kernel(system)
         coeff_rows = IntMatrix([ker.row(i) for i in range(lm.cols)], cols=ker.cols) if lm.cols else IntMatrix.zeros(0, ker.cols)
         v = column_lattice_basis(lm @ coeff_rows)
@@ -217,7 +227,7 @@ def index_function(m, n, t):
         if v.cols == 0:
             korder = 1
         else:
-            coords = integer_solve(v, fp_m.relations)
+            coords = integer_solve(v, rel_m)
             if coords is None:
                 raise ModuleError("relation columns escape the kernel lattice")
             korder = 1
@@ -240,17 +250,18 @@ class LemmaCheck(NamedTuple):
     factors: tuple
 
 
-def _quotient_map(fp_m, fp_n, t):
-    """The map induced by T on the torsion-free quotients."""
-    _, _, sec_m = fp_m.lattice_quotient()
-    _, proj_n, _ = fp_n.lattice_quotient()
-    return proj_n @ t @ sec_m
+def _quotient_map(m, n, t):
+    """The map induced by T on the torsion-free quotients; T itself between lattices."""
+    if isinstance(m, FpModule):
+        t = t @ m.lattice_quotient()[2]
+    if isinstance(n, FpModule):
+        t = n.lattice_quotient()[1] @ t
+    return t
 
 
 def pullback_pairing(m, n, t, pairing_n):
     """Pairing on M obtained by transporting a pairing on N through T."""
-    fp_m, fp_n = as_fp_module(m), as_fp_module(n)
-    tbar = _quotient_map(fp_m, fp_n, t)
+    tbar = _quotient_map(m, n, t)
     gram = tbar.transpose() @ pairing_n.gram @ tbar
     return InvariantPairing(_underlying_lattice(m), gram)
 
@@ -277,8 +288,7 @@ def verify_lemma(m, n, t, theta, pairing=None):
     return LemmaCheck(lhs, rhs, lhs == rhs, tuple(factors))
 
 
-@dataclass(frozen=True)
-class FactorEquivalenceReport:
+class FactorEquivalenceReport(NamedTuple):
     """Certificate for one factor-equivalence query, carrying both routes."""
 
     verdict: bool

@@ -298,6 +298,29 @@ def test_cli_unknown_suite_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", (["verify", "nosuch"], ["relations"], ["--seed", "x", "relations", "C2"])
+)
+def test_cli_bad_flags_print_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "usage:" not in err
+
+
+@pytest.mark.parametrize("argv", (["--seed", "-1", "relations", "C2"], ["--bound", "0", "relations", "C2"]))
+def test_cli_bad_config_prints_one_line(argv, capsys):
+    assert _run_one_line_error(capsys, argv, 2).startswith("error: ")
+
+
+def test_cli_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: factoreq")
+
+
 def test_cli_failing_suite_exits_4(monkeypatch, capsys):
     fake = {
         "suite": "relations",

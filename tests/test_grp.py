@@ -9,9 +9,11 @@ from itertools import combinations
 import pytest
 
 from factoreq import (
+    DoubleCoset,
     FiniteGroup,
     GroupError,
     Subgroup,
+    SubgroupClass,
     all_subgroups,
     brauer_relation_basis,
     conjugacy_class_of_subgroup,
@@ -215,6 +217,18 @@ def test_double_cosets_v4():
     dcs = double_cosets(g, h, h)
     assert len(dcs) == 2
     assert all(dc.size == 1 and dc.stabilizer_order == 2 for dc in dcs)
+
+
+def test_subgroup_records_compare_by_field():
+    g = corpus_group("S3")
+    cls = all_subgroups(g)[1]
+    assert cls.order == 2 and len(cls.members) == 3 and cls.is_cyclic
+    same = SubgroupClass(cls.representative, cls.members, cls.is_cyclic)
+    assert same == cls and hash(same) == hash(cls)
+    dc = double_cosets(g, cls.representative, cls.representative)[0]
+    assert (dc.representative, dc.size, dc.stabilizer_order) == (0, 1, 2)
+    other = DoubleCoset(representative=0, size=1, stabilizer_order=2)
+    assert other == dc and hash(other) == hash(dc)
 
 
 @pytest.mark.parametrize("name", corpus_names())

@@ -47,6 +47,7 @@ from factoreq import (
     trivial_lattice,
     verify_lemma,
 )
+from factoreq.jsonio import canonical_dumps, fe_report_to_json
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -260,6 +261,18 @@ def test_factorisable_frozen():
     assert not ok and defects == (Fraction(2),)
 
 
+def test_subgroup_function_record():
+    v4 = corpus_group("V4")
+    table = all_subgroups(v4)
+    with pytest.raises(ValueError):
+        SubgroupFunction(table, (Fraction(1),))
+    f = SubgroupFunction(table, tuple(Fraction(cls.order) for cls in table))
+    assert len(f) == len(table) and f[4] == 4
+    assert f.of_subgroup(table[1].representative) == 2
+    assert f.items() == tuple(enumerate(f.values))
+    assert f == SubgroupFunction(table, f.values) and hash(f) == hash(SubgroupFunction(table, f.values))
+
+
 def test_factorisable_vacuous_on_cyclic():
     c6 = corpus_group("C6")
     table = all_subgroups(c6)
@@ -307,6 +320,21 @@ def test_factor_equivalent_known_false_pair():
     reverse = factor_equivalent(n, m, seed=0)
     assert not reverse.verdict
     assert reverse.defects == (Fraction(2),)
+
+
+def test_factor_equivalence_report_json_is_pinned():
+    _, m, n = _v4_false_pair()
+    text = canonical_dumps(fe_report_to_json(factor_equivalent(m, n, seed=0)))
+    assert text == (
+        '{"defects":[{"den":"2","num":"1"}],'
+        '"embedding":[[6,6,0,0,-4,2],[0,0,6,6,-4,2],[1,0,1,0,4,12],[0,1,0,1,4,12],'
+        '[-11,0,0,-11,0,-6],[0,-11,-11,0,0,-6]],'
+        '"index_values":[{"den":"1","num":"236544"},{"den":"1","num":"10752"},'
+        '{"den":"1","num":"1792"},{"den":"1","num":"19712"},{"den":"1","num":"896"}],'
+        '"regulator_constants":{"M":[{"den":"4","num":"1"}],"N":[{"den":"1","num":"1"}]},'
+        '"relations":[{"coeffs":{"0":1,"1":-1,"2":-1,"3":-1,"4":2}}],'
+        '"seed":0,"verdict":false}\n'
+    )
 
 
 @pytest.mark.parametrize("seed", (0, 1, 17, 123))

@@ -2,17 +2,22 @@
 
 `bench/launch.py` looks each name of its TRACED table up on
 `factoreq.<module>` when it starts, so a deleted or renamed function breaks
-every traced benchmark run. The table is read from the file's syntax tree;
-the launcher itself is not run.
+every traced benchmark run. The launcher also reads `sys.modules` right after
+`import factoreq.cli`, so that import must load every traced module. The table
+is read from the file's syntax tree; the launcher itself is not run.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-LAUNCH = Path(__file__).resolve().parent.parent / "bench" / "launch.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAUNCH = ROOT / "bench" / "launch.py"
 
 
 def _traced_table():
@@ -35,3 +40,19 @@ def test_traced_table_is_read():
 def test_traced_name_resolves(qualname):
     module, name = qualname.split(".")
     assert callable(getattr(importlib.import_module(f"factoreq.{module}"), name, None)), qualname
+
+
+def test_cli_start_path_is_eager_and_light():
+    # dataclasses pulls in inspect, dis, ast and tokenize: ~15 ms per CLI call.
+    probe = (
+        "import factoreq.cli, sys; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules)); "
+        f"print(' '.join(m for m in {sorted(_traced_table())!r} if 'factoreq.' + m not in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    heavy, missing = out.split("\n")[:2]
+    assert heavy == "", f"start path imports {heavy}"
+    assert missing == "", f"import factoreq.cli leaves out {missing}"
