@@ -5,7 +5,7 @@ the fixed-point matrix: a virtual permutation representation vanishes exactly
 when all its fixed-point counts cancel, so no character theory is needed.
 """
 
-from .exactla import IntMatrix, integer_kernel, invariant_factors
+from .exactla import IntMatrix, _snf_engine, invariant_factors
 from .grp import GroupError, Subgroup, all_subgroups
 
 
@@ -178,17 +178,16 @@ class BurnsideElement:
         return f"BurnsideElement{self.coeffs}"
 
 
-def fixed_point_matrix(group, bound=64):
+def fixed_point_matrix(group):
     """Rows: element conjugacy classes; columns: subgroup classes.
 
     Entry (c, K) counts the fixed points of a class-c representative acting
     on G/K. Cached per group.
     """
-    key = ("fixed_point_matrix", bound)
-    cached = group._cache.get(key)
+    cached = group._cache.get("fixed_point_matrix")
     if cached is not None:
         return cached
-    table = all_subgroups(group, bound)
+    table = all_subgroups(group)
     actions = [coset_action(group, cls.representative) for cls in table]
     m = IntMatrix(
         (
@@ -197,7 +196,7 @@ def fixed_point_matrix(group, bound=64):
         ),
         cols=len(table.classes),
     )
-    group._cache[key] = m
+    group._cache["fixed_point_matrix"] = m
     return m
 
 
@@ -228,23 +227,24 @@ class BrauerRelationBasis:
         return len(self.relations)
 
 
-def brauer_relation_basis(group, bound=64):
+def brauer_relation_basis(group):
     """Basis of K(G) = integer kernel of the fixed-point matrix."""
-    key = ("brauer_basis", bound)
-    cached = group._cache.get(key)
+    cached = group._cache.get("brauer_basis")
     if cached is not None:
         return cached
-    table = all_subgroups(group, bound)
-    kernel = integer_kernel(fixed_point_matrix(group, bound))
+    table = all_subgroups(group)
+    # SNF, not HNF: this basis is the report until ROADMAP item 4 makes it canonical.
+    _, d, v = _snf_engine(fixed_point_matrix(group), want_u=False, want_v=True)
+    r = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
     relations = []
-    for j in range(kernel.cols):
-        vec = list(kernel.column(j))
+    for col in list(zip(*v))[r:]:
+        vec = list(col)
         lead = next((x for x in vec if x), 0)
         if lead < 0:
             vec = [-x for x in vec]
         relations.append(BurnsideElement(group, vec))
     basis = BrauerRelationBasis(group, table, relations)
-    group._cache[key] = basis
+    group._cache["brauer_basis"] = basis
     return basis
 
 

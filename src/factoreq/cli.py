@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input error, 3 precondition violation,
-4 verification failure, 5 internal error (a library bug).
+Exit codes: 0 success, 1 stdout closed by its reader, 2 input error,
+3 precondition violation, 4 verification failure, 5 internal error (a
+library bug).
 """
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -70,7 +72,7 @@ def _rat_text(x):
 
 def cmd_group(args, config):
     group = _load_group(args.group, config)
-    table = all_subgroups(group, bound=config.group_size_bound)
+    table = all_subgroups(group)
     classes = [
         {
             "id": ci,
@@ -102,7 +104,7 @@ def cmd_group(args, config):
 
 def cmd_relations(args, config):
     group = _load_group(args.group, config)
-    basis = brauer_relation_basis(group, bound=config.group_size_bound)
+    basis = brauer_relation_basis(group)
     report = {
         "rank": basis.rank,
         "relations": [jsonable(theta) for theta in basis],
@@ -117,7 +119,7 @@ def cmd_relations(args, config):
 def cmd_regconst(args, config):
     group = _load_group(args.group, config)
     module = module_from_json(group, load_json(_read_source(args.module)))
-    basis = brauer_relation_basis(group, bound=config.group_size_bound)
+    basis = brauer_relation_basis(group)
     if args.relation is not None:
         theta = burnside_from_json(group, load_json(_read_source(args.relation)))
         relations = [theta]
@@ -232,6 +234,7 @@ def _emit(report, lines, args):
             raise InputError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def main(argv=None):
@@ -255,6 +258,11 @@ def main(argv=None):
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's flush at exit is quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return 1
     if args.command == "verify" and not report["summary"]["ok"]:
         return 4
     return 0

@@ -1,8 +1,9 @@
 """Exact linear algebra over Z.
 
 Matrices hold arbitrary-precision Python ints and every elimination is
-integer-only: Smith normal form (kernels, solves, invariant factors), row
-Hermite form (lattice bases) and Bareiss (determinants). Fractions appear only
+integer-only: row Hermite form (kernels and lattice bases, one loop for both),
+Smith normal form (invariant factors, solves, and the kernel that is the Brauer
+relation basis) and Bareiss (determinants). Fractions appear only
 in results, such as a scaled Gram determinant or a rational solution read off
 an integer one. No floating point is used anywhere, so all equalities
 downstream are exact.
@@ -61,14 +62,11 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(((0,) * cols for _ in range(rows)), cols=cols)
+        return cls._trusted(((0,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            (tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-            cols=n,
-        )
+        return cls._trusted(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
@@ -105,10 +103,9 @@ class IntMatrix:
     def hstack(self, other):
         if self.rows != other.rows:
             raise ExactLinAlgError("row count mismatch in hstack")
-        return IntMatrix(
-            (a + b for a, b in zip(self._data, other._data)),
-            cols=self.cols + other.cols,
-        ) if self.rows else IntMatrix([], cols=self.cols + other.cols)
+        return IntMatrix._trusted(
+            tuple(a + b for a, b in zip(self._data, other._data)), self.cols + other.cols
+        )
 
     def __eq__(self, other):
         return (
@@ -315,12 +312,15 @@ def rank(a):
 def integer_kernel(a):
     """Basis of {x in Z^cols : A x = 0} as matrix columns.
 
-    The returned basis spans a saturated sublattice: any integer kernel vector
-    is an integer combination of the columns.
+    Row Hermite form of [Aᵀ | I] on its first A.rows columns: the row
+    operations are unimodular, so the I parts of the rows whose Aᵀ part
+    became zero are a basis of a saturated sublattice, and any integer kernel
+    vector is an integer combination of the columns.
     """
-    _, d, v = _snf_engine(a, want_u=False, want_v=True)
-    r = sum(1 for i in range(min(a.rows, a.cols)) if d[i, i])
-    return IntMatrix._trusted(tuple(tuple(row[r:]) for row in v), a.cols - r)
+    n = a.cols
+    rows = [list(c) + [0] * j + [1] + [0] * (n - j - 1) for j, c in enumerate(a.transpose()._data)]
+    r = _hnf_rows(rows, a.rows)
+    return IntMatrix._trusted(tuple(tuple(row[a.rows:]) for row in rows[r:]), a.cols).transpose()
 
 
 def _bareiss_pivots(a):
@@ -438,17 +438,15 @@ def invert_unimodular(u):
     return inv
 
 
-def column_lattice_basis(a):
-    """Canonical basis (as matrix columns) of the lattice spanned by A's columns.
+def _hnf_rows(rows, width):
+    """Row Hermite form, in place by unimodular row operations, on the first `width` columns.
 
-    Computed as the row Hermite form of the transpose; the result has full
-    column rank and spans exactly the integer column span of A.
+    Returns the rank r: rows[:r] have positive pivots, the entries above each
+    reduced into [0, pivot); rows[r:] are zero in the first `width` columns.
     """
-    rows = [list(r) for r in a.transpose()._data]
     m = len(rows)
-    n = a.rows
     r = 0
-    for c in range(n):
+    for c in range(width):
         if r == m:
             break
         while True:
@@ -474,7 +472,18 @@ def column_lattice_basis(a):
                 if q:
                     rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
             r += 1
-    return IntMatrix.from_columns([tuple(rows[i]) for i in range(r)], rows=n)
+    return r
+
+
+def column_lattice_basis(a):
+    """Canonical basis (as matrix columns) of the lattice spanned by A's columns.
+
+    Computed as the row Hermite form of the transpose; the result has full
+    column rank and spans exactly the integer column span of A.
+    """
+    rows = [list(r) for r in a.transpose()._data]
+    r = _hnf_rows(rows, a.rows)
+    return IntMatrix._trusted(tuple(map(tuple, rows[:r])), a.rows).transpose()
 
 
 def lattice_index(sub, sup):

@@ -292,7 +292,7 @@ class SubgroupClassTable:
         return sum(1 for cls in self.classes if cls.is_cyclic)
 
 
-def all_subgroups(group, bound=64):
+def all_subgroups(group):
     """Enumerate all subgroups of `group` up to conjugacy.
 
     Cyclic extension (Holt, Eick and O'Brien, Handbook of Computational Group
@@ -302,12 +302,9 @@ def all_subgroups(group, bound=64):
     first seen; extending one member suffices because
     x<K, g>x^-1 = <xKx^-1, xgx^-1>.
     """
-    key = ("subgroup_table", bound)
-    cached = group._cache.get(key)
+    cached = group._cache.get("subgroup_table")
     if cached is not None:
         return cached
-    if group.order > bound:
-        raise GroupError(f"group order {group.order} exceeds bound {bound}")
     n = group.order
     t, inv = group.table, group.inverse
     found = set()
@@ -343,18 +340,18 @@ def all_subgroups(group, bound=64):
             SubgroupClass(representative=rep, members=tuple(ms), is_cyclic=rep.is_cyclic())
         )
     table = SubgroupClassTable(group, classes)
-    group._cache[key] = table
+    group._cache["subgroup_table"] = table
     return table
 
 
-def conjugacy_class_of_subgroup(group, subgroup, bound=64):
+def conjugacy_class_of_subgroup(group, subgroup):
     """Canonical class index of a subgroup in the group's class table."""
     if isinstance(subgroup, Subgroup):
         if subgroup.group is not group:
             raise GroupError("subgroup belongs to a different group")
     else:
         subgroup = Subgroup(group, subgroup)
-    return all_subgroups(group, bound).index_of(subgroup)
+    return all_subgroups(group).index_of(subgroup)
 
 
 def group_from_generators(perms, bound=CLOSURE_BOUND):
@@ -380,7 +377,7 @@ def group_from_generators(perms, bound=CLOSURE_BOUND):
             nxt = tuple(p[cur[i]] for i in range(deg))
             if nxt not in index:
                 if len(elements) >= bound:
-                    raise GroupError("group too large")
+                    raise GroupError(f"group too large: order exceeds bound {bound}")
                 index[nxt] = len(elements)
                 elements.append(nxt)
                 queue.append(nxt)

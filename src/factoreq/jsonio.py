@@ -68,7 +68,7 @@ def load_json(text):
 
 
 def group_from_json(obj, bound=64):
-    """Build a group from {"generators": [...]} or {"cayley_table": [...]}."""
+    """Group of order at most `bound` from {"generators": [...]} or {"cayley_table": [...]}."""
     if not isinstance(obj, dict):
         raise InputError("group input must be a JSON object")
     labels = obj.get("labels")
@@ -76,7 +76,10 @@ def group_from_json(obj, bound=64):
         if "generators" in obj:
             return group_from_generators(_int_rows(obj["generators"], "generators"), bound=bound)
         if "cayley_table" in obj:
-            return group_from_table(_int_rows(obj["cayley_table"], "cayley_table"), labels=labels)
+            table = _int_rows(obj["cayley_table"], "cayley_table")
+            if len(table) > bound:
+                raise InputError(f"group order {len(table)} exceeds bound {bound}")
+            return group_from_table(table, labels=labels)
     except InputError:
         raise
     except GroupError as exc:

@@ -22,7 +22,7 @@ from .exactla import (
     invert_unimodular,
     smith_normal_form,
 )
-from .grp import GroupError, Subgroup
+from .grp import GroupError, Subgroup, _generated
 from .burnside import PermAction, coset_action, regular_action
 
 
@@ -224,7 +224,7 @@ def _generating_set(group, elems):
         for g in elems:
             if g not in span:
                 gens.append(g)
-                span = set(group.closure(gens).elements)
+                span = set(_generated(group.table, tuple(gens)))
         gens = tuple(gens)
         group._cache[key] = gens
     return gens
@@ -235,11 +235,13 @@ def fixed_sublattice(module, h):
 
     For a lattice (no relations R) L_H is the saturated sublattice M^H; for
     an FpModule it is the full preimage of M^H under Z^gens -> M, which need
-    not be saturated (torsion). Only a generating set s_1, ..., s_k of
-    H is stacked: the action preserves im(R) and is a homomorphism modulo
-    im(R), so a vector fixed modulo im(R) by every s_i is fixed by all of H.
-    With relations, each block ρ(s_i) − I gets its own −R block, and the top
-    rows of the kernel are reduced to a basis.
+    not be saturated (torsion). Down the subgroup chain: the trivial subgroup
+    gives Z^n, and for H's generators s_1..s_k and K = <s_1..s_{k−1}>,
+    L_H = {x ∈ L_K : (ρ(s_k) − I)x ∈ im(R)}, since the action preserves im(R)
+    and is a homomorphism modulo im(R). For a lattice that is
+    L_K·ker((ρ(s_k) − I)·L_K); with relations the top rows of
+    ker[(ρ(s_k) − I)·L_K | −R] are coordinates in L_K, and their image is
+    reduced to the canonical basis. Each L_K on the way is cached too.
     """
     elems = h.elements if isinstance(h, Subgroup) else tuple(sorted(set(h)))
     key = ("fixed", elems)
@@ -247,21 +249,18 @@ def fixed_sublattice(module, h):
     if cached is not None:
         return cached
     fp = isinstance(module, FpModule)
-    n = module.gens if fp else module.rank
-    neg_rel = tuple(tuple(-x for x in r) for r in module.relations._data) if fp else ()
-    nrel = module.relations.cols if fp else 0
     gens = _generating_set(module.group, elems)
-    rows = []
-    for idx, g in enumerate(gens):
-        a = module.action[g]
-        left, right = (0,) * (idx * nrel), (0,) * ((len(gens) - idx - 1) * nrel)
-        for i in range(n):
-            row = a.row(i)
-            row = row[:i] + (row[i] - 1,) + row[i + 1:]
-            rows.append(row + left + neg_rel[i] + right if nrel else row)
-    basis = integer_kernel(IntMatrix._trusted(tuple(rows), n + len(gens) * nrel))
-    if nrel:
-        basis = column_lattice_basis(IntMatrix._trusted(basis._data[:n], basis.cols))
+    if not gens:
+        basis = IntMatrix.identity(module.gens if fp else module.rank)
+    else:
+        # The greedy generating set of K is gens[:-1], so the chain reuses entries.
+        lk = fixed_sublattice(module, _generated(module.group.table, gens[:-1]))
+        step = module.action[gens[-1]] @ lk - lk
+        if fp and module.relations.cols:
+            ker = integer_kernel(step.hstack(-module.relations))
+            basis = column_lattice_basis(lk @ IntMatrix._trusted(ker._data[: lk.cols], ker.cols))
+        else:
+            basis = lk @ integer_kernel(step)
     module._cache[key] = basis
     return basis
 

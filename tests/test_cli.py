@@ -6,7 +6,11 @@ Exit-code contract: 0 success, 2 input error, 3 precondition violation,
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +270,57 @@ def test_cli_missing_file_exits_2(capsys):
 def test_cli_bad_bound_exits_2(capsys):
     assert main(["--bound", "0", "group", "V4"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+C3XS4_GROUP_JSON = {
+    "generators": [[1, 2, 0, 3, 4, 5, 6], [0, 1, 2, 4, 3, 5, 6], [0, 1, 2, 4, 5, 6, 3]]
+}
+
+
+def test_cli_bound_reaches_every_command(tmp_path, capsys):
+    # |C3 x S4| = 72: refused under the default bound of 64, accepted by every
+    # command once --bound admits it.
+    group = _write(tmp_path, "g.json", C3XS4_GROUP_JSON)
+    module = _write(tmp_path, "m.json", {"rank": 1, "action": {"1": [[1]], "2": [[1]], "3": [[1]]}})
+    err = _run_one_line_error(capsys, ["relations", group], 2)
+    assert err.startswith("error: group too large") and "bound 64" in err
+    reports = {}
+    for argv in (["group", group], ["relations", group], ["regconst", group, "--module", module]):
+        assert main(["--bound", "128", "--format", "json"] + argv) == 0
+        reports[argv[0]] = json.loads(capsys.readouterr().out)
+    assert reports["group"]["order"] == 72
+    assert reports["relations"]["rank"] == len(reports["regconst"]["constants"]) == 14
+
+
+def test_cli_bound_applies_to_cayley_tables(tmp_path, capsys):
+    c5 = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+    table = _write(tmp_path, "c5.json", {"cayley_table": c5})
+    for command in ("group", "relations"):
+        err = _run_one_line_error(capsys, ["--bound", "4", command, table], 2)
+        assert err == "error: group order 5 exceeds bound 4\n"
+    assert main(["--bound", "5", "relations", table]) == 0
+    capsys.readouterr()
+
+
+def test_cli_closed_stdout_prints_one_line():
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "factoreq.cli", "verify", "relations"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ")
 
 
 def test_cli_non_relation_exits_3(v4_file, trivial_module_file, tmp_path, capsys):

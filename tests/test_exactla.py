@@ -4,11 +4,14 @@ Frozen values are computed independently (by hand or with sympy) and pinned;
 the property tests check the algebraic contracts on small fixed inputs.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import ZZ
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from factoreq import (
@@ -414,6 +417,66 @@ def test_lattice_index_matches_sympy_determinant(n):
             continue
         assert lattice_index(sup @ coords, sup) == abs(det)
         done += 1
+
+
+# --- kernels and Hermite bases against sympy -------------------------------------
+
+
+def _sympy_column_hnf(a):
+    """sympy's Hermite form in this repo's orientation, as an IntMatrix.
+
+    sympy reduces columns to an upper-triangular form with its pivots in the
+    last rows. Reversing the rows before, and both axes after, gives the row
+    Hermite form of the transpose, pivots first, that `column_lattice_basis`
+    returns.
+    """
+    s = _as_sympy(a)
+    if s.rank() == 0:
+        return IntMatrix.zeros(a.rows, 0)
+    return IntMatrix(hermite_normal_form(s[::-1, :])[::-1, ::-1].tolist())
+
+
+def _sympy_saturated_nullspace(a):
+    """Z^n ∩ (rational nullspace of A) as sympy columns, from sympy alone.
+
+    Denominators of `nullspace()` are cleared column by column. If U·N·V is
+    the Smith form of the resulting full-rank N, the first k columns of U⁻¹
+    span the same rational space and are saturated, since U is unimodular.
+    """
+    null = [v * math.lcm(*(int(x.q) for x in v)) for v in _as_sympy(a).nullspace()]
+    if not null:
+        return sympy.zeros(a.cols, 0)
+    n = sympy.Matrix.hstack(*null)
+    _, u, _ = smith_normal_decomp(n, domain=ZZ)  # (D, U, V) with D = U·N·V
+    return u.inv()[:, : n.cols]
+
+
+KERNEL_SHAPES = [(m, n) for m, n, _ in SOLVE_SHAPES] + [(1, 4), (2, 6), (3, 8), (4, 7)]
+
+
+@pytest.mark.parametrize("m,n", KERNEL_SHAPES)
+def test_kernel_matches_sympy_nullspace(m, n):
+    rng = random.Random(3000 + 100 * m + n)
+    for _ in range(6):
+        a, _ = _random_system(rng, m, n, 0)
+        k = integer_kernel(a)
+        assert (k.rows, k.cols) == (n, n - _as_sympy(a).rank())
+        assert (a @ k).is_zero()
+        if not k.cols:
+            continue
+        sk = _as_sympy(k)
+        assert sk.rank() == k.cols
+        snf = sympy_snf(sk)
+        assert all(abs(snf[i, i]) == 1 for i in range(k.cols))
+        assert hermite_normal_form(sk) == hermite_normal_form(_sympy_saturated_nullspace(a))
+
+
+@pytest.mark.parametrize("m,n", KERNEL_SHAPES)
+def test_column_lattice_basis_matches_sympy_hnf(m, n):
+    rng = random.Random(4000 + 100 * m + n)
+    for _ in range(6):
+        a, _ = _random_system(rng, m, n, 0)
+        assert column_lattice_basis(a) == _sympy_column_hnf(a)
 
 
 # --- Bareiss pivots against sympy -------------------------------------------------

@@ -29,13 +29,13 @@ from factoreq import (
     fp_fixed_data,
     group_from_generators,
     induced_lattice,
-    integer_kernel,
     invariant_factors,
     invert_unimodular,
     permutation_lattice,
     rationally_isomorphic,
     regular_lattice,
     sign_lattice,
+    smith_normal_form,
     sublattice_action,
     trivial_lattice,
     zero_lattice,
@@ -396,6 +396,8 @@ def _all_elements_fixed_basis(m, h):
 
     Every element gets its own −R block; the top rows of the kernel span L_H.
     A lattice has no relation columns, so there L_H = M^H is the whole kernel.
+    The kernel is read from the Smith transform V (columns past the rank), not
+    from `integer_kernel`, so the routine under test is not its own oracle.
     """
     fp = as_fp_module(m)
     n, k, count = fp.gens, fp.relations.cols, len(h.elements)
@@ -406,8 +408,9 @@ def _all_elements_fixed_basis(m, h):
             pad = [0] * (count * k)
             pad[idx * k:(idx + 1) * k] = [-x for x in fp.relations.row(i)]
             rows.append(row + pad)
-    kernel = integer_kernel(IntMatrix(rows, cols=n + count * k))
-    return column_lattice_basis(IntMatrix([kernel.row(i) for i in range(n)], cols=kernel.cols))
+    _, d, v = smith_normal_form(IntMatrix(rows, cols=n + count * k))
+    r = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
+    return column_lattice_basis(IntMatrix([v.row(i)[r:] for i in range(n)], cols=v.cols - r))
 
 
 def _unitriangular(n):
