@@ -21,7 +21,6 @@ from .exactla import (
     lattice_index,
     rank,
     rational_solve,
-    smith_normal_form,
 )
 from .grp import (
     DoubleCoset,
@@ -31,7 +30,6 @@ from .grp import (
     SubgroupClass,
     SubgroupClassTable,
     all_subgroups,
-    conjugacy_class_of_subgroup,
     double_cosets,
     group_from_generators,
     group_from_table,
@@ -109,9 +107,9 @@ __all__ = [
     "ExactLinAlgError", "ImageSolver", "IntMatrix", "column_lattice_basis",
     "determinant", "gram_determinant", "integer_kernel", "integer_solve",
     "invariant_factors", "invert_unimodular", "is_positive_definite",
-    "lattice_index", "rank", "rational_solve", "smith_normal_form",
+    "lattice_index", "rank", "rational_solve",
     "DoubleCoset", "FiniteGroup", "GroupError", "Subgroup", "SubgroupClass",
-    "SubgroupClassTable", "all_subgroups", "conjugacy_class_of_subgroup",
+    "SubgroupClassTable", "all_subgroups",
     "double_cosets", "group_from_generators", "group_from_table", "left_cosets",
     "BrauerRelationBasis", "BurnsideElement", "PermAction", "RelationError",
     "brauer_relation_basis", "coset_action", "fixed_point_matrix",

@@ -83,9 +83,6 @@ class PermAction:
             (g for g in range(self.group.order) if self.images[g][x] == x),
         )
 
-    def is_transitive(self):
-        return len(self.orbits()) == 1
-
     def disjoint_union(self, other):
         if other.group is not self.group:
             raise GroupError("actions live over different groups")
@@ -234,7 +231,7 @@ def brauer_relation_basis(group):
         return cached
     table = all_subgroups(group)
     # SNF, not HNF: this basis is the report until ROADMAP item 4 makes it canonical.
-    _, d, v = _snf_engine(fixed_point_matrix(group), want_u=False, want_v=True)
+    d, v = _snf_engine(fixed_point_matrix(group), want_v=True)
     r = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
     relations = []
     for col in list(zip(*v))[r:]:

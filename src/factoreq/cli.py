@@ -29,22 +29,6 @@ from .jsonio import (
 from .suites import SUITE_NAMES, run_suites
 
 
-class RunConfig:
-    __slots__ = ("seed", "group_size_bound", "retry_budget", "format")
-
-    def __init__(self, seed=0, group_size_bound=64, retry_budget=64, format="text"):
-        if seed < 0:
-            raise InputError("seed must be non-negative")
-        if group_size_bound <= 0 or retry_budget <= 0:
-            raise InputError("bounds must be positive")
-        if format not in ("text", "json"):
-            raise InputError(f"unknown format {format!r}")
-        self.seed = seed
-        self.group_size_bound = group_size_bound
-        self.retry_budget = retry_budget
-        self.format = format
-
-
 def _read_source(path):
     if path == "-":
         return sys.stdin.read()
@@ -55,11 +39,11 @@ def _read_source(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_group(source, config):
+def _load_group(source, bound):
     """Group from a corpus name, a JSON file path, or '-' (stdin)."""
     if source in corpus_names():
         return corpus_group(source)
-    return group_from_json(load_json(_read_source(source)), bound=config.group_size_bound)
+    return group_from_json(load_json(_read_source(source)), bound=bound)
 
 
 def _rat_text(x):
@@ -70,8 +54,8 @@ def _rat_text(x):
 # --- command implementations -----------------------------------------------
 
 
-def cmd_group(args, config):
-    group = _load_group(args.group, config)
+def cmd_group(args):
+    group = _load_group(args.group, args.bound)
     table = all_subgroups(group)
     classes = [
         {
@@ -102,8 +86,8 @@ def cmd_group(args, config):
     return report, lines
 
 
-def cmd_relations(args, config):
-    group = _load_group(args.group, config)
+def cmd_relations(args):
+    group = _load_group(args.group, args.bound)
     basis = brauer_relation_basis(group)
     report = {
         "rank": basis.rank,
@@ -116,8 +100,8 @@ def cmd_relations(args, config):
     return report, lines
 
 
-def cmd_regconst(args, config):
-    group = _load_group(args.group, config)
+def cmd_regconst(args):
+    group = _load_group(args.group, args.bound)
     module = module_from_json(group, load_json(_read_source(args.module)))
     basis = brauer_relation_basis(group)
     if args.relation is not None:
@@ -138,11 +122,11 @@ def cmd_regconst(args, config):
     return report, lines
 
 
-def cmd_factor_equiv(args, config):
-    group = _load_group(args.group, config)
+def cmd_factor_equiv(args):
+    group = _load_group(args.group, args.bound)
     m = module_from_json(group, load_json(_read_source(args.module_a)))
     n = module_from_json(group, load_json(_read_source(args.module_b)))
-    fe = factor_equivalent(m, n, seed=config.seed, retry_budget=config.retry_budget)
+    fe = factor_equivalent(m, n, seed=args.seed, retry_budget=args.retry_budget)
     report = fe_report_to_json(fe)
     lines = [f"factor equivalent: {'yes' if fe.verdict else 'no'}"]
     for i, d in enumerate(fe.defects):
@@ -154,8 +138,8 @@ def cmd_factor_equiv(args, config):
     return report, lines
 
 
-def cmd_verify(args, config):
-    report = run_suites(args.suite, seed=config.seed)
+def cmd_verify(args):
+    report = run_suites(args.suite, seed=args.seed)
     lines = [f"suite {report['suite']} (seed {report['seed']})"]
     for c in report["checks"]:
         status = "pass" if c["ok"] else "FAIL"
@@ -241,13 +225,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            seed=args.seed,
-            group_size_bound=args.bound,
-            retry_budget=args.retry_budget,
-            format=args.format,
-        )
-        report, lines = args.func(args, config)
+        if args.seed < 0:
+            raise InputError("seed must be non-negative")
+        if args.bound <= 0 or args.retry_budget <= 0:
+            raise InputError("bounds must be positive")
+        report, lines = args.func(args)
         _emit(report, lines, args)
     except (InputError, GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)

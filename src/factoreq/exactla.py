@@ -1,12 +1,12 @@
 """Exact linear algebra over Z.
 
 Matrices hold arbitrary-precision Python ints and every elimination is
-integer-only: row Hermite form (kernels and lattice bases, one loop for both),
-Smith normal form (invariant factors, solves, and the kernel that is the Brauer
-relation basis) and Bareiss (determinants). Fractions appear only
-in results, such as a scaled Gram determinant or a rational solution read off
-an integer one. No floating point is used anywhere, so all equalities
-downstream are exact.
+integer-only: row Hermite form (kernels, lattice bases, solves, inverses,
+indices and quotients, one loop for all), Smith normal form (invariant
+factors and the kernel that is the Brauer relation basis) and Bareiss
+(determinants). Fractions appear only in results, such as a scaled Gram
+determinant or a rational solution read off an integer one. No floating
+point is used anywhere, so all equalities downstream are exact.
 """
 
 from fractions import Fraction
@@ -186,23 +186,18 @@ class IntMatrix:
         return f"IntMatrix({self.tolist()!r})"
 
 
-def _snf_engine(a, want_u, want_v):
-    """Diagonalize by unimodular row/column operations.
+def _snf_engine(a, want_v=False):
+    """Diagonalize by unimodular row and column operations.
 
-    Returns (u_rows, diag_matrix, v_rows) where the tracked transforms satisfy
-    U @ A @ V == D. Pivoting is on minimal absolute value; after each pivot is
+    Returns (D, v_rows): U @ A @ V == D for a row transform U that is not
+    kept, and the column transform V as a list of rows when `want_v` (else
+    None). Pivoting is on minimal absolute value; after each pivot is
     isolated a divisibility sweep folds any violating entry back in, so the
     final diagonal is a divisor chain d1 | d2 | ... with di >= 0.
     """
     m, n = a.rows, a.cols
     d = [list(r) for r in a._data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_u else None
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_v else None
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in d:
@@ -214,8 +209,6 @@ def _snf_engine(a, want_u, want_v):
     def add_row(i, j, c):
         # row_i += c * row_j
         d[i] = [x + c * y for x, y in zip(d[i], d[j])]
-        if u is not None:
-            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
 
     def add_col(i, j, c):
         for row in d:
@@ -223,11 +216,6 @@ def _snf_engine(a, want_u, want_v):
         if v is not None:
             for row in v:
                 row[i] += c * row[j]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
 
     for t in range(min(m, n)):
         # Find the minimal-absolute-value nonzero entry of the trailing block.
@@ -244,11 +232,11 @@ def _snf_engine(a, want_u, want_v):
                 break
         if best is None:
             break
-        swap_rows(t, best[1])
+        d[t], d[best[1]] = d[best[1]], d[t]
         swap_cols(t, best[2])
         while True:
             if d[t][t] < 0:
-                negate_row(t)
+                d[t] = [-x for x in d[t]]
             p = d[t][t]
             # Clear column t; any nonzero remainder becomes a smaller pivot.
             smaller = None
@@ -258,7 +246,7 @@ def _snf_engine(a, want_u, want_v):
                     if d[i][t]:
                         smaller = i
             if smaller is not None:
-                swap_rows(t, smaller)
+                d[t], d[smaller] = d[smaller], d[t]
                 continue
             # Clear row t (column ops touch only row t now).
             smaller = None
@@ -280,28 +268,12 @@ def _snf_engine(a, want_u, want_v):
             if viol is None:
                 break
             add_row(t, viol, 1)
-    diag = IntMatrix._trusted(tuple(map(tuple, d)), n)
-    return u, diag, v
-
-
-def smith_normal_form(a):
-    """Smith normal form with transforms.
-
-    Returns (U, D, V) with U (rows x rows) and V (cols x cols) unimodular,
-    U @ A @ V == D diagonal, diagonal entries nonnegative and each dividing
-    the next.
-    """
-    u, d, v = _snf_engine(a, want_u=True, want_v=True)
-    return (
-        IntMatrix._trusted(tuple(map(tuple, u)), a.rows),
-        d,
-        IntMatrix._trusted(tuple(map(tuple, v)), a.cols),
-    )
+    return IntMatrix._trusted(tuple(map(tuple, d)), n), v
 
 
 def invariant_factors(a):
     """Nonzero diagonal of the Smith form, as a tuple d1 | d2 | ..."""
-    _, d, _ = _snf_engine(a, want_u=False, want_v=False)
+    d, _ = _snf_engine(a)
     return tuple(d[i, i] for i in range(min(a.rows, a.cols)) if d[i, i])
 
 
@@ -310,16 +282,8 @@ def rank(a):
 
 
 def integer_kernel(a):
-    """Basis of {x in Z^cols : A x = 0} as matrix columns.
-
-    Row Hermite form of [Aᵀ | I] on its first A.rows columns: the row
-    operations are unimodular, so the I parts of the rows whose Aᵀ part
-    became zero are a basis of a saturated sublattice, and any integer kernel
-    vector is an integer combination of the columns.
-    """
-    n = a.cols
-    rows = [list(c) + [0] * j + [1] + [0] * (n - j - 1) for j, c in enumerate(a.transpose()._data)]
-    r = _hnf_rows(rows, a.rows)
+    """Basis of {x in Z^cols : A x = 0} as matrix columns, from `_hermite_transform`."""
+    rows, r = _hermite_transform(a)
     return IntMatrix._trusted(tuple(tuple(row[a.rows:]) for row in rows[r:]), a.cols).transpose()
 
 
@@ -377,38 +341,48 @@ def is_positive_definite(a):
 class ImageSolver:
     """Repeated solving of A x = b over Z against a fixed A.
 
-    Factors A once (U A V = D) and answers membership of columns in the
-    integer column span.
+    Factors A once by `_hermite_transform`: with [H | U] its first `rank`
+    rows, U·Aᵀ = H, so the integer column span of A is the row span of H,
+    and b = Hᵀy is hit by x = Uᵀy.
     """
 
     def __init__(self, a):
         self.a = a
-        u, d, v = smith_normal_form(a)
-        self._u, self._v = u, v
-        self.factors = tuple(d[i, i] for i in range(min(a.rows, a.cols)) if d[i, i])
-        self.rank = len(self.factors)
+        rows, self.rank = _hermite_transform(a)
+        m = a.rows
+        # Per Hermite row: its pivot column, pivot, and the nonzero entries after it.
+        self._steps = []
+        for row in rows[: self.rank]:
+            p = next(c for c in range(m) if row[c])
+            self._steps.append((p, row[p], [(t, row[t]) for t in range(p + 1, m) if row[t]]))
+        self._ut = IntMatrix._trusted(
+            tuple(tuple(row[m:]) for row in rows[: self.rank]), a.cols
+        ).transpose()
 
     def solve(self, b):
         """Integer X with A X = B, or None if no integral solution exists.
 
-        With y = V⁻¹X the system reads D y = U B: row i < rank needs d_i to
-        divide it, every later row of U B must vanish, and free coordinates
-        of y are set to zero.
+        Reduces B by H's rows in pivot order: each pivot must divide its row
+        of what is left of B, which then gives one row of y, and nothing may
+        remain once every pivot is used.
         """
         if b.rows != self.a.rows:
             raise ExactLinAlgError("right-hand side row count mismatch")
-        c = (self._u @ b)._data
-        if any(any(row) for row in c[self.rank:]):
-            return None
+        c = list(b._data)
         y = []
-        for row, di in zip(c, self.factors):
-            if di != 1:
-                if any(x % di for x in row):
+        for p, d, tail in self._steps:
+            row = c[p]
+            if d != 1:
+                if any(x % d for x in row):
                     return None
-                row = tuple(x // di for x in row)
+                row = tuple(x // d for x in row)
             y.append(row)
-        y.extend(repeat((0,) * b.cols, self.a.cols - self.rank))
-        return self._v @ IntMatrix._trusted(tuple(y), b.cols)
+            c[p] = ()
+            for t, h in tail:
+                c[t] = tuple(map(sub, c[t], map(mul, row, repeat(h))))
+        if any(any(row) for row in c):
+            return None
+        return self._ut @ IntMatrix._trusted(tuple(y), b.cols)
 
 
 def integer_solve(a, b):
@@ -419,11 +393,15 @@ def integer_solve(a, b):
 def rational_solve(a, b):
     """One solution of A X = B over Q as rows of Fractions; None if inconsistent.
 
-    Every invariant factor divides the last one, d, so A Y = d·B is solvable
-    over Z exactly when A X = B is solvable over Q, and X = Y / d.
+    With d the product of the Hermite pivots, d·y is integral for the
+    rational y that reads B off H's rows (Cramer's rule on the triangular
+    pivot block), so A Y = d·B is solvable over Z exactly when A X = B is
+    solvable over Q, and X = Y / d.
     """
     solver = ImageSolver(a)
-    d = solver.factors[-1] if solver.factors else 1
+    d = 1
+    for _, pivot, _ in solver._steps:
+        d *= pivot
     y = solver.solve(b * d)
     return None if y is None else [[Fraction(x, d) for x in row] for row in y.tolist()]
 
@@ -473,6 +451,19 @@ def _hnf_rows(rows, width):
                     rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
             r += 1
     return r
+
+
+def _hermite_transform(a):
+    """Row Hermite form of [Aᵀ | I] on its first A.rows columns, and its rank r.
+
+    Every row is [h | u] with h = u·Aᵀ, and the row operations are
+    unimodular: rows[:r] are [H | U] with H the Hermite basis of A's integer
+    column span, and the u parts of rows[r:] are a basis of A's integer
+    kernel (a saturated sublattice).
+    """
+    n = a.cols
+    rows = [list(c) + [0] * j + [1] + [0] * (n - j - 1) for j, c in enumerate(a.transpose()._data)]
+    return rows, _hnf_rows(rows, a.rows)
 
 
 def column_lattice_basis(a):

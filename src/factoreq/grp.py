@@ -69,24 +69,12 @@ class FiniteGroup:
         """x * g * x^-1."""
         return self.table[self.table[x][g]][self.inverse[x]]
 
-    def power(self, g, k):
-        if k < 0:
-            g, k = self.inverse[g], -k
-        acc = 0
-        for _ in range(k):
-            acc = self.table[acc][g]
-        return acc
-
     def element_order(self, g):
         acc, k = g, 1
         while acc != 0:
             acc = self.table[acc][g]
             k += 1
         return k
-
-    def is_abelian(self):
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
 
     def subgroup(self, elements):
         return Subgroup(self, elements)
@@ -213,10 +201,6 @@ class Subgroup:
     def is_cyclic(self):
         return any(self.group.element_order(g) == self.order for g in self.elements)
 
-    def is_normal(self):
-        g = self.group
-        return all(g.conj(x, h) in self._set for x in range(g.order) for h in self.elements)
-
     def conjugate_by(self, x):
         g = self.group
         return Subgroup(g, (g.conj(x, h) for h in self.elements))
@@ -342,16 +326,6 @@ def all_subgroups(group):
     table = SubgroupClassTable(group, classes)
     group._cache["subgroup_table"] = table
     return table
-
-
-def conjugacy_class_of_subgroup(group, subgroup):
-    """Canonical class index of a subgroup in the group's class table."""
-    if isinstance(subgroup, Subgroup):
-        if subgroup.group is not group:
-            raise GroupError("subgroup belongs to a different group")
-    else:
-        subgroup = Subgroup(group, subgroup)
-    return all_subgroups(group).index_of(subgroup)
 
 
 def group_from_generators(perms, bound=CLOSURE_BOUND):

@@ -68,17 +68,28 @@ def load_json(text):
 
 
 def group_from_json(obj, bound=64):
-    """Group of order at most `bound` from {"generators": [...]} or {"cayley_table": [...]}."""
+    """Group of order at most `bound` from {"generators": [...]} or {"cayley_table": [...]}.
+
+    Optional "labels", one string per element, come only with a Cayley table.
+    """
     if not isinstance(obj, dict):
         raise InputError("group input must be a JSON object")
     labels = obj.get("labels")
     try:
         if "generators" in obj:
+            if "labels" in obj:
+                raise InputError("labels need a cayley_table, not generators")
             return group_from_generators(_int_rows(obj["generators"], "generators"), bound=bound)
         if "cayley_table" in obj:
             table = _int_rows(obj["cayley_table"], "cayley_table")
             if len(table) > bound:
                 raise InputError(f"group order {len(table)} exceeds bound {bound}")
+            if "labels" in obj and not (
+                isinstance(labels, list)
+                and len(labels) == len(table)
+                and all(isinstance(x, str) for x in labels)
+            ):
+                raise InputError(f"labels must be a list of {len(table)} strings")
             return group_from_table(table, labels=labels)
     except InputError:
         raise

@@ -176,9 +176,6 @@ class SubgroupFunction:
     def __len__(self):
         return len(self.values)
 
-    def of_subgroup(self, subgroup):
-        return self.values[self.table.index_of(subgroup)]
-
     def items(self):
         return tuple(enumerate(self.values))
 

@@ -20,7 +20,6 @@ from .exactla import (
     integer_solve,
     invariant_factors,
     invert_unimodular,
-    smith_normal_form,
 )
 from .grp import GroupError, Subgroup, _generated
 from .burnside import PermAction, coset_action, regular_action
@@ -385,21 +384,18 @@ class FpModule:
     def lattice_quotient(self):
         """(M/tors as a ZGLattice, projection matrix, integral section).
 
-        proj maps presentation coordinates onto quotient coordinates, with
-        proj @ sec = identity; torsion maps to zero.
+        proj is a basis of the saturated left kernel of the relation matrix
+        (as rows), so its kernel is the saturation of im(R), that is, the
+        preimage of the torsion; proj @ sec = identity.
         """
         cached = self._cache.get("quotient")
         if cached is not None:
             return cached
-        n = self.gens
-        u, d, _ = smith_normal_form(self.relations)
-        r = sum(1 for i in range(min(n, self.relations.cols)) if d[i, i])
-        uinv = invert_unimodular(u)
-        proj = IntMatrix([u.row(i) for i in range(r, n)], cols=n) if r < n else IntMatrix.zeros(0, n)
-        sec = IntMatrix.from_columns([uinv.column(j) for j in range(r, n)], rows=n)
+        proj = integer_kernel(self.relations.transpose()).transpose()
+        sec = integer_solve(proj, IntMatrix.identity(proj.rows))
         quot = ZGLattice(
             self.group,
-            n - r,
+            proj.rows,
             (proj @ self.action[g] @ sec for g in range(self.group.order)),
             check=False,
         )

@@ -183,7 +183,7 @@ def test_coset_action_basics():
     h = next(c.representative for c in all_subgroups(group) if c.order == 2)
     act = coset_action(group, h)
     assert act.size == 3
-    assert act.is_transitive()
+    assert len(act.orbits()) == 1
     assert act.stabilizer(0).order == 2
 
 
@@ -201,5 +201,4 @@ def test_disjoint_union_sizes():
     b = coset_action(group, table[4].representative)
     u = a.disjoint_union(b)
     assert u.size == a.size + b.size
-    assert not u.is_transitive()
     assert len(u.orbits()) == 2

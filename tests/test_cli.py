@@ -78,6 +78,7 @@ def test_group_from_json_generators_and_table():
     table = [[0, 1], [1, 0]]
     g2 = group_from_json({"cayley_table": table})
     assert g2.order == 2
+    assert group_from_json({"cayley_table": table, "labels": ["e", "s"]}).labels == ("e", "s")
     with pytest.raises(InputError):
         group_from_json({"generators": [[0, 0]]})
     with pytest.raises(InputError):
@@ -364,9 +365,30 @@ def test_cli_bad_flags_print_one_line(argv, capsys):
     assert err.count("\n") == 1 and err.startswith("error: ") and "usage:" not in err
 
 
-@pytest.mark.parametrize("argv", (["--seed", "-1", "relations", "C2"], ["--bound", "0", "relations", "C2"]))
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["--seed", "-1", "relations", "C2"],
+        ["--bound", "0", "relations", "C2"],
+        ["--retry-budget", "0", "relations", "C2"],
+    ),
+)
 def test_cli_bad_config_prints_one_line(argv, capsys):
     assert _run_one_line_error(capsys, argv, 2).startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "group",
+    (
+        {"cayley_table": [[0, 1], [1, 0]], "labels": "es"},
+        {"cayley_table": [[0, 1], [1, 0]], "labels": [1, 2]},
+        {"cayley_table": [[0, 1], [1, 0]], "labels": [None, {"a": 1}]},
+        {"generators": [[1, 0]], "labels": ["e", "s"]},
+    ),
+)
+def test_cli_bad_labels_exit_2(group, tmp_path, capsys):
+    err = _run_one_line_error(capsys, ["group", _write(tmp_path, "g.json", group)], 2)
+    assert err.startswith("error: labels")
 
 
 def test_cli_help_still_prints_usage(capsys):

@@ -16,7 +16,6 @@ from factoreq import (
     SubgroupClass,
     all_subgroups,
     brauer_relation_basis,
-    conjugacy_class_of_subgroup,
     corpus_group,
     corpus_names,
     double_cosets,
@@ -110,13 +109,10 @@ def test_inverse_and_power():
     g = corpus_group("S3")
     for x in range(g.order):
         assert g.mul(x, g.inv(x)) == 0
-        assert g.power(x, g.element_order(x)) == 0
-
-
-def test_abelian_flags():
-    assert corpus_group("V4").is_abelian()
-    assert not corpus_group("S3").is_abelian()
-    assert not corpus_group("Q8").is_abelian()
+        acc = x
+        for _ in range(g.element_order(x) - 1):
+            acc = g.mul(acc, x)
+        assert acc == 0
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -170,7 +166,7 @@ def test_conjugates_land_in_the_same_class(name):
     for ci, cls in enumerate(table):
         h = cls.representative
         for x in range(group.order):
-            assert conjugacy_class_of_subgroup(group, h.conjugate_by(x)) == ci
+            assert table.index_of(h.conjugate_by(x)) == ci
 
 
 def test_cyclic_class_counts():
@@ -196,7 +192,7 @@ def test_subgroup_invariants():
         norm = h.normalizer()
         assert all(x in norm for x in h.elements)
         if h.index == 2:
-            assert h.is_normal()
+            assert norm.order == g.order
 
 
 # --- cosets and double cosets -----------------------------------------------------

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from factoreq import (
     FpModule,
@@ -35,11 +36,11 @@ from factoreq import (
     rationally_isomorphic,
     regular_lattice,
     sign_lattice,
-    smith_normal_form,
     sublattice_action,
     trivial_lattice,
     zero_lattice,
 )
+from factoreq.exactla import _snf_engine
 from factoreq.suites import _torsion_twist
 
 
@@ -386,6 +387,37 @@ def test_lattice_quotient_respects_action():
         assert proj @ m.act(g) @ sec == quot.act(g)
 
 
+def _random_relations(rng, n, k):
+    """n x k relation matrix, about half the time of rank below min(n, k)."""
+    r = rng.randrange(min(n, k) + 1)
+    left = IntMatrix([[rng.randint(-4, 4) for _ in range(r)] for _ in range(n)], cols=r)
+    right = IntMatrix([[rng.randint(-4, 4) for _ in range(k)] for _ in range(r)], cols=k)
+    return left @ right if rng.random() < 0.5 else IntMatrix(
+        [[rng.randint(-6, 6) for _ in range(k)] for _ in range(n)], cols=k
+    )
+
+
+QUOTIENT_RELATIONS = [
+    IntMatrix([[2, 4], [0, 6]]),  # full rank, not saturated: M = Z/2 ⊕ Z/6
+    IntMatrix([[2], [4], [0]]),  # one torsion relation 2·(1, 2, 0) next to a free part
+    IntMatrix.zeros(3, 0),  # no relations: M/tors is Z^3 itself
+    IntMatrix.zeros(2, 2),  # zero relations
+] + [_random_relations(random.Random(seed), 1 + seed % 4, seed % 5) for seed in range(24)]
+
+
+@pytest.mark.parametrize("rel", QUOTIENT_RELATIONS, ids=lambda r: f"{r.rows}x{r.cols}")
+def test_lattice_quotient_contract(rel):
+    # Trivial action, so any relation matrix presents a module.
+    c2 = corpus_group("C2")
+    ident = IntMatrix.identity(rel.rows)
+    quot, proj, sec = FpModule(c2, rel.rows, rel, (ident, ident)).lattice_quotient()
+    expected = rel.rows - sympy.Matrix(rel.rows, rel.cols, [x for row in rel.tolist() for x in row]).rank()
+    assert (proj.rows, proj.cols) == (expected, rel.rows)
+    assert (proj @ rel).is_zero()
+    assert proj @ sec == IntMatrix.identity(expected)
+    assert quot.rank == expected
+
+
 # --- fixed sublattices from generators against the all-elements stack ------------
 
 S4_GENERATORS = [[1, 0, 2, 3], [1, 2, 3, 0]]
@@ -397,7 +429,8 @@ def _all_elements_fixed_basis(m, h):
     Every element gets its own −R block; the top rows of the kernel span L_H.
     A lattice has no relation columns, so there L_H = M^H is the whole kernel.
     The kernel is read from the Smith transform V (columns past the rank), not
-    from `integer_kernel`, so the routine under test is not its own oracle.
+    from `integer_kernel` or any other Hermite-form routine, so the routine
+    under test is not its own oracle.
     """
     fp = as_fp_module(m)
     n, k, count = fp.gens, fp.relations.cols, len(h.elements)
@@ -408,9 +441,9 @@ def _all_elements_fixed_basis(m, h):
             pad = [0] * (count * k)
             pad[idx * k:(idx + 1) * k] = [-x for x in fp.relations.row(i)]
             rows.append(row + pad)
-    _, d, v = smith_normal_form(IntMatrix(rows, cols=n + count * k))
+    d, v = _snf_engine(IntMatrix(rows, cols=n + count * k), want_v=True)
     r = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
-    return column_lattice_basis(IntMatrix([v.row(i)[r:] for i in range(n)], cols=v.cols - r))
+    return column_lattice_basis(IntMatrix([v[i][r:] for i in range(n)], cols=len(v) - r))
 
 
 def _unitriangular(n):
