@@ -10,7 +10,7 @@ point is used anywhere, so all equalities downstream are exact.
 """
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, index as _as_int, mul, neg, sub
 
 
@@ -51,10 +51,10 @@ class IntMatrix:
         outside goes through the coercing constructor.
         """
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", len(data))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_data", data)
-        object.__setattr__(m, "_hash", None)
+        _set_rows(m, len(data))
+        _set_cols(m, cols)
+        _set_data(m, data)
+        _set_hash(m, None)
         return m
 
     def __setattr__(self, name, value):
@@ -89,9 +89,6 @@ class IntMatrix:
     def column(self, j):
         return tuple(r[j] for r in self._data)
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def tolist(self):
         return [list(r) for r in self._data]
 
@@ -100,12 +97,13 @@ class IntMatrix:
             return IntMatrix.zeros(self.cols, self.rows)
         return IntMatrix._trusted(tuple(zip(*self._data)), self.rows)
 
-    def hstack(self, other):
-        if self.rows != other.rows:
+    def hstack(self, *others):
+        """This matrix and `others` side by side; all need the same row count."""
+        if any(o.rows != self.rows for o in others):
             raise ExactLinAlgError("row count mismatch in hstack")
-        return IntMatrix._trusted(
-            tuple(a + b for a, b in zip(self._data, other._data)), self.cols + other.cols
-        )
+        rows = zip(self._data, *(o._data for o in others))
+        cols = self.cols + sum(o.cols for o in others)
+        return IntMatrix._trusted(tuple(tuple(chain.from_iterable(r)) for r in rows), cols)
 
     def __eq__(self, other):
         return (
@@ -184,6 +182,12 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.tolist()!r})"
+
+
+# Slot setters bound once for `_trusted`; they bypass the guard in __setattr__.
+_set_rows, _set_cols, _set_data, _set_hash = (
+    getattr(IntMatrix, name).__set__ for name in IntMatrix.__slots__
+)
 
 
 def _snf_engine(a, want_v=False):
@@ -509,9 +513,9 @@ def gram_determinant(pairing, basis, scale=1):
     """
     if pairing.rows != pairing.cols:
         raise ExactLinAlgError("pairing matrix must be square")
-    if pairing != pairing.transpose():
+    if pairing._data != tuple(zip(*pairing._data)):
         raise ExactLinAlgError("pairing matrix must be symmetric")
     if basis.rows != pairing.rows:
         raise ExactLinAlgError("basis/pairing dimension mismatch")
     g = basis.transpose() @ pairing @ basis
-    return Fraction(scale) ** g.rows * determinant(g)
+    return Fraction(scale.numerator ** g.rows * determinant(g), scale.denominator ** g.rows)

@@ -50,9 +50,7 @@ class FiniteGroup:
         object.__setattr__(self, "element_classes", classes)
         object.__setattr__(self, "class_of_element", class_of)
         if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise GroupError("label count mismatch")
+            labels = _checked_labels(labels, n)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_cache", {})
 
@@ -91,6 +89,14 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
+
+
+def _checked_labels(labels, n):
+    """`labels` as a tuple, if it is a list or tuple of exactly n strings."""
+    if not (isinstance(labels, (list, tuple)) and len(labels) == n
+            and all(isinstance(x, str) for x in labels)):
+        raise GroupError(f"labels must be a list of {n} strings")
+    return tuple(labels)
 
 
 def _generated(table, gens):
@@ -385,6 +391,7 @@ def group_from_table(table, labels=None):
             for a in range(n)
         ]
         if labels is not None:
+            labels = _checked_labels(labels, n)
             labels = [labels[old] for old in order]
     return FiniteGroup(table, labels=labels)
 

@@ -21,6 +21,7 @@ from .zgmod import (
     FpModule,
     ModuleError,
     ZGLattice,
+    _vstack,
     find_equivariant_embedding,
     fixed_sublattice,
     fp_fixed_data,
@@ -74,27 +75,19 @@ def _underlying_lattice(module):
 
 
 def averaged_pairing(module):
-    """P = sum over g of ρ(g)ᵀ ρ(g); always symmetric, PD, and invariant."""
+    """P = Σ_g ρ(g)ᵀ ρ(g) = Sᵀ·S for S the stacked ρ(g); symmetric, PD and invariant."""
     lattice = _underlying_lattice(module)
-    p = IntMatrix.zeros(lattice.rank, lattice.rank)
-    for g in range(lattice.group.order):
-        a = lattice.action[g]
-        p = p + a.transpose() @ a
-    return InvariantPairing(lattice, p, check=False)
+    s = _vstack(lattice.action, lattice.rank)
+    return InvariantPairing(lattice, s.transpose() @ s, check=False)
 
 
 def random_invariant_pairing(module, rng, spread=5):
-    """P = sum over g of ρ(g)ᵀ D ρ(g) for a random positive diagonal D."""
+    """P = Σ_g ρ(g)ᵀ D ρ(g) = Sᵀ·(D·S) for a random positive diagonal D."""
     lattice = _underlying_lattice(module)
-    r = lattice.rank
-    d = IntMatrix._trusted(
-        tuple((0,) * i + (rng.randint(1, spread),) + (0,) * (r - i - 1) for i in range(r)), r
-    )
-    p = IntMatrix.zeros(r, r)
-    for g in range(lattice.group.order):
-        a = lattice.action[g]
-        p = p + a.transpose() @ (d @ a)
-    return InvariantPairing(lattice, p, check=False)
+    d = [rng.randint(1, spread) for _ in range(lattice.rank)]
+    s = _vstack(lattice.action, lattice.rank)
+    ds = tuple(tuple(x * c for x in row) for row, c in zip(s._data, d * lattice.group.order))
+    return InvariantPairing(lattice, s.transpose() @ IntMatrix._trusted(ds, s.cols), check=False)
 
 
 def _class_determinants(module, pairing):
@@ -193,9 +186,10 @@ def _validate_equivariant(m, n, t, rel_m, rel_n):
     solver = ImageSolver(rel_n)
     if solver.solve(t @ rel_m) is None:
         raise ModuleError("map does not send relations into relations")
-    for g in range(m.group.order):
-        if solver.solve(t @ m.action[g] - n.action[g] @ t) is None:
-            raise ModuleError("map is not equivariant")
+    # One solve: the solver treats each column of the stacked defects on its own.
+    defects = t @ IntMatrix.hstack(*m.action) - IntMatrix.hstack(*(a @ t for a in n.action))
+    if solver.solve(defects) is None:
+        raise ModuleError("map is not equivariant")
 
 
 def index_function(m, n, t):

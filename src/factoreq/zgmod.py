@@ -94,17 +94,21 @@ def sign_lattice(group, h_kernel):
 
 
 def permutation_lattice(group, gset):
-    """Free lattice on the points of a PermAction, G permuting the basis."""
+    """Free lattice on the points of a PermAction, G permuting the basis.
+
+    Built once per group and action, so repeated Z[G/H] share one immutable
+    lattice and its cached fixed sublattices and determinants.
+    """
     if not isinstance(gset, PermAction) or gset.group is not group:
         raise ModuleError("gset must be a permutation action of the same group")
-    n = gset.size
-    mats = []
-    for g in range(group.order):
-        rows = [[0] * n for _ in range(n)]
-        for j, i in enumerate(gset.images[g]):
-            rows[i][j] = 1
-        mats.append(IntMatrix._trusted(tuple(map(tuple, rows)), n))
-    return ZGLattice(group, n, mats, check=False)
+    key = ("permutation_lattice", gset.images)
+    if key not in group._cache:
+        # ρ(g) sends e_j to e_{g·j}, so its row i is e_{g⁻¹·i}.
+        n, eye = gset.size, IntMatrix.identity(gset.size)._data
+        mats = (IntMatrix._trusted(tuple(eye[i] for i in gset.images[h]), n)
+                for h in group.inverse)
+        group._cache[key] = ZGLattice(group, n, mats, check=False)
+    return group._cache[key]
 
 
 def regular_lattice(group):
@@ -165,6 +169,11 @@ def _block_diagonal(blocks):
         rows.extend(pad_left + r + pad_right for r in b._data)
         left += b.cols
     return IntMatrix._trusted(tuple(rows), cols)
+
+
+def _vstack(mats, cols):
+    """Matrices of `cols` columns one above the other, sharing their row tuples."""
+    return IntMatrix._trusted(tuple(row for a in mats for row in a._data), cols)
 
 
 def direct_sum(*modules):
@@ -282,12 +291,12 @@ def rationally_isomorphic(m, n):
 
 
 def _averaged_map(m, n, x):
-    """Σ_g ρ_N(g) · X · ρ_M(g⁻¹): the G-equivariant map M -> N averaged from X."""
-    group = m.group
-    t = IntMatrix.zeros(n.rank, m.rank)
-    for g in range(group.order):
-        t = t + n.action[g] @ x @ m.action[group.inverse[g]]
-    return t
+    """Σ_g ρ_N(g) · X · ρ_M(g⁻¹): the G-equivariant map M -> N averaged from X.
+
+    One product: [ρ_N(g_1) … ρ_N(g_k)] · vstack_g(X · ρ_M(g⁻¹)).
+    """
+    right = _vstack((x @ m.action[h] for h in m.group.inverse), m.rank)
+    return IntMatrix.hstack(*n.action) @ right
 
 
 def find_equivariant_embedding(m, n, seed=0, retry_budget=64):

@@ -46,8 +46,10 @@ from factoreq import (
     sublattice_action,
     trivial_lattice,
     verify_lemma,
+    zero_lattice,
 )
 from factoreq.jsonio import canonical_dumps, fe_report_to_json
+from factoreq.suites import _random_module, _torsion_twist
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -99,6 +101,39 @@ def test_random_invariant_pairing_contract():
         p = random_invariant_pairing(m, rng)
         # the constructor re-checks symmetry/definiteness/invariance
         InvariantPairing(m, p.gram)
+
+
+def _loop_pairing(lattice, diag):
+    """Σ_g ρ(g)ᵀ·D·ρ(g), one group element at a time, for D = diag(diag)."""
+    r = lattice.rank
+    d = IntMatrix([[diag[i] if i == j else 0 for j in range(r)] for i in range(r)], cols=r)
+    p = IntMatrix.zeros(r, r)
+    for a in lattice.action:
+        p = p + a.transpose() @ d @ a
+    return p
+
+
+def _pairing_test_modules(group, rng):
+    """Random corpus-style lattices, a torsion twist (M/tors) and the zero lattice."""
+    modules = [_random_module(group, rng) for _ in range(6)]
+    coset = permutation_lattice(group, coset_action(group, all_subgroups(group)[1].representative))
+    modules.append(_torsion_twist(coset, 3, rng))
+    modules.append(zero_lattice(group))
+    return modules
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_stacked_pairings_match_the_per_element_sums(name):
+    group = corpus_group(name)
+    for i, m in enumerate(_pairing_test_modules(group, random.Random(name))):
+        lattice = m.lattice_quotient()[0] if isinstance(m, FpModule) else m
+        assert averaged_pairing(m).gram == _loop_pairing(lattice, [1] * lattice.rank)
+        rng, oracle_rng = random.Random(i), random.Random(i)
+        p = random_invariant_pairing(m, rng)
+        diag = [oracle_rng.randint(1, 5) for _ in range(lattice.rank)]
+        assert p.gram == _loop_pairing(lattice, diag)
+        # Same draws in the same order: both generators are in the same state.
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 # --- regulator constants -------------------------------------------------------
@@ -242,10 +277,20 @@ def test_index_function_rejects_rank_drop():
 
 
 def test_index_function_rejects_non_equivariant():
+    # Over C2 the identity's block of the stacked defects is always zero, so
+    # these maps fail at the one other element only.
     c2 = corpus_group("C2")
     m = regular_lattice(c2)
     with pytest.raises(ModuleError, match="not equivariant"):
         index_function(m, m, IntMatrix([[1, 0], [0, 2]]))
+    # Z ⊕ Z/3 with the torsion negated: T = [[1, 0], [c, 1]] has defect
+    # (0, 2c) at the generator, which lies in im R = 0 ⊕ 3Z iff 3 | c.
+    fp = FpModule(
+        c2, 2, IntMatrix([[0], [3]]), (IntMatrix.identity(2), IntMatrix([[1, 0], [0, -1]]))
+    )
+    with pytest.raises(ModuleError, match="not equivariant"):
+        index_function(fp, fp, IntMatrix([[1, 0], [1, 1]]))
+    assert set(index_function(fp, fp, IntMatrix([[1, 0], [3, 1]])).values) == {1}
 
 
 def test_factorisable_frozen():

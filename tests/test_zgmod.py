@@ -29,6 +29,7 @@ from factoreq import (
     fixed_sublattice,
     fp_fixed_data,
     group_from_generators,
+    group_from_table,
     induced_lattice,
     invariant_factors,
     invert_unimodular,
@@ -41,7 +42,8 @@ from factoreq import (
     zero_lattice,
 )
 from factoreq.exactla import _snf_engine
-from factoreq.suites import _torsion_twist
+from factoreq.suites import _random_module, _torsion_twist
+from factoreq.zgmod import _averaged_map
 
 
 def _char_by_element_order(m):
@@ -252,6 +254,50 @@ def test_action_validation():
 
 
 # --- equivariant embeddings -----------------------------------------------------------
+
+
+def _loop_averaged_map(m, n, x):
+    """Σ_g ρ_N(g)·X·ρ_M(g⁻¹), one group element at a time."""
+    t = IntMatrix.zeros(n.rank, m.rank)
+    for g in range(m.group.order):
+        t = t + n.action[g] @ x @ m.action[m.group.inverse[g]]
+    return t
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_averaged_map_matches_the_per_element_sum(name):
+    group = corpus_group(name)
+    rng = random.Random(name)
+    coset = permutation_lattice(group, coset_action(group, all_subgroups(group)[1].representative))
+    pairs = [
+        (trivial_lattice(group), regular_lattice(group)),
+        (regular_lattice(group), coset),
+        (zero_lattice(group), coset),
+        (coset, zero_lattice(group)),
+        (zero_lattice(group), zero_lattice(group)),
+    ]
+    pairs.extend((_random_module(group, rng), _random_module(group, rng)) for _ in range(3))
+    for m, n in pairs:
+        x = IntMatrix(
+            [[rng.randint(-3, 3) for _ in range(m.rank)] for _ in range(n.rank)], cols=m.rank
+        )
+        t = _averaged_map(m, n, x)
+        assert t == _loop_averaged_map(m, n, x)
+        assert (t.rows, t.cols) == (n.rank, m.rank)
+
+
+def test_permutation_lattice_is_built_once_per_group():
+    s3 = corpus_group("S3")
+    h = all_subgroups(s3)[1].representative
+    lattice = permutation_lattice(s3, coset_action(s3, h))
+    assert permutation_lattice(s3, coset_action(s3, h)) is lattice
+    assert regular_lattice(s3) is regular_lattice(s3)
+    assert regular_lattice(s3) is not lattice
+    # A second group from the same table has its own lattices (and caches).
+    twin = group_from_table(s3.table)
+    other = permutation_lattice(twin, coset_action(twin, all_subgroups(twin)[1].representative))
+    assert other is not lattice
+    assert other.group is twin and other.action == lattice.action
 
 
 def test_embedding_on_trivial_lattice_is_identity():
