@@ -282,13 +282,27 @@ def invariant_factors(a):
 
 
 def rank(a):
-    return len(invariant_factors(a))
+    """Row rank, from the Hermite loop on a copy of A's rows (not the Smith form)."""
+    return _hnf_rows([list(r) for r in a._data], a.cols)
 
 
 def integer_kernel(a):
     """Basis of {x in Z^cols : A x = 0} as matrix columns, from `_hermite_transform`."""
     rows, r = _hermite_transform(a)
     return IntMatrix._trusted(tuple(tuple(row[a.rows:]) for row in rows[r:]), a.cols).transpose()
+
+
+def _preimage(al, l, rel):
+    """Basis (matrix columns) of {l·c : al·c ∈ im(rel)}.
+
+    Without relation columns that is l·ker(al). With them the top l.cols rows
+    of ker[al | −rel] are the coordinates c, and their image under l is
+    reduced to the canonical basis.
+    """
+    if not rel.cols:
+        return l @ integer_kernel(al)
+    ker = integer_kernel(al.hstack(-rel))
+    return column_lattice_basis(l @ IntMatrix._trusted(ker._data[: l.cols], ker.cols))
 
 
 def _bareiss_pivots(a):

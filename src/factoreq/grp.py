@@ -260,10 +260,6 @@ class SubgroupClassTable:
     def __getitem__(self, i):
         return self.classes[i]
 
-    @property
-    def representatives(self):
-        return tuple(cls.representative for cls in self.classes)
-
     def all_subgroups(self):
         """Every subgroup (not just class representatives), canonically sorted."""
         out = [m for cls in self.classes for m in cls.members]

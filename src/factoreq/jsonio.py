@@ -1,6 +1,6 @@
 """JSON loading and canonical serialization for the CLI.
 
-Rationals travel as {"num": "...", "den": "..."} decimal strings so
+Rationals are written as {"num": "...", "den": "..."} decimal strings so
 arbitrary-precision values survive transport; output is canonical
 (sorted keys, fixed separators, trailing newline) for byte-stable reports.
 Integers in the input must be JSON integers: floats, booleans and strings
@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .exactla import IntMatrix
-from .grp import GroupError, all_subgroups, group_from_generators, group_from_table
+from .grp import GroupError, _checked_labels, all_subgroups, group_from_generators, group_from_table
 from .burnside import BurnsideElement
 from .zgmod import FpModule, ZGLattice
 
@@ -50,16 +50,6 @@ def rational_to_json(x):
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def rational_from_json(obj):
-    try:
-        num, den = obj["num"], obj["den"]
-        if not (isinstance(num, str) and isinstance(den, str)):
-            raise TypeError("num and den must be decimal strings")
-        return Fraction(int(num), int(den))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational: {obj!r}") from exc
-
-
 def load_json(text):
     try:
         return json.loads(text)
@@ -74,7 +64,6 @@ def group_from_json(obj, bound=64):
     """
     if not isinstance(obj, dict):
         raise InputError("group input must be a JSON object")
-    labels = obj.get("labels")
     try:
         if "generators" in obj:
             if "labels" in obj:
@@ -84,12 +73,8 @@ def group_from_json(obj, bound=64):
             table = _int_rows(obj["cayley_table"], "cayley_table")
             if len(table) > bound:
                 raise InputError(f"group order {len(table)} exceeds bound {bound}")
-            if "labels" in obj and not (
-                isinstance(labels, list)
-                and len(labels) == len(table)
-                and all(isinstance(x, str) for x in labels)
-            ):
-                raise InputError(f"labels must be a list of {len(table)} strings")
+            # Checked here too, so that "labels": null is refused: None means no labels.
+            labels = _checked_labels(obj["labels"], len(table)) if "labels" in obj else None
             return group_from_table(table, labels=labels)
     except InputError:
         raise

@@ -9,11 +9,9 @@ from .exactla import (
     IntMatrix,
     column_lattice_basis,
     gram_determinant,
-    invariant_factors,
-    integer_kernel,
-    integer_solve,
     is_positive_definite,
     lattice_index,
+    _preimage,
 )
 from .grp import all_subgroups
 from .burnside import BrauerRelationBasis, RelationError, brauer_relation_basis, is_brauer_relation
@@ -21,6 +19,7 @@ from .zgmod import (
     FpModule,
     ModuleError,
     ZGLattice,
+    _relations,
     _vstack,
     find_equivariant_embedding,
     fixed_sublattice,
@@ -81,10 +80,10 @@ def averaged_pairing(module):
     return InvariantPairing(lattice, s.transpose() @ s, check=False)
 
 
-def random_invariant_pairing(module, rng, spread=5):
-    """P = Σ_g ρ(g)ᵀ D ρ(g) = Sᵀ·(D·S) for a random positive diagonal D."""
+def random_invariant_pairing(module, rng):
+    """P = Σ_g ρ(g)ᵀ D ρ(g) = Sᵀ·(D·S) for a random diagonal D with entries in 1..5."""
     lattice = _underlying_lattice(module)
-    d = [rng.randint(1, spread) for _ in range(lattice.rank)]
+    d = [rng.randint(1, 5) for _ in range(lattice.rank)]
     s = _vstack(lattice.action, lattice.rank)
     ds = tuple(tuple(x * c for x in row) for row, c in zip(s._data, d * lattice.group.order))
     return InvariantPairing(lattice, s.transpose() @ IntMatrix._trusted(ds, s.cols), check=False)
@@ -173,11 +172,6 @@ class SubgroupFunction:
         return tuple(enumerate(self.values))
 
 
-def _relations(module):
-    """The relation matrix of an FP module; a lattice has none (rank x 0)."""
-    return module.relations if isinstance(module, FpModule) else IntMatrix.zeros(module.rank, 0)
-
-
 def _validate_equivariant(m, n, t, rel_m, rel_n):
     if m.group is not n.group:
         raise ModuleError("modules live over different groups")
@@ -197,33 +191,21 @@ def index_function(m, n, t):
     rel_m, rel_n = _relations(m), _relations(n)
     _validate_equivariant(m, n, t, rel_m, rel_n)
     table = all_subgroups(m.group)
-    rank_rm = len(invariant_factors(rel_m))
     values = []
     for ci, cls in enumerate(table):
         h = cls.representative
         lm = fixed_sublattice(m, h)
-        ln = fixed_sublattice(n, h)
-        image = (t @ lm).hstack(rel_n)
+        tl = t @ lm
         try:
-            num = lattice_index(image, ln)
+            num = lattice_index(tl.hstack(rel_n), fixed_sublattice(n, h))
         except ExactLinAlgError as exc:
             raise ModuleError(f"infinite cokernel at subgroup class {ci}") from exc
-        # Kernel of T on M^H: solutions of T(LM c) = R_N y, modulo im(R_M).
-        system = (t @ lm).hstack(-rel_n)
-        ker = integer_kernel(system)
-        coeff_rows = IntMatrix([ker.row(i) for i in range(lm.cols)], cols=ker.cols) if lm.cols else IntMatrix.zeros(0, ker.cols)
-        v = column_lattice_basis(lm @ coeff_rows)
-        if v.cols != rank_rm:
-            raise ModuleError(f"infinite kernel at subgroup class {ci}")
-        if v.cols == 0:
-            korder = 1
-        else:
-            coords = integer_solve(v, rel_m)
-            if coords is None:
-                raise ModuleError("relation columns escape the kernel lattice")
-            korder = 1
-            for d in invariant_factors(coords):
-                korder *= d
+        # ker(T on M^H) = V / im(R_M) for V the preimage in L_H(M) of im(R_N);
+        # im(R_M) ⊆ V always, so a rank difference is exactly an infinite kernel.
+        try:
+            korder = lattice_index(rel_m, _preimage(tl, lm, rel_n))
+        except ExactLinAlgError as exc:
+            raise ModuleError(f"infinite kernel at subgroup class {ci}") from exc
         values.append(Fraction(num, korder))
     return SubgroupFunction(table, tuple(values))
 
@@ -292,7 +274,7 @@ class FactorEquivalenceReport(NamedTuple):
     seed: int
 
 
-def factor_equivalent(m, n, seed=0, relations=None, retry_budget=64):
+def factor_equivalent(m, n, seed=0, retry_budget=64):
     """Decide factor equivalence of two lattices by both available routes.
 
     Definitional route: a random equivariant embedding's index function must
@@ -307,7 +289,7 @@ def factor_equivalent(m, n, seed=0, relations=None, retry_budget=64):
         )
     if not rationally_isomorphic(m, n):
         raise ModuleError("not rationally isomorphic")
-    basis = relations if relations is not None else brauer_relation_basis(m.group)
+    basis = brauer_relation_basis(m.group)
     t = find_equivariant_embedding(m, n, seed=seed, retry_budget=retry_budget)
     f = index_function(m, n, t)
     verdict, defects = is_factorisable(f, basis)

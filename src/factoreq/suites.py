@@ -23,9 +23,7 @@ from .burnside import (
 )
 from .zgmod import (
     FpModule,
-    ZGLattice,
     _averaged_map,
-    as_fp_module,
     conjugated_lattice,
     direct_sum,
     induced_lattice,

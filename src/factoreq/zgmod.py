@@ -14,15 +14,15 @@ import random
 from .exactla import (
     ImageSolver,
     IntMatrix,
-    column_lattice_basis,
     determinant,
     integer_kernel,
     integer_solve,
     invariant_factors,
     invert_unimodular,
+    _preimage,
 )
-from .grp import GroupError, Subgroup, _generated
-from .burnside import PermAction, coset_action, regular_action
+from .grp import Subgroup, _generated
+from .burnside import PermAction, regular_action
 
 
 class ModuleError(ValueError):
@@ -60,9 +60,6 @@ class ZGLattice:
 
     def act(self, g):
         return self.action[g]
-
-    def character(self):
-        return character(self)
 
     def __repr__(self):
         return f"ZGLattice(rank={self.rank}, |G|={self.group.order})"
@@ -246,37 +243,35 @@ def fixed_sublattice(module, h):
     not be saturated (torsion). Down the subgroup chain: the trivial subgroup
     gives Z^n, and for H's generators s_1..s_k and K = <s_1..s_{k−1}>,
     L_H = {x ∈ L_K : (ρ(s_k) − I)x ∈ im(R)}, since the action preserves im(R)
-    and is a homomorphism modulo im(R). For a lattice that is
-    L_K·ker((ρ(s_k) − I)·L_K); with relations the top rows of
-    ker[(ρ(s_k) − I)·L_K | −R] are coordinates in L_K, and their image is
-    reduced to the canonical basis. Each L_K on the way is cached too.
+    and is a homomorphism modulo im(R). That is one preimage step,
+    `_preimage((ρ(s_k) − I)·L_K, L_K, R)`, and each L_K on the way is cached.
     """
     elems = h.elements if isinstance(h, Subgroup) else tuple(sorted(set(h)))
     key = ("fixed", elems)
     cached = module._cache.get(key)
     if cached is not None:
         return cached
-    fp = isinstance(module, FpModule)
+    rel = _relations(module)
     gens = _generating_set(module.group, elems)
     if not gens:
-        basis = IntMatrix.identity(module.gens if fp else module.rank)
+        basis = IntMatrix.identity(rel.rows)
     else:
         # The greedy generating set of K is gens[:-1], so the chain reuses entries.
         lk = fixed_sublattice(module, _generated(module.group.table, gens[:-1]))
-        step = module.action[gens[-1]] @ lk - lk
-        if fp and module.relations.cols:
-            ker = integer_kernel(step.hstack(-module.relations))
-            basis = column_lattice_basis(lk @ IntMatrix._trusted(ker._data[: lk.cols], ker.cols))
-        else:
-            basis = lk @ integer_kernel(step)
+        basis = _preimage(module.action[gens[-1]] @ lk - lk, lk, rel)
     module._cache[key] = basis
     return basis
+
+
+def _relations(module):
+    """The relation matrix of an FP module; a lattice has none (rank x 0)."""
+    return module.relations if isinstance(module, FpModule) else IntMatrix.zeros(module.rank, 0)
 
 
 def character(m):
     """Trace of the action at one representative per element conjugacy class."""
     if isinstance(m, FpModule):
-        return m.lattice_quotient()[0].character()
+        return character(m.lattice_quotient()[0])
     return tuple(
         sum(m.action[cls[0]][i, i] for i in range(m.rank))
         for cls in m.group.element_classes
@@ -382,13 +377,6 @@ class FpModule:
 
     def act(self, g):
         return self.action[g]
-
-    def torsion_order(self):
-        """|M_tors| = product of the invariant factors of the relation matrix."""
-        out = 1
-        for d in invariant_factors(self.relations):
-            out *= d
-        return out
 
     def lattice_quotient(self):
         """(M/tors as a ZGLattice, projection matrix, integral section).

@@ -6,6 +6,7 @@ Exit-code contract: 0 success, 2 input error, 3 precondition violation,
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from factoreq import IntMatrix, brauer_relation_basis, corpus_group
+from factoreq import IntMatrix, brauer_relation_basis, corpus_group, invariant_factors
 from factoreq.cli import main
 from factoreq.jsonio import (
     InputError,
@@ -24,7 +25,6 @@ from factoreq.jsonio import (
     jsonable,
     load_json,
     module_from_json,
-    rational_from_json,
     rational_to_json,
 )
 
@@ -50,18 +50,10 @@ def trivial_module_file(tmp_path):
 
 
 def test_rational_round_trip():
-    x = Fraction(-3, 7)
-    assert rational_to_json(x) == {"num": "-3", "den": "7"}
-    assert rational_from_json(rational_to_json(x)) == x
+    assert rational_to_json(Fraction(-3, 7)) == {"num": "-3", "den": "7"}
+    assert rational_to_json(4) == {"num": "4", "den": "1"}
     big = Fraction(10**40 + 1, 10**39)
-    assert rational_from_json(rational_to_json(big)) == big
-
-
-def test_rational_from_json_rejects_junk():
-    with pytest.raises(InputError):
-        rational_from_json({"num": "1"})
-    with pytest.raises(InputError):
-        rational_from_json({"num": "a", "den": "2"})
+    assert rational_to_json(big) == {"num": "1" + "0" * 39 + "1", "den": "1" + "0" * 39}
 
 
 def test_canonical_dumps_is_key_order_insensitive():
@@ -117,7 +109,7 @@ def test_module_from_json_presentation():
         },
     )
     assert m.gens == 2
-    assert m.torsion_order() == 5
+    assert math.prod(invariant_factors(m.relations)) == 5
 
 
 def test_burnside_from_json():
@@ -384,6 +376,7 @@ def test_cli_bad_config_prints_one_line(argv, capsys):
         {"cayley_table": [[0, 1], [1, 0]], "labels": [1, 2]},
         {"cayley_table": [[0, 1], [1, 0]], "labels": [None, {"a": 1}]},
         {"generators": [[1, 0]], "labels": ["e", "s"]},
+        {"cayley_table": [[0, 1], [1, 0]], "labels": None},
     ),
 )
 def test_cli_bad_labels_exit_2(group, tmp_path, capsys):
@@ -475,13 +468,6 @@ def test_cli_relation_coefficient_must_be_integer(
     argv = ["regconst", v4_file, "--module", trivial_module_file, "--relation", rel]
     err = _run_one_line_error(capsys, argv, 2)
     assert err.startswith("error:") and "coefficient of class 4" in err
-
-
-def test_rational_from_json_wants_decimal_strings():
-    with pytest.raises(InputError):
-        rational_from_json({"num": 1.5, "den": "2"})
-    with pytest.raises(InputError):
-        rational_from_json({"num": "1", "den": "0"})
 
 
 def test_cli_unwritable_output_exits_2(capsys):

@@ -90,6 +90,12 @@ def test_rank():
     assert rank(IntMatrix([[1, 2], [2, 4]])) == 1
     assert rank(IntMatrix([[0, 0], [0, 0]])) == 0
     assert rank(IntMatrix.identity(4)) == 4
+    # Against sympy, on products of an m x r and an r x n factor (rank at
+    # most r, so mostly rank-deficient) and on zero-row and zero-column shapes.
+    rng = random.Random(89)
+    for m, r, n in [(0, 0, 3), (3, 0, 0), (0, 2, 0), (3, 2, 4), (5, 3, 5), (6, 1, 4), (4, 4, 7)] * 4:
+        a = _from_rows(_random_rows(rng, m, r), r) @ _from_rows(_random_rows(rng, r, n), n)
+        assert rank(a) == _as_sympy(a).rank() == len(invariant_factors(a))
 
 
 # --- kernels -----------------------------------------------------------------

@@ -5,6 +5,7 @@ trivial lattice every class contributes det = c/|H|, and the c-exponents
 cancel because each basis relation has coefficient sum zero.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ import pytest
 
 from factoreq import (
     BurnsideElement,
+    ExactLinAlgError,
     FpModule,
     IntMatrix,
     InternalError,
@@ -26,6 +28,7 @@ from factoreq import (
     conjugated_lattice,
     corpus_group,
     corpus_names,
+    column_lattice_basis,
     coset_action,
     direct_sum,
     double_cosets,
@@ -35,7 +38,11 @@ from factoreq import (
     gram_determinant,
     group_from_generators,
     index_function,
+    integer_kernel,
+    integer_solve,
+    invariant_factors,
     is_factorisable,
+    lattice_index,
     permutation_lattice,
     pullback_pairing,
     random_invariant_pairing,
@@ -49,7 +56,13 @@ from factoreq import (
     zero_lattice,
 )
 from factoreq.jsonio import canonical_dumps, fe_report_to_json
-from factoreq.suites import _random_module, _torsion_twist
+from factoreq.zgmod import _relations
+from factoreq.suites import (
+    _index2_subgroups,
+    _random_equivariant_endo,
+    _random_module,
+    _torsion_twist,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -272,8 +285,72 @@ def test_index_function_with_kernel():
 def test_index_function_rejects_rank_drop():
     c2 = corpus_group("C2")
     triv = trivial_lattice(c2)
-    with pytest.raises(ModuleError):
+    # Z ⊕ Z onto Z: finite cokernel, so the rank drop is an infinite kernel.
+    with pytest.raises(ModuleError, match="infinite kernel at subgroup class 0") as info:
+        index_function(direct_sum(triv, triv), triv, IntMatrix([[1, 0]]))
+    assert isinstance(info.value.__cause__, ExactLinAlgError)
+    # The zero map drops rank on both sides; the cokernel is checked first.
+    with pytest.raises(ModuleError, match="infinite cokernel at subgroup class 0"):
         index_function(triv, triv, IntMatrix([[0]]))
+
+
+def test_index_function_rejects_infinite_cokernel():
+    c2 = corpus_group("C2")
+    with pytest.raises(ModuleError, match="infinite cokernel at subgroup class 0") as info:
+        index_function(zero_lattice(c2), trivial_lattice(c2), IntMatrix.zeros(1, 0))
+    assert isinstance(info.value.__cause__, ExactLinAlgError)
+
+
+def _reference_kernel_order(m, n, t, h):
+    """|ker(T on M^H)| by a second route: the coordinates of R_M in V, then the
+    product of their invariant factors. V is the image in L_H(M) of the top
+    rows of ker[T·L_H(M) | −R_N], the preimage of im(R_N).
+    """
+    rel_m, rel_n = _relations(m), _relations(n)
+    lm = fixed_sublattice(m, h)
+    ker = integer_kernel((t @ lm).hstack(-rel_n))
+    v = column_lattice_basis(lm @ IntMatrix(ker.tolist()[: lm.cols], cols=ker.cols))
+    coords = integer_solve(v, rel_m)
+    assert coords is not None and coords.rows == len(invariant_factors(coords))
+    return math.prod(invariant_factors(coords))
+
+
+def _lemma_shaped_instances(group, rng, rounds=2):
+    """(M, N, T) as the lemma suite draws them: lattice endomorphisms,
+    torsion twists projected onto their lattice (alone and after an
+    endomorphism), and Z/9 twists mapped onto Z/3 twists."""
+    index2 = _index2_subgroups(group)
+    for i in range(rounds):
+        m = _random_module(group, rng, max_rank=8)
+        yield m, m, _random_equivariant_endo(m, rng)
+        lat = _random_module(group, rng, max_rank=6)
+        kernel = index2[rng.randrange(len(index2))] if index2 and rng.randrange(2) else None
+        twist = _torsion_twist(lat, (3, 5, 9)[i % 3], rng, kernel)
+        proj = IntMatrix.identity(lat.rank).hstack(IntMatrix.zeros(lat.rank, 1))
+        yield twist, lat, proj
+        yield twist, lat, _random_equivariant_endo(lat, rng) @ proj
+        lat2 = _random_module(group, rng, max_rank=6)
+        kernel2 = index2[rng.randrange(len(index2))] if index2 else None
+        u = [rng.randrange(3) for _ in range(lat2.rank)]
+        twist9 = _torsion_twist(lat2, 9, rng, kernel2, u=u)
+        twist3 = _torsion_twist(lat2, 3, rng, kernel2, u=u)
+        yield twist9, twist3, IntMatrix.identity(lat2.rank + 1)
+
+
+@pytest.mark.parametrize("name", ("V4", "S3", "D4", "Q8"))
+def test_index_function_kernel_order_matches_reference_route(name):
+    group = corpus_group(name)
+    rng = random.Random(sum(map(ord, name)))
+    orders = set()
+    for m, n, t in _lemma_shaped_instances(group, rng):
+        f = index_function(m, n, t)
+        for ci, cls in enumerate(f.table):
+            h = cls.representative
+            korder = _reference_kernel_order(m, n, t, h)
+            lm, ln = fixed_sublattice(m, h), fixed_sublattice(n, h)
+            assert f[ci] == Fraction(lattice_index((t @ lm).hstack(_relations(n)), ln), korder)
+            orders.add(korder)
+    assert orders > {1}, "no instance had a nontrivial kernel"
 
 
 def test_index_function_rejects_non_equivariant():
