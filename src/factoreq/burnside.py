@@ -5,7 +5,7 @@ the fixed-point matrix: a virtual permutation representation vanishes exactly
 when all its fixed-point counts cancel, so no character theory is needed.
 """
 
-from .exactla import IntMatrix, _snf_engine, invariant_factors
+from .exactla import IntMatrix, _snf_engine, integer_kernel, lattice_index
 from .grp import GroupError, Subgroup, all_subgroups
 
 
@@ -41,9 +41,6 @@ class PermAction:
     def __setattr__(self, name, value):
         raise AttributeError("PermAction is immutable")
 
-    def apply(self, g, x):
-        return self.images[g][x]
-
     def fixed_point_count(self, g):
         img = self.images[g]
         return sum(1 for x in range(self.size) if img[x] == x)
@@ -76,12 +73,6 @@ class PermAction:
                 seen[y] = True
             out.append(tuple(sorted(orbit)))
         return out
-
-    def stabilizer(self, x):
-        return Subgroup(
-            self.group,
-            (g for g in range(self.group.order) if self.images[g][x] == x),
-        )
 
     def disjoint_union(self, other):
         if other.group is not self.group:
@@ -178,21 +169,23 @@ class BurnsideElement:
 def fixed_point_matrix(group):
     """Rows: element conjugacy classes; columns: subgroup classes.
 
-    Entry (c, K) counts the fixed points of a class-c representative acting
-    on G/K. Cached per group.
+    Entry (c, K) counts the fixed points of a class-c element g acting on
+    G/K. The coset xK is fixed by g iff x⁻¹gx ∈ K, so that count is
+    |G|·|c ∩ K| / (|c|·|K|), read off one pass over K's elements. Cached per
+    group.
     """
     cached = group._cache.get("fixed_point_matrix")
     if cached is not None:
         return cached
-    table = all_subgroups(group)
-    actions = [coset_action(group, cls.representative) for cls in table]
-    m = IntMatrix(
-        (
-            tuple(act.fixed_point_count(cls[0]) for act in actions)
-            for cls in group.element_classes
-        ),
-        cols=len(table.classes),
-    )
+    n, classes = group.order, group.element_classes
+    columns = []
+    for cls in all_subgroups(group):
+        k = cls.representative.elements
+        meet = [0] * len(classes)
+        for x in k:
+            meet[group.class_of_element[x]] += 1
+        columns.append(tuple(n * hits // (len(c) * len(k)) for hits, c in zip(meet, classes)))
+    m = IntMatrix._trusted(tuple(zip(*columns)), len(columns))
     group._cache["fixed_point_matrix"] = m
     return m
 
@@ -231,7 +224,7 @@ def brauer_relation_basis(group):
         return cached
     table = all_subgroups(group)
     # SNF, not HNF: this basis is the report until ROADMAP item 4 makes it canonical.
-    d, v = _snf_engine(fixed_point_matrix(group), want_v=True)
+    d, v = _snf_engine(fixed_point_matrix(group))
     r = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
     relations = []
     for col in list(zip(*v))[r:]:
@@ -252,11 +245,13 @@ def is_brauer_relation(theta):
 
 
 def relation_is_saturated(basis):
-    """True if the basis spans a saturated sublattice (invariant factors all 1)."""
-    if not basis.relations:
-        return True
+    """True if the basis spans a saturated sublattice: index 1 in its saturation.
+
+    The saturation of B's column span is ker(ker(Bᵀ)ᵀ), the integer points of
+    its rational span.
+    """
     m = IntMatrix.from_columns(
         [theta.coeffs for theta in basis.relations],
         rows=len(basis.table),
     )
-    return all(d == 1 for d in invariant_factors(m))
+    return lattice_index(m, integer_kernel(integer_kernel(m.transpose()).transpose())) == 1

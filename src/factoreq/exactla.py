@@ -1,14 +1,16 @@
 """Exact linear algebra over Z.
 
 Matrices hold arbitrary-precision Python ints and every elimination is
-integer-only: row Hermite form (kernels, lattice bases, solves, inverses,
-indices and quotients, one loop for all), Smith normal form (invariant
-factors and the kernel that is the Brauer relation basis) and Bareiss
+integer-only: row Hermite form (kernels, lattice bases, ranks, solves,
+inverses and quotients, one loop for all; every finite index is read off its
+pivots by `lattice_index`), Smith normal form (only for the kernel that is
+the Brauer relation basis, and the public `invariant_factors`) and Bareiss
 (determinants). Fractions appear only in results, such as a scaled Gram
 determinant or a rational solution read off an integer one. No floating
 point is used anywhere, so all equalities downstream are exact.
 """
 
+import math
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, index as _as_int, mul, neg, sub
@@ -85,9 +87,6 @@ class IntMatrix:
 
     def row(self, i):
         return self._data[i]
-
-    def column(self, j):
-        return tuple(r[j] for r in self._data)
 
     def tolist(self):
         return [list(r) for r in self._data]
@@ -177,9 +176,6 @@ class IntMatrix:
             raise ExactLinAlgError("vector length mismatch")
         return tuple(sum(x * y for x, y in zip(row, vector)) for row in self._data)
 
-    def is_zero(self):
-        return all(x == 0 for r in self._data for x in r)
-
     def __repr__(self):
         return f"IntMatrix({self.tolist()!r})"
 
@@ -190,25 +186,24 @@ _set_rows, _set_cols, _set_data, _set_hash = (
 )
 
 
-def _snf_engine(a, want_v=False):
+def _snf_engine(a):
     """Diagonalize by unimodular row and column operations.
 
     Returns (D, v_rows): U @ A @ V == D for a row transform U that is not
-    kept, and the column transform V as a list of rows when `want_v` (else
-    None). Pivoting is on minimal absolute value; after each pivot is
-    isolated a divisibility sweep folds any violating entry back in, so the
-    final diagonal is a divisor chain d1 | d2 | ... with di >= 0.
+    kept, and the column transform V as a list of rows. Pivoting is on
+    minimal absolute value; after each pivot is isolated a divisibility sweep
+    folds any violating entry back in, so the final diagonal is a divisor
+    chain d1 | d2 | ... with di >= 0.
     """
     m, n = a.rows, a.cols
     d = [list(r) for r in a._data]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_v else None
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
 
     def add_row(i, j, c):
         # row_i += c * row_j
@@ -217,9 +212,8 @@ def _snf_engine(a, want_v=False):
     def add_col(i, j, c):
         for row in d:
             row[i] += c * row[j]
-        if v is not None:
-            for row in v:
-                row[i] += c * row[j]
+        for row in v:
+            row[i] += c * row[j]
 
     for t in range(min(m, n)):
         # Find the minimal-absolute-value nonzero entry of the trailing block.
@@ -500,7 +494,10 @@ def lattice_index(sub, sup):
 
     Both arguments are matrices whose columns span the respective lattices
     inside a common ambient Z^n. Requires equal rational column spans (else
-    the index is infinite) and integral containment of sub in sup.
+    the index is infinite) and integral containment of sub in sup: the
+    Hermite basis of [sup | sub] must be that of sup. Equal spans give both
+    Hermite bases the same pivot rows, on which each is triangular, so the
+    index is the quotient of their pivot products.
     """
     if sub.rows != sup.rows:
         raise ExactLinAlgError("lattices live in different ambient spaces")
@@ -508,14 +505,14 @@ def lattice_index(sub, sup):
     pb = column_lattice_basis(sup)
     if sb.cols != pb.cols:
         raise ExactLinAlgError("infinite index: ranks differ")
-    if pb.cols == 0:
-        return 1
-    # Both bases have full column rank t, so the t x t coordinates of sub in
-    # sup are unique and nonsingular; they exist iff sub lies in sup.
-    coords = integer_solve(pb, sb)
-    if coords is None:
+    if column_lattice_basis(pb.hstack(sb)) != pb:
         raise ExactLinAlgError("not a sublattice: spans differ or sub is not contained")
-    return abs(determinant(coords))
+    return _pivot_product(sb) // _pivot_product(pb)
+
+
+def _pivot_product(basis):
+    """Product of the pivots (leading nonzero entries) of a Hermite basis's columns."""
+    return math.prod(next(filter(None, col)) for col in zip(*basis._data))
 
 
 def gram_determinant(pairing, basis, scale=1):

@@ -57,12 +57,6 @@ class FiniteGroup:
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
 
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def inv(self, a):
-        return self.inverse[a]
-
     def conj(self, x, g):
         """x * g * x^-1."""
         return self.table[self.table[x][g]][self.inverse[x]]
@@ -73,9 +67,6 @@ class FiniteGroup:
             acc = self.table[acc][g]
             k += 1
         return k
-
-    def subgroup(self, elements):
-        return Subgroup(self, elements)
 
     def trivial_subgroup(self):
         return Subgroup(self, (0,))

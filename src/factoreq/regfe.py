@@ -168,9 +168,6 @@ class SubgroupFunction:
     def __len__(self):
         return len(self.values)
 
-    def items(self):
-        return tuple(enumerate(self.values))
-
 
 def _validate_equivariant(m, n, t, rel_m, rel_n):
     if m.group is not n.group:

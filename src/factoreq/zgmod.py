@@ -17,8 +17,8 @@ from .exactla import (
     determinant,
     integer_kernel,
     integer_solve,
-    invariant_factors,
     invert_unimodular,
+    lattice_index,
     _preimage,
 )
 from .grp import Subgroup, _generated
@@ -57,9 +57,6 @@ class ZGLattice:
 
     def __setattr__(self, name, value):
         raise AttributeError("ZGLattice is immutable")
-
-    def act(self, g):
-        return self.action[g]
 
     def __repr__(self):
         return f"ZGLattice(rank={self.rank}, |G|={self.group.order})"
@@ -375,9 +372,6 @@ class FpModule:
     def __setattr__(self, name, value):
         raise AttributeError("FpModule is immutable")
 
-    def act(self, g):
-        return self.action[g]
-
     def lattice_quotient(self):
         """(M/tors as a ZGLattice, projection matrix, integral section).
 
@@ -425,20 +419,22 @@ def fp_fixed_lattice(module, h):
 
 
 def fp_fixed_data(module, h):
-    """(free rank, torsion cardinality) of M^H = L_H / im(R)."""
+    """(free rank, torsion cardinality) of M^H = L_H / im(R).
+
+    The torsion of M^H is (L_H ∩ ker proj) / im(R), with proj the projection
+    of `lattice_quotient` (its kernel is the saturation of im(R)), so its
+    order is one lattice index and its rank that of im(R).
+    """
     elems = h.elements if isinstance(h, Subgroup) else tuple(sorted(set(h)))
     key = ("fp_fixed_data", elems)
     cached = module._cache.get(key)
     if cached is not None:
         return cached
     basis = fixed_sublattice(module, elems)
-    if not isinstance(module, FpModule) or module.relations.cols == 0:
+    if not isinstance(module, FpModule):
         out = (basis.cols, 1)
     else:
-        coords = integer_solve(basis, module.relations)
-        if coords is None:
-            raise ModuleError("relation columns escape the fixed preimage lattice")
-        factors = invariant_factors(coords)
-        out = (basis.cols - len(factors), math.prod(factors))
+        tors = basis @ integer_kernel(module.lattice_quotient()[1] @ basis)
+        out = (basis.cols - tors.cols, lattice_index(module.relations, tors))
     module._cache[key] = out
     return out

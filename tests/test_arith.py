@@ -14,6 +14,7 @@ from factoreq import (
     BurnsideElement,
     IntMatrix,
     ModuleError,
+    Subgroup,
     all_subgroups,
     brauer_relation_basis,
     character,
@@ -114,7 +115,7 @@ def test_sunit_lattice_c2_regular_is_sign():
     c2 = corpus_group("C2")
     su = sunit_lattice(c2, [c2.trivial_subgroup()])
     assert su.lattice.rank == 1
-    assert su.lattice.act(1) == IntMatrix([[-1]])
+    assert su.lattice.action[1] == IntMatrix([[-1]])
 
 
 @pytest.mark.parametrize("name", ("V4", "S3", "D4"))
@@ -236,7 +237,7 @@ def test_kgroup_even_only_regular_summands():
 
 def test_kgroup_even_induced_sign():
     v4 = corpus_group("V4")
-    m = kgroup_comparison_module(v4, [v4.subgroup((0, 1))], 0, "even")
+    m = kgroup_comparison_module(v4, [Subgroup(v4, (0, 1))], 0, "even")
     assert m.rank == 2
     assert character(m) == (2, -2, 0, 0)
 
@@ -264,7 +265,7 @@ def test_kgroup_validation():
 def test_kgroup_triviality_frozen_cases():
     v4 = corpus_group("V4")
     basis = brauer_relation_basis(v4)
-    even = kgroup_comparison_module(v4, [v4.subgroup((0, 1))], 0, "even")
+    even = kgroup_comparison_module(v4, [Subgroup(v4, (0, 1))], 0, "even")
     res = verify_kgroup_triviality(even, basis)
     assert res.ok and res.constants == (Fraction(1),)
 

@@ -9,14 +9,18 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from factoreq import (
+    BrauerRelationBasis,
     BurnsideElement,
+    IntMatrix,
     RelationError,
+    Subgroup,
     all_subgroups,
     brauer_relation_basis,
     corpus_group,
     corpus_names,
     coset_action,
     fixed_point_matrix,
+    group_from_generators,
     is_brauer_relation,
     regular_action,
     relation_is_saturated,
@@ -73,13 +77,42 @@ def test_identity_row_lists_all_indexes():
         )
 
 
+# Permutation generators of the benchmark ladder's groups (one-line images).
+LADDER_GENERATORS = {
+    "A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
+    "D8": [[1, 2, 3, 4, 5, 6, 7, 0], [0, 7, 6, 5, 4, 3, 2, 1]],
+    "C2_4": [[1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
+             [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]],
+    "S4": [[1, 0, 2, 3], [1, 2, 3, 0]],
+    "C2xS4": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]],
+}
+
+
+@pytest.mark.parametrize(
+    "group",
+    [corpus_group(name) for name in corpus_names()]
+    + [group_from_generators(gens) for gens in LADDER_GENERATORS.values()],
+    ids=list(corpus_names()) + list(LADDER_GENERATORS),
+)
+def test_fixed_point_matrix_matches_coset_actions(group):
+    # Second route: count the fixed cosets of each class representative directly.
+    table = all_subgroups(group)
+    want = IntMatrix.from_columns(
+        [
+            [act.fixed_point_count(ecls[0]) for ecls in group.element_classes]
+            for act in (coset_action(group, cls.representative) for cls in table)
+        ]
+    )
+    assert fixed_point_matrix(group) == want
+
+
 def test_columns_constant_on_subgroup_classes():
     group = corpus_group("S3")
     table = all_subgroups(group)
     f = fixed_point_matrix(group)
     for ci, cls in enumerate(table):
         for member in cls.members:
-            act = coset_action(group, group.subgroup(member))
+            act = coset_action(group, Subgroup(group, member))
             col = tuple(
                 act.fixed_point_count(ecls[0]) for ecls in group.element_classes
             )
@@ -132,6 +165,11 @@ def test_basis_is_saturated(name):
     basis = brauer_relation_basis(corpus_group(name))
     assert relation_is_saturated(basis)
     if basis.rank:
+        doubled = [2 * basis[0]] + list(basis)[1:]
+        assert not relation_is_saturated(BrauerRelationBasis(basis.group, basis.table, doubled))
+        summed = list(basis)
+        summed[0] = summed[0] + summed[-1] * 3 if len(summed) > 1 else -summed[0]
+        assert relation_is_saturated(BrauerRelationBasis(basis.group, basis.table, summed))
         m = sympy.Matrix([list(theta.coeffs) for theta in basis]).T
         sm = sympy_snf(m)
         diag = [abs(sm[i, i]) for i in range(min(sm.rows, sm.cols)) if sm[i, i]]
@@ -184,7 +222,7 @@ def test_coset_action_basics():
     act = coset_action(group, h)
     assert act.size == 3
     assert len(act.orbits()) == 1
-    assert act.stabilizer(0).order == 2
+    assert sum(1 for g in range(group.order) if act.images[g][0] == 0) == 2
 
 
 def test_regular_action_fixed_points():

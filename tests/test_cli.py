@@ -81,7 +81,7 @@ def test_module_from_json_lattice():
     group = group_from_json(V4_GROUP_JSON)
     m = module_from_json(group, TRIVIAL_MODULE_JSON)
     assert m.rank == 1
-    assert m.act(3) == IntMatrix([[1]])
+    assert m.action[3] == IntMatrix([[1]])
 
 
 def test_module_from_json_completes_partial_actions():

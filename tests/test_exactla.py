@@ -78,7 +78,7 @@ def test_smith_transform_contract(data):
     # The diagonal itself is pinned against sympy above; here the column
     # transform: V is unimodular and A·V vanishes past the rank.
     a = IntMatrix(data)
-    _, v = _snf_engine(a, want_v=True)
+    _, v = _snf_engine(a)
     v = IntMatrix(v, cols=a.cols)
     assert abs(determinant(v)) == 1
     r = rank(a)
@@ -104,7 +104,7 @@ def test_rank():
 def test_kernel_of_row_vector():
     k = integer_kernel(IntMatrix([[1, 1]]))
     assert k.cols == 1
-    col = tuple(k.column(0))
+    col = k.transpose().row(0)
     assert col in ((1, -1), (-1, 1))
 
 
@@ -126,7 +126,7 @@ def test_kernel_is_saturated():
     assert invariant_factors(k) == (1,)
     a = IntMatrix([[2, 4, 4], [-6, 6, 12], [2, 4, 4]])
     kk = integer_kernel(a)
-    assert (a @ kk).is_zero()
+    assert a @ kk == IntMatrix.zeros(3, kk.cols)
     if kk.cols:
         assert all(f == 1 for f in invariant_factors(kk))
 
@@ -209,6 +209,13 @@ def test_lattice_index_frozen():
     assert lattice_index(i2, i2) == 1
     assert lattice_index(IntMatrix.from_columns([(2, 0), (1, 1)]), i2) == 2
     assert lattice_index(IntMatrix.zeros(3, 0), IntMatrix.zeros(3, 0)) == 1
+    # Dependent columns: sub spans 2Z ⊕ 3Z through four, sup spans Z ⊕ 3Z through three.
+    sub = IntMatrix.from_columns([(2, 0), (4, 0), (0, 3), (2, 3)])
+    assert lattice_index(sub, i2) == 6
+    assert lattice_index(sub, IntMatrix.from_columns([(1, 3), (0, 6), (1, 0)])) == 2
+    # Rank 1 in Z^3 with its pivot in the last row: <(0, 0, 4), (0, 0, 6)> = 2Z in Z.
+    line = IntMatrix.from_columns([(0, 0, 4), (0, 0, 6)])
+    assert lattice_index(line, IntMatrix.from_columns([(0, 0, 1)])) == 2
 
 
 def test_lattice_index_multiplicative_in_towers():
@@ -220,10 +227,15 @@ def test_lattice_index_multiplicative_in_towers():
 
 def test_lattice_index_errors():
     i2 = IntMatrix.identity(2)
-    with pytest.raises(ExactLinAlgError):
-        lattice_index(IntMatrix.from_columns([(1, 0)]), i2)  # ranks differ
-    with pytest.raises(ExactLinAlgError):
+    with pytest.raises(ExactLinAlgError, match="infinite index: ranks differ"):
+        lattice_index(IntMatrix.from_columns([(1, 0)]), i2)
+    with pytest.raises(ExactLinAlgError, match="not a sublattice"):
         lattice_index(i2, IntMatrix.from_columns([(2, 0), (0, 2)]))  # not contained
+    with pytest.raises(ExactLinAlgError, match="not a sublattice"):
+        # Equal rank, other span: e1 in e2.
+        lattice_index(IntMatrix.from_columns([(1, 0)]), IntMatrix.from_columns([(0, 1)]))
+    with pytest.raises(ExactLinAlgError, match="not a sublattice"):
+        lattice_index(IntMatrix.from_columns([(0, 1, 1)]), IntMatrix.from_columns([(0, 1, 0)]))
     with pytest.raises(ExactLinAlgError):
         lattice_index(i2, IntMatrix.identity(3))
 
@@ -295,7 +307,7 @@ def test_intmatrix_stacking_and_columns():
     a = IntMatrix([[1, 2]])
     assert a.hstack(IntMatrix([[9]])) == IntMatrix([[1, 2, 9]])
     m = IntMatrix.from_columns([(1, 0), (2, 5)])
-    assert m.column(1) == (2, 5)
+    assert m.transpose().row(1) == (2, 5)
     assert m.tolist() == [[1, 2], [0, 5]]
     assert IntMatrix.from_columns([], rows=3).cols == 0
 
@@ -419,6 +431,28 @@ def test_lattice_index_matches_sympy_determinant(n):
             continue
         assert lattice_index(sup @ coords, sup) == abs(det)
         done += 1
+    # Rank t < n: rows outside `pivots` are combinations of the rows above
+    # them (zero for row 0), so the Hermite pivots sit on exactly those rows.
+    for t in range(n):
+        done = 0
+        while done < 4:
+            pivots = sorted(rng.sample(range(1, n), t))
+            rows = []
+            for i in range(n):
+                if i in pivots:
+                    rows.append(_random_rows(rng, 1, t)[0])
+                else:
+                    mix = [rng.randint(-2, 2) for _ in rows]
+                    rows.append([sum(c * r[j] for c, r in zip(mix, rows)) for j in range(t)])
+            sup = _from_rows(rows, t)
+            coords = _from_rows(_random_rows(rng, t, t), t)
+            det = _as_sympy(coords).det()
+            if _as_sympy(sup).rank() < t or det == 0:
+                continue
+            basis = column_lattice_basis(sup)
+            assert [next(i for i in range(n) if basis[i, j]) for j in range(t)] == pivots
+            assert lattice_index(sup @ coords, sup) == abs(det)
+            done += 1
 
 
 # --- kernels and Hermite bases against sympy -------------------------------------
@@ -463,7 +497,7 @@ def test_kernel_matches_sympy_nullspace(m, n):
         a, _ = _random_system(rng, m, n, 0)
         k = integer_kernel(a)
         assert (k.rows, k.cols) == (n, n - _as_sympy(a).rank())
-        assert (a @ k).is_zero()
+        assert a @ k == IntMatrix.zeros(m, k.cols)
         if not k.cols:
             continue
         sk = _as_sympy(k)

@@ -21,6 +21,7 @@ from factoreq import (
     ModuleError,
     PairingError,
     RelationError,
+    Subgroup,
     SubgroupFunction,
     all_subgroups,
     averaged_pairing,
@@ -236,7 +237,7 @@ def test_representative_independence():
         dets = {
             gram_determinant(
                 p.gram,
-                fixed_sublattice(m, s3.subgroup(member)),
+                fixed_sublattice(m, Subgroup(s3, member)),
                 Fraction(1, cls.order),
             )
             for member in cls.members
@@ -391,7 +392,6 @@ def test_subgroup_function_record():
     f = SubgroupFunction(table, tuple(Fraction(cls.order) for cls in table))
     assert len(f) == len(table) and f[4] == 4
     assert f[table.index_of(table[1].representative)] == 2
-    assert f.items() == tuple(enumerate(f.values))
     assert f == SubgroupFunction(table, f.values) and hash(f) == hash(SubgroupFunction(table, f.values))
 
 

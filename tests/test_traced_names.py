@@ -5,6 +5,9 @@
 every traced benchmark run. The launcher also reads `sys.modules` right after
 `import factoreq.cli`, so that import must load every traced module. The table
 is read from the file's syntax tree; the launcher itself is not run.
+
+A traced name that no library module uses any more makes its per-layer
+metrics read 0 on every workload, so the set of such names is pinned too.
 """
 
 import ast
@@ -18,6 +21,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 LAUNCH = ROOT / "bench" / "launch.py"
+SRC = ROOT / "src" / "factoreq"
+
+# Kept only for the benchmark's tracer; the next benchmark change drops them.
+UNUSED_BY_LIBRARY = {"exactla.rational_solve", "exactla.invariant_factors", "zgmod.fp_fixed_lattice"}
 
 
 def _traced_table():
@@ -40,6 +47,31 @@ def test_traced_table_is_read():
 def test_traced_name_resolves(qualname):
     module, name = qualname.split(".")
     assert callable(getattr(importlib.import_module(f"factoreq.{module}"), name, None)), qualname
+
+
+def _references(source):
+    """Names a module reads (calls or passes on) outside their own top-level definition."""
+    used = set()
+    for top in ast.parse(source).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                used.add(name)
+    return used
+
+
+def test_reference_scan_skips_self_use():
+    source = "def f(n):\n    return f(n - 1)\n\n\ndef g():\n    return m.h(k)\n"
+    assert _references(source) == {"n", "m", "h", "k"}
+
+
+def test_traced_names_unused_by_library_are_pinned():
+    # `__init__.py` is left out: its imports only re-export public names.
+    used = set().union(*(
+        _references(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py") if p.name != "__init__.py"
+    ))
+    assert {q for q in TRACED if q.split(".")[1] not in used} == UNUSED_BY_LIBRARY
 
 
 def test_cli_start_path_is_eager_and_light():

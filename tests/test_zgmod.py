@@ -15,6 +15,7 @@ from factoreq import (
     FpModule,
     IntMatrix,
     ModuleError,
+    Subgroup,
     ZGLattice,
     all_subgroups,
     as_fp_module,
@@ -32,6 +33,7 @@ from factoreq import (
     group_from_generators,
     group_from_table,
     induced_lattice,
+    integer_solve,
     invariant_factors,
     invert_unimodular,
     permutation_lattice,
@@ -95,7 +97,7 @@ def test_sign_lattice_requires_index_two_kernel():
 
 def test_induced_sign_character_v4():
     v4 = corpus_group("V4")
-    d = v4.subgroup((0, 1))
+    d = Subgroup(v4, (0, 1))
     eps = {0: IntMatrix([[1]]), 1: IntMatrix([[-1]])}
     ind = induced_lattice(v4, d, eps)
     assert ind.rank == 2
@@ -195,7 +197,7 @@ def test_fixed_sublattice_is_saturated_and_stable():
         if basis.cols:
             assert all(f == 1 for f in invariant_factors(basis))
         for g in h.elements:
-            assert m.act(g) @ basis == basis
+            assert m.action[g] @ basis == basis
 
 
 def test_fixed_sublattice_of_sign():
@@ -216,7 +218,7 @@ def test_sublattice_action_compatibility():
     sub = sublattice_action(m, basis)
     assert sub.rank == 5
     for g in range(6):
-        assert m.act(g) @ basis == basis @ sub.act(g)
+        assert m.action[g] @ basis == basis @ sub.action[g]
 
 
 def test_sublattice_action_rejects_unstable_span():
@@ -319,7 +321,7 @@ def test_embedding_is_equivariant_and_injective(seed):
                                          [0, 0, 0, 0, 0, 1]]))
     t = find_equivariant_embedding(m, n, seed=seed)
     for g in range(6):
-        assert t @ m.act(g) == n.act(g) @ t
+        assert t @ m.action[g] == n.action[g] @ t
     assert determinant(t) != 0
     assert t == find_equivariant_embedding(m, n, seed=seed)  # deterministic
 
@@ -395,6 +397,39 @@ def test_fp_twisted_torsion_fixed_points():
         assert fp_fixed_data(m, h) == expected[h.elements]
 
 
+def _reference_fp_fixed_data(module, h):
+    """Second route: coordinates of R in L_H, then their invariant factors."""
+    basis = fixed_sublattice(module, h)
+    coords = integer_solve(basis, module.relations)
+    assert coords is not None
+    factors = invariant_factors(coords)
+    return basis.cols - len(factors), math.prod(factors)
+
+
+@pytest.mark.parametrize("name", ("V4", "S3", "D4", "Q8"))
+def test_fp_fixed_data_matches_reference_route(name):
+    group = corpus_group(name)
+    table = all_subgroups(group)
+    rng = random.Random(sum(map(ord, name)) + 1)
+    kernels = [None] + [c.representative for c in table if 2 * c.order == group.order]
+    twists = [
+        _torsion_twist(_random_module(group, rng, max_rank=6), k, rng, kernel)
+        for k in (3, 5, 9)
+        for kernel in kernels
+    ]
+    modules = twists + [
+        direct_sum(twists[-1], _random_module(group, rng, max_rank=4)),
+        as_fp_module(_random_module(group, rng, max_rank=6)),
+    ]
+    torsion = set()
+    for m in modules:
+        for cls in table:
+            got = fp_fixed_data(m, cls.representative)
+            assert got == _reference_fp_fixed_data(m, cls.representative)
+            torsion.add(got[1])
+    assert torsion >= {1, 3, 5, 9}
+
+
 def test_as_fp_module_on_lattice_matches_fixed_sublattice():
     s3 = corpus_group("S3")
     m = regular_lattice(s3)
@@ -431,7 +466,7 @@ def test_lattice_quotient_respects_action():
     quot, proj, sec = m.lattice_quotient()
     assert quot.rank == 1
     for g in range(4):
-        assert proj @ m.act(g) @ sec == quot.act(g)
+        assert proj @ m.action[g] @ sec == quot.action[g]
 
 
 def _random_relations(rng, n, k):
@@ -460,7 +495,7 @@ def test_lattice_quotient_contract(rel):
     quot, proj, sec = FpModule(c2, rel.rows, rel, (ident, ident)).lattice_quotient()
     expected = rel.rows - sympy.Matrix(rel.rows, rel.cols, [x for row in rel.tolist() for x in row]).rank()
     assert (proj.rows, proj.cols) == (expected, rel.rows)
-    assert (proj @ rel).is_zero()
+    assert proj @ rel == IntMatrix.zeros(expected, rel.cols)
     assert proj @ sec == IntMatrix.identity(expected)
     assert quot.rank == expected
 
@@ -484,11 +519,11 @@ def _all_elements_fixed_basis(m, h):
     ident = IntMatrix.identity(n)
     rows = []
     for idx, g in enumerate(h.elements):
-        for i, row in enumerate((fp.act(g) - ident).tolist()):
+        for i, row in enumerate((fp.action[g] - ident).tolist()):
             pad = [0] * (count * k)
             pad[idx * k:(idx + 1) * k] = [-x for x in fp.relations.row(i)]
             rows.append(row + pad)
-    d, v = _snf_engine(IntMatrix(rows, cols=n + count * k), want_v=True)
+    d, v = _snf_engine(IntMatrix(rows, cols=n + count * k))
     r = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
     return column_lattice_basis(IntMatrix([v[i][r:] for i in range(n)], cols=len(v) - r))
 
@@ -535,6 +570,6 @@ def test_fixed_sublattice_accepts_fp_module():
     plus = IntMatrix([[1, 0], [0, 1]])
     minus = IntMatrix([[1, 0], [0, -1]])
     m = FpModule(v4, 2, IntMatrix.from_columns([(0, 3)], rows=2), (plus, minus, plus, minus))
-    assert fixed_sublattice(m, v4.subgroup([0, 1])) == IntMatrix([[1, 0], [0, 3]])
-    assert fixed_sublattice(m, v4.subgroup([0, 2])) == IntMatrix.identity(2)
+    assert fixed_sublattice(m, Subgroup(v4, [0, 1])) == IntMatrix([[1, 0], [0, 3]])
+    assert fixed_sublattice(m, Subgroup(v4, [0, 2])) == IntMatrix.identity(2)
     assert fixed_sublattice(m, v4.trivial_subgroup()) == IntMatrix.identity(2)
