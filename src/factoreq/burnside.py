@@ -5,6 +5,8 @@ the fixed-point matrix: a virtual permutation representation vanishes exactly
 when all its fixed-point counts cancel, so no character theory is needed.
 """
 
+from operator import index as _as_int
+
 from .exactla import IntMatrix, _snf_engine, integer_kernel, lattice_index
 from .grp import GroupError, Subgroup, all_subgroups
 
@@ -14,26 +16,21 @@ class RelationError(ValueError):
 
 
 class PermAction:
-    """A G-action on {0..size-1}: one permutation (tuple of images) per element."""
+    """A G-action on {0..size-1}: one permutation (tuple of images) per element.
+
+    The images must define a left action; only their shapes are checked.
+    """
 
     __slots__ = ("group", "size", "images")
 
-    def __init__(self, group, images, check=True):
-        images = tuple(tuple(int(x) for x in p) for p in images)
+    def __init__(self, group, images):
+        images = tuple(tuple(_as_int(x) for x in p) for p in images)
         if len(images) != group.order:
             raise GroupError("need one permutation per group element")
-        size = len(images[0]) if images else 0
+        size = len(images[0])  # a group has at least one element
         for p in images:
-            if len(p) != size or (size and sorted(p) != list(range(size))):
+            if len(p) != size or sorted(p) != list(range(size)):
                 raise GroupError("not a permutation")
-        if check:
-            if size and images[0] != tuple(range(size)):
-                raise GroupError("identity must act trivially")
-            for g in range(group.order):
-                for h in range(group.order):
-                    gh = group.table[g][h]
-                    if any(images[g][images[h][x]] != images[gh][x] for x in range(size)):
-                        raise GroupError("images do not define a group action")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "images", images)
@@ -82,7 +79,7 @@ class PermAction:
             tuple(p) + tuple(off + q[i] for i in range(other.size))
             for p, q in zip(self.images, other.images)
         )
-        return PermAction(self.group, images, check=False)
+        return PermAction(self.group, images)
 
 
 def coset_action(group, subgroup):
@@ -100,7 +97,7 @@ def coset_action(group, subgroup):
         tuple(coset_of[group.table[g][coset[0]]] for coset in cosets)
         for g in range(group.order)
     )
-    return PermAction(group, images, check=False)
+    return PermAction(group, images)
 
 
 def regular_action(group):
@@ -113,7 +110,7 @@ class BurnsideElement:
     __slots__ = ("group", "coeffs")
 
     def __init__(self, group, coeffs):
-        coeffs = tuple(int(x) for x in coeffs)
+        coeffs = tuple(_as_int(x) for x in coeffs)
         if len(coeffs) != len(all_subgroups(group)):
             raise RelationError("coefficient count does not match subgroup class count")
         object.__setattr__(self, "group", group)
@@ -142,7 +139,7 @@ class BurnsideElement:
         return BurnsideElement(self.group, (-a for a in self.coeffs))
 
     def __mul__(self, scalar):
-        return BurnsideElement(self.group, (int(scalar) * a for a in self.coeffs))
+        return BurnsideElement(self.group, (_as_int(scalar) * a for a in self.coeffs))
 
     __rmul__ = __mul__
 

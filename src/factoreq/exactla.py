@@ -72,14 +72,8 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns, rows=None):
-        columns = [tuple(col) for col in columns]
-        if columns:
-            return cls(zip(*columns), cols=len(columns)) if columns[0] else cls(
-                [], cols=len(columns)
-            )
-        if rows is None:
-            raise ExactLinAlgError("empty column list needs explicit rows")
-        return cls(((),) * rows if rows else [], cols=0)
+        """The matrix with these columns; `rows` is needed when there are none."""
+        return cls(columns, cols=rows).transpose()
 
     def __getitem__(self, pos):
         i, j = pos

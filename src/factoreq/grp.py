@@ -5,6 +5,7 @@ permutations under composition or from an explicit multiplication table.
 """
 
 import random
+from operator import index as _as_int
 from typing import NamedTuple
 
 
@@ -27,7 +28,7 @@ class FiniteGroup:
                  "class_of_element", "labels", "_cache")
 
     def __init__(self, table, labels=None, check=True):
-        table = tuple(tuple(int(x) for x in row) for row in table)
+        table = tuple(tuple(_as_int(x) for x in row) for row in table)
         n = len(table)
         if n == 0:
             raise GroupError("empty multiplication table")
@@ -154,7 +155,7 @@ class Subgroup:
     __slots__ = ("group", "elements", "_set")
 
     def __init__(self, group, elements):
-        elements = tuple(sorted(set(int(x) for x in elements)))
+        elements = tuple(sorted(set(_as_int(x) for x in elements)))
         eset = frozenset(elements)
         if 0 not in eset:
             raise GroupError("subgroup does not contain the identity")
@@ -232,15 +233,11 @@ class SubgroupClassTable:
     so class indices are canonical and stable.
     """
 
-    __slots__ = ("group", "classes", "_index")
+    __slots__ = ("group", "classes")
 
     def __init__(self, group, classes):
         self.group = group
         self.classes = tuple(classes)
-        self._index = {}
-        for i, cls in enumerate(self.classes):
-            for member in cls.members:
-                self._index[member] = i
 
     def __len__(self):
         return len(self.classes)
@@ -250,20 +247,6 @@ class SubgroupClassTable:
 
     def __getitem__(self, i):
         return self.classes[i]
-
-    def all_subgroups(self):
-        """Every subgroup (not just class representatives), canonically sorted."""
-        out = [m for cls in self.classes for m in cls.members]
-        return tuple(Subgroup(self.group, m) for m in sorted(out, key=lambda t: (len(t), t)))
-
-    def index_of(self, subgroup):
-        elems = subgroup.elements if isinstance(subgroup, Subgroup) else tuple(
-            sorted(set(subgroup))
-        )
-        try:
-            return self._index[elems]
-        except KeyError:
-            raise GroupError("subgroup not found in class table") from None
 
     def cyclic_class_count(self):
         return sum(1 for cls in self.classes if cls.is_cyclic)
@@ -327,7 +310,7 @@ def group_from_generators(perms, bound=CLOSURE_BOUND):
     Element 0 of the resulting group is the identity; the remaining elements
     are numbered in BFS discovery order, so the numbering is deterministic.
     """
-    perms = [tuple(int(x) for x in p) for p in perms]
+    perms = [tuple(_as_int(x) for x in p) for p in perms]
     if not perms:
         raise GroupError("at least one generator is required")
     deg = len(perms[0])
@@ -359,7 +342,7 @@ def group_from_generators(perms, bound=CLOSURE_BOUND):
 
 def group_from_table(table, labels=None):
     """Build a group from a raw Cayley table, renumbering so the identity is 0."""
-    table = [list(int(x) for x in row) for row in table]
+    table = [list(_as_int(x) for x in row) for row in table]
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
         raise GroupError("multiplication table is not square")

@@ -71,6 +71,16 @@ def _rng(suite, group_index):
     return random.Random(_SEED_BASE[suite] * 1000 + group_index)
 
 
+def _until_failure(trials):
+    """Draw trials (booleans) up to and including the first failing one: (ok, runs)."""
+    runs = 0
+    for ok in trials:
+        runs += 1
+        if not ok:
+            return False, runs
+    return True, runs
+
+
 def _random_unimodular(n, rng, steps=6):
     m = IntMatrix.identity(n)
     if n < 2:
@@ -248,19 +258,14 @@ def _pairing_checks(name, gi, count=50):
     group = corpus_group(name)
     basis = brauer_relation_basis(group)
     rng = _rng("pairing", gi)
-    ok = True
-    instances = 0
-    for _ in range(count):
-        instances += 1
+
+    def trial():
         m = _random_module(group, rng)
-        p1 = random_invariant_pairing(m, rng)
-        p2 = random_invariant_pairing(m, rng)
-        t0 = regulator_constants_table(basis, m)  # averaged default
-        t1 = regulator_constants_table(basis, m, p1)
-        t2 = regulator_constants_table(basis, m, p2)
-        if not (t0 == t1 == t2):
-            ok = False
-            break
+        # None: the averaged default pairing
+        pairings = (None, random_invariant_pairing(m, rng), random_invariant_pairing(m, rng))
+        return len({regulator_constants_table(basis, m, p) for p in pairings}) == 1
+
+    ok, instances = _until_failure(trial() for _ in range(count))
     return [_check("pairing.independence", name, ok, instances=instances, relations=basis.rank)]
 
 
@@ -270,26 +275,23 @@ def _linearity_checks(name, gi, count=16):
     if basis.rank == 0:
         return []
     rng = _rng("additivity", gi)
-    add_ok = mult_ok = True
-    add_runs = mult_runs = 0
-    for _ in range(count):
-        add_runs += 1
+
+    def additive():
         m = _random_module(group, rng)
         t1 = _random_relation(basis, rng)
         t2 = _random_relation(basis, rng)
         lhs = regulator_constant(t1 + t2, m)
-        if lhs != regulator_constant(t1, m) * regulator_constant(t2, m):
-            add_ok = False
-            break
-    for _ in range(count):
-        mult_runs += 1
+        return lhs == regulator_constant(t1, m) * regulator_constant(t2, m)
+
+    def multiplicative():
         m = _random_module(group, rng, max_rank=8)
         n = _random_module(group, rng, max_rank=8)
         theta = _random_relation(basis, rng)
         lhs = regulator_constant(theta, direct_sum(m, n))
-        if lhs != regulator_constant(theta, m) * regulator_constant(theta, n):
-            mult_ok = False
-            break
+        return lhs == regulator_constant(theta, m) * regulator_constant(theta, n)
+
+    add_ok, add_runs = _until_failure(additive() for _ in range(count))
+    mult_ok, mult_runs = _until_failure(multiplicative() for _ in range(count))
     return [
         _check("pairing.additivity", name, add_ok, instances=add_runs),
         _check("pairing.multiplicativity", name, mult_ok, instances=mult_runs),
@@ -314,46 +316,37 @@ def _lemma_checks(name, gi, rounds=7):
     basis = brauer_relation_basis(group)
     rng = _rng("lemma", gi)
     index2 = _index2_subgroups(group)
-    instances = 0
     torsion_orders = set()
-    ok = True
 
-    def run(m, n, t):
-        nonlocal instances, ok
-        theta = _random_relation(basis, rng)
-        res = verify_lemma(m, n, t, theta)
-        instances += 1
-        if not res.ok:
-            ok = False
-        return res.ok
+    def holds(m, n, t):
+        return verify_lemma(m, n, t, _random_relation(basis, rng)).ok
 
-    for _ in range(rounds):
-        # lattice endomorphism with nontrivial cokernel structure
-        m = _random_module(group, rng, max_rank=8)
-        if not run(m, m, _random_equivariant_endo(m, rng)):
-            break
-        # torsion extension projected back onto its lattice
-        k = (3, 5, 9)[instances % 3]
-        lat = _random_module(group, rng, max_rank=6)
-        kernel = index2[rng.randrange(len(index2))] if index2 and rng.randrange(2) else None
-        twist = _torsion_twist(lat, k, rng, kernel)
-        proj = IntMatrix.identity(lat.rank).hstack(IntMatrix.zeros(lat.rank, 1))
-        torsion_orders.add(k)
-        if not run(twist, lat, proj):
-            break
-        # the same projection composed with a non-unimodular endomorphism
-        endo = _random_equivariant_endo(lat, rng)
-        if not run(twist, lat, endo @ proj):
-            break
-        # torsion-to-torsion map: Z/9 twist onto Z/3 twist, same cocycle data
-        lat2 = _random_module(group, rng, max_rank=6)
-        kernel2 = index2[rng.randrange(len(index2))] if index2 else None
-        shared_u = [rng.randrange(3) for _ in range(lat2.rank)]
-        twist9 = _torsion_twist(lat2, 9, rng, kernel2, u=shared_u)
-        twist3 = _torsion_twist(lat2, 3, rng, kernel2, u=shared_u)
-        torsion_orders.update((3, 9))
-        if not run(twist9, twist3, IntMatrix.identity(lat2.rank + 1)):
-            break
+    def trials():
+        for r in range(rounds):
+            # lattice endomorphism with nontrivial cokernel structure
+            m = _random_module(group, rng, max_rank=8)
+            yield holds(m, m, _random_equivariant_endo(m, rng))
+            # torsion extension projected back onto its lattice; 4r + 1 instances ran
+            k = (3, 5, 9)[(4 * r + 1) % 3]
+            lat = _random_module(group, rng, max_rank=6)
+            kernel = index2[rng.randrange(len(index2))] if index2 and rng.randrange(2) else None
+            twist = _torsion_twist(lat, k, rng, kernel)
+            proj = IntMatrix.identity(lat.rank).hstack(IntMatrix.zeros(lat.rank, 1))
+            torsion_orders.add(k)
+            yield holds(twist, lat, proj)
+            # the same projection composed with a non-unimodular endomorphism
+            endo = _random_equivariant_endo(lat, rng)
+            yield holds(twist, lat, endo @ proj)
+            # torsion-to-torsion map: Z/9 twist onto Z/3 twist, same cocycle data
+            lat2 = _random_module(group, rng, max_rank=6)
+            kernel2 = index2[rng.randrange(len(index2))] if index2 else None
+            shared_u = [rng.randrange(3) for _ in range(lat2.rank)]
+            twist9 = _torsion_twist(lat2, 9, rng, kernel2, u=shared_u)
+            twist3 = _torsion_twist(lat2, 3, rng, kernel2, u=shared_u)
+            torsion_orders.update((3, 9))
+            yield holds(twist9, twist3, IntMatrix.identity(lat2.rank + 1))
+
+    ok, instances = _until_failure(trials())
     return [
         _check(
             "lemma.identity",
@@ -380,28 +373,20 @@ def _corollary_checks(name, gi, seed, pairs=14):
     group = corpus_group(name)
     basis = brauer_relation_basis(group)
     rng = _rng("corollary", gi)
-    ok = True
-    instances = 0
-    for _ in range(pairs):
+
+    def trial():
         m = _random_module(group, rng, max_rank=8)
-        if rng.randrange(2):
+        conjugate = rng.randrange(2)
+        if conjugate:
             n = conjugated_lattice(m, _random_unimodular(m.rank, rng))
-            expect_true = True
-        else:
-            t = _random_equivariant_endo(m, rng)
-            n = sublattice_action(m, t)
-            expect_true = None  # verdict decided by the engine's two routes
+        else:  # verdict decided by the engine's two routes
+            n = sublattice_action(m, _random_equivariant_endo(m, rng))
         report = factor_equivalent(m, n, seed=seed)
-        instances += 1
-        if report.verdict != all(d == 1 for d in report.defects):
-            ok = False
-            break
-        if report.verdict != (report.constants_m == report.constants_n):
-            ok = False
-            break
-        if expect_true is True and not report.verdict:
-            ok = False
-            break
+        # Both routes give the verdict, and a unimodular conjugate is always equivalent.
+        routes = {all(d == 1 for d in report.defects), report.constants_m == report.constants_n}
+        return routes == {report.verdict} and (report.verdict or not conjugate)
+
+    ok, instances = _until_failure(trial() for _ in range(pairs))
     return [_check("corollary.routes", name, ok, instances=instances)]
 
 
@@ -462,18 +447,13 @@ def _sunit_d_lists(group):
 def _sunit_index_checks(name):
     group = corpus_group(name)
     table = all_subgroups(group)
-    cases = 0
-    ok = True
-    for d_list in _sunit_d_lists(group):
-        su = sunit_lattice(group, [table[ci].representative for ci in d_list])
-        for cls in table:
-            res = verify_sunit_index(su, cls.representative)
-            cases += 1
-            if not res.ok:
-                ok = False
-                break
-        if not ok:
-            break
+    lattices = (
+        sunit_lattice(group, [table[ci].representative for ci in d_list])
+        for d_list in _sunit_d_lists(group)
+    )
+    ok, cases = _until_failure(
+        verify_sunit_index(su, cls.representative).ok for su in lattices for cls in table
+    )
     return [_check("sunit.index", name, ok, cases=cases)]
 
 
@@ -484,22 +464,19 @@ def _sunit_closed_form_checks(name):
     if basis.rank == 0:
         return []
     d_lists = _sunit_d_lists(group)[: max(3, min(5, len(table)))]
-    cases = 0
-    ok = True
-    for d_list in d_lists:
-        su = sunit_lattice(group, [table[ci].representative for ci in d_list])
-        averaged = averaged_pairing(su.lattice)
-        for theta in basis:
-            res = verify_sunit_closed_form(su, theta)
-            agree = regulator_constant(theta, su.lattice, su.pairing) == (
-                regulator_constant(theta, su.lattice, averaged)
-            )
-            cases += 1
-            if not (res.ok and agree):
-                ok = False
-                break
-        if not ok:
-            break
+
+    def trials():
+        for d_list in d_lists:
+            su = sunit_lattice(group, [table[ci].representative for ci in d_list])
+            averaged = averaged_pairing(su.lattice)
+            for theta in basis:
+                res = verify_sunit_closed_form(su, theta)
+                agree = regulator_constant(theta, su.lattice, su.pairing) == (
+                    regulator_constant(theta, su.lattice, averaged)
+                )
+                yield res.ok and agree
+
+    ok, cases = _until_failure(trials())
     return [_check("sunit.closed-form", name, ok, d_lists=len(d_lists), cases=cases)]
 
 
@@ -522,24 +499,17 @@ def _kgroup_checks(name, max_places=2):
     even_classes = [ci for ci, c in enumerate(table) if c.order == 2]
     checks = []
     for parity, admissible in (("odd", odd_classes), ("even", even_classes)):
-        ok = True
-        modules = 0
         d_choices = [
             combo
             for size in range(max_places + 1)
             for combo in combinations_with_replacement(admissible, size)
         ]
-        for combo in d_choices:
-            for s2 in (0, 1):
-                d_real = [table[ci].representative for ci in combo]
-                module = kgroup_comparison_module(group, d_real, s2, parity)
-                res = verify_kgroup_triviality(module, basis)
-                modules += 1
-                if not res.ok:
-                    ok = False
-                    break
-            if not ok:
-                break
+        comparisons = (
+            kgroup_comparison_module(group, [table[ci].representative for ci in combo], s2, parity)
+            for combo in d_choices
+            for s2 in (0, 1)
+        )
+        ok, modules = _until_failure(verify_kgroup_triviality(c, basis).ok for c in comparisons)
         checks.append(
             _check(
                 f"kgroups.{parity}",

@@ -74,8 +74,9 @@ def zero_lattice(group):
 
 def sign_lattice(group, h_kernel):
     """Rank-1 lattice: +1 on the index-2 subgroup `h_kernel`, -1 elsewhere."""
-    if not isinstance(h_kernel, Subgroup) or h_kernel.group is not group:
-        h_kernel = Subgroup(group, h_kernel)
+    if isinstance(h_kernel, Subgroup) and h_kernel.group is not group:
+        raise ModuleError("h_kernel must be a subgroup of the group")
+    h_kernel = Subgroup(group, h_kernel)
     if 2 * h_kernel.order != group.order:
         raise ModuleError("sign lattice kernel must have index 2")
     plus, minus = IntMatrix([[1]]), IntMatrix([[-1]])

@@ -11,7 +11,9 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from factoreq import (
     BrauerRelationBasis,
     BurnsideElement,
+    GroupError,
     IntMatrix,
+    PermAction,
     RelationError,
     Subgroup,
     all_subgroups,
@@ -211,6 +213,10 @@ def test_burnside_element_arithmetic():
         BurnsideElement(group, (1, 0))  # wrong length
     with pytest.raises(RelationError):
         a + BurnsideElement(corpus_group("V4"), (0, 0, 0, 0, 0))
+    with pytest.raises(TypeError):
+        a * 1.5
+    with pytest.raises(TypeError):
+        BurnsideElement(group, (1, -2, -1, 2.0))
 
 
 # --- permutation actions ----------------------------------------------------------
@@ -223,6 +229,15 @@ def test_coset_action_basics():
     assert act.size == 3
     assert len(act.orbits()) == 1
     assert sum(1 for g in range(group.order) if act.images[g][0] == 0) == 2
+
+
+def test_perm_action_refuses_non_integer_images():
+    act = regular_action(corpus_group("C2"))
+    assert PermAction(act.group, act.images).images == act.images
+    with pytest.raises(TypeError):
+        PermAction(act.group, [(0, 1), (1.0, 0)])
+    with pytest.raises(GroupError, match="not a permutation"):
+        PermAction(act.group, [(0, 1), (1, 1)])
 
 
 def test_regular_action_fixed_points():

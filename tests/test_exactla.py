@@ -312,6 +312,19 @@ def test_intmatrix_stacking_and_columns():
     assert IntMatrix.from_columns([], rows=3).cols == 0
 
 
+def test_from_columns_rejects_mismatched_shapes():
+    assert IntMatrix.from_columns([(1, 2)], rows=2) == IntMatrix([[1], [2]])
+    assert IntMatrix.from_columns([(), ()]) == IntMatrix.zeros(0, 2)
+    with pytest.raises(ExactLinAlgError):
+        IntMatrix.from_columns([(1, 2), (3,)])  # ragged columns
+    with pytest.raises(ExactLinAlgError):
+        IntMatrix.from_columns([(1, 2)], rows=3)
+    with pytest.raises(ExactLinAlgError):
+        IntMatrix.from_columns([])  # no columns and no row count
+    with pytest.raises(TypeError):
+        IntMatrix.from_columns([(1, 2.5)])
+
+
 def test_intmatrix_is_immutable():
     a = IntMatrix([[1]])
     with pytest.raises(AttributeError):

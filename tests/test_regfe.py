@@ -253,7 +253,7 @@ def test_index_function_scaling_map():
     triv = trivial_lattice(c2)
     f = index_function(triv, triv, IntMatrix([[3]]))
     assert f.values == (Fraction(3), Fraction(3))
-    assert f[all_subgroups(c2).index_of(c2.full_subgroup())] == 3
+    assert f[1] == 3  # the class of C2 itself
 
 
 def test_index_function_unimodular_is_one():
@@ -391,7 +391,7 @@ def test_subgroup_function_record():
         SubgroupFunction(table, (Fraction(1),))
     f = SubgroupFunction(table, tuple(Fraction(cls.order) for cls in table))
     assert len(f) == len(table) and f[4] == 4
-    assert f[table.index_of(table[1].representative)] == 2
+    assert f[1] == 2
     assert f == SubgroupFunction(table, f.values) and hash(f) == hash(SubgroupFunction(table, f.values))
 
 

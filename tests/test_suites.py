@@ -5,17 +5,23 @@ import pytest
 from factoreq import suites
 
 
-def _fail_on_call(monkeypatch, name, call):
-    """Wrap suites.<name> so that its `call`-th invocation returns a wrong value."""
+def _doubled(out):
+    return tuple(2 * c for c in out) if isinstance(out, tuple) else 2 * out
+
+
+def _not_ok(res):
+    return res._replace(ok=False)
+
+
+def _fail_on_call(monkeypatch, name, call, spoil=_doubled):
+    """Wrap suites.<name> so that its `call`-th invocation returns spoil(result)."""
     real = getattr(suites, name)
     count = [0]
 
     def wrapped(*args, **kwargs):
         count[0] += 1
         out = real(*args, **kwargs)
-        if count[0] != call:
-            return out
-        return tuple(2 * c for c in out) if isinstance(out, tuple) else 2 * out
+        return spoil(out) if count[0] == call else out
 
     monkeypatch.setattr(suites, name, wrapped)
 
@@ -45,3 +51,52 @@ def test_linearity_counts_stop_at_the_failing_draw(monkeypatch, which, call):
     assert failed["ok"] is False
     assert failed["instances"] == 3
     assert other["ok"] is True and other["instances"] == 6
+
+
+@pytest.mark.parametrize(
+    "call,orders", ((None, [3, 5, 9]), (1, []), (2, [5]), (3, [5]), (4, [3, 5, 9]), (7, [3, 5, 9]))
+)
+def test_lemma_counts_stop_at_the_failing_instance(monkeypatch, call, orders):
+    # Four instances per round; a twist's torsion order is recorded before its instance runs.
+    _fail_on_call(monkeypatch, "verify_lemma", call, _not_ok)
+    (check,) = suites._lemma_checks("V4", 3, rounds=2)
+    assert check["ok"] is (call is None)
+    assert check["instances"] == (call or 8)
+    assert check["torsion_orders"] == orders
+
+
+@pytest.mark.parametrize("call", (None, 1, 3))
+def test_corollary_counts_stop_at_the_failing_pair(monkeypatch, call):
+    _fail_on_call(monkeypatch, "factor_equivalent", call, lambda r: r._replace(verdict=not r.verdict))
+    (check,) = suites._corollary_checks("V4", 3, 0, pairs=4)
+    assert check["ok"] is (call is None)
+    assert check["instances"] == (call or 4)
+
+
+@pytest.mark.parametrize("call", (None, 3, 7))
+def test_sunit_index_counts_stop_at_the_failing_case(monkeypatch, call):
+    # Five classes per decomposition list: call 7 is in the second list.
+    _fail_on_call(monkeypatch, "verify_sunit_index", call, _not_ok)
+    (check,) = suites._sunit_index_checks("V4")
+    assert check["ok"] is (call is None)
+    assert check["cases"] == (call or 55)
+
+
+@pytest.mark.parametrize("call", (None, 2, 5))
+def test_sunit_closed_form_counts_stop_at_the_failing_case(monkeypatch, call):
+    # Three relations per decomposition list: call 5 is in the second list.
+    _fail_on_call(monkeypatch, "verify_sunit_closed_form", call, _not_ok)
+    (check,) = suites._sunit_closed_form_checks("D4")
+    assert check["ok"] is (call is None)
+    assert (check["cases"], check["d_lists"]) == (call or 15, 5)
+
+
+@pytest.mark.parametrize("call,odd,even", ((None, 10, 8), (3, 3, 8), (10 + 4, 10, 4)))
+def test_kgroup_counts_stop_at_the_failing_module(monkeypatch, call, odd, even):
+    # The odd parity runs its 10 modules before the even parity's 8.
+    _fail_on_call(monkeypatch, "verify_kgroup_triviality", call, _not_ok)
+    checks = suites._kgroup_checks("V4", max_places=1)
+    assert [(c["ok"], c["modules"]) for c in checks] == [
+        (call is None or call > 10, odd),
+        (call is None or call <= 10, even),
+    ]

@@ -8,6 +8,9 @@ is read from the file's syntax tree; the launcher itself is not run.
 
 A traced name that no library module uses any more makes its per-layer
 metrics read 0 on every workload, so the set of such names is pinned too.
+
+The benchmark's other scripts import names from `factoreq` directly; those
+imports are read from each script's syntax tree and must resolve as well.
 """
 
 import ast
@@ -47,6 +50,28 @@ def test_traced_table_is_read():
 def test_traced_name_resolves(qualname):
     module, name = qualname.split(".")
     assert callable(getattr(importlib.import_module(f"factoreq.{module}"), name, None)), qualname
+
+
+def _bench_imports():
+    """(script, module, name) for every `from factoreq... import name` in bench/*.py."""
+    out = []
+    for script in sorted(LAUNCH.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(script.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "factoreq":
+                out.extend((script.name, node.module, alias.name) for alias in node.names)
+    return out
+
+
+BENCH_IMPORTS = _bench_imports()
+
+
+def test_bench_imports_are_read():
+    assert {script for script, _, _ in BENCH_IMPORTS} >= {"ladder.py", "oracle.py", "workloads.py"}
+
+
+@pytest.mark.parametrize("script,module,name", BENCH_IMPORTS)
+def test_bench_import_resolves(script, module, name):
+    assert hasattr(importlib.import_module(module), name), f"{script}: from {module} import {name}"
 
 
 def _references(source):

@@ -95,6 +95,13 @@ def test_sign_lattice_requires_index_two_kernel():
         sign_lattice(c4, (0,))
 
 
+def test_sign_lattice_refuses_a_subgroup_of_another_group():
+    c4 = corpus_group("C4")
+    with pytest.raises(ModuleError, match="subgroup of the group"):
+        sign_lattice(corpus_group("V4"), Subgroup(c4, (0, 2)))
+    assert character(sign_lattice(c4, Subgroup(c4, (0, 2)))) == character(sign_lattice(c4, (0, 2)))
+
+
 def test_induced_sign_character_v4():
     v4 = corpus_group("V4")
     d = Subgroup(v4, (0, 1))
@@ -544,7 +551,7 @@ def test_fixed_sublattice_matches_all_elements_stack(name):
         modules.append(conjugated_lattice(reg, _unitriangular(reg.rank)))
     modules.extend(_fp_modules_with_relations(group, table, name))
     for m in modules:
-        for h in table.all_subgroups():
+        for h in (Subgroup(group, e) for cls in table for e in cls.members):
             got = column_lattice_basis(fixed_sublattice(m, h))
             assert got == _all_elements_fixed_basis(m, h)
 
