@@ -427,36 +427,65 @@ def _hnf_rows(rows, width):
 
     Returns the rank r: rows[:r] have positive pivots, the entries above each
     reduced into [0, pivot); rows[r:] are zero in the first `width` columns.
+    Each column repeats one step until only its pivot row is nonzero there:
+    the first row (from r on) of least nonzero |entry| is swapped up and made
+    positive, and every later row loses the floor multiple of it that leaves
+    a remainder in [0, pivot). Rows are replaced, never mutated.
     """
     m = len(rows)
     r = 0
     for c in range(width):
         if r == m:
             break
+        # The first row of least nonzero |x|; nothing beats a unit.
+        i0 = None
+        for i in range(r, m):
+            x = rows[i][c]
+            if x:
+                if x < 0:
+                    x = -x
+                if i0 is None or x < least:
+                    i0, least = i, x
+                    if x == 1:
+                        break
+        if i0 is None:
+            continue
         while True:
-            nz = [i for i in range(r, m) if rows[i][c]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(rows[i][c]), i))
-            rows[r], rows[i0] = rows[i0], rows[r]
-            if rows[r][c] < 0:
-                rows[r] = [-x for x in rows[r]]
-            clean = True
+            pr = rows[i0]
+            rows[i0] = rows[r]
+            if pr[c] < 0:
+                pr = list(map(neg, pr))
+            rows[r] = pr
+            p = pr[c]
+            # Remainders lie in [0, p), below the pivot row's p, so the next
+            # pivot is the first row of least nonzero remainder.
+            i0 = None
             for i in range(r + 1, m):
-                if rows[i][c]:
-                    q = rows[i][c] // rows[r][c]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    if rows[i][c]:
-                        clean = False
-            if clean:
+                ri = rows[i]
+                x = ri[c]
+                if x:
+                    rows[i] = _minus_multiple(ri, pr, x // p)
+                    x %= p
+                    if x and (i0 is None or x < least):
+                        i0, least = i, x
+            if i0 is None:
                 break
-        if rows[r][c]:
-            for i in range(r):
-                q = rows[i][c] // rows[r][c]
-                if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-            r += 1
+        for i in range(r):
+            ri = rows[i]
+            q = ri[c] // p
+            if q:
+                rows[i] = _minus_multiple(ri, pr, q)
+        r += 1
     return r
+
+
+def _minus_multiple(row, pivot_row, q):
+    """row − q·pivot_row as a new list; q = ±1 costs one add or subtract per entry."""
+    if q == 1:
+        return list(map(sub, row, pivot_row))
+    if q == -1:
+        return list(map(add, row, pivot_row))
+    return list(map(sub, row, map(mul, pivot_row, repeat(q))))
 
 
 def _hermite_transform(a):

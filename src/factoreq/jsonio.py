@@ -158,7 +158,10 @@ def module_from_json(group, obj):
         if rank < 0:
             raise InputError("rank must be non-negative")
         action = _action_from_json(group, obj["action"], rank)
-        return ZGLattice(group, rank, action)
+        # The completion checked ρ(a)ρ(s) = ρ(as) for every a and every given
+        # s, and the given elements generate G, so ρ is a homomorphism. An
+        # FpModule keeps its check: that also needs im(R) to be preserved.
+        return ZGLattice(group, rank, action, check=False)
     except InputError:
         raise
     except KeyError as exc:

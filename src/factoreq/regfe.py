@@ -89,28 +89,37 @@ def random_invariant_pairing(module, rng):
     return InvariantPairing(lattice, s.transpose() @ IntMatrix._trusted(ds, s.cols), check=False)
 
 
-def _class_determinants(module, pairing):
-    """Per-subgroup-class det((1/|H|)·pairing on M^H/tors), cached by gram matrix."""
-    table = all_subgroups(module.group)
-    lattice = _underlying_lattice(module)
-    if pairing is None:
-        pairing = module._cache.get("avg_pairing")
-        if pairing is None:
-            pairing = averaged_pairing(module)
-            module._cache["avg_pairing"] = pairing
-    if not pairing.compatible_with(lattice):
+def _check_pairing(module, pairing):
+    """Refuse a pairing that does not live on M (or on M/tors for an FP module)."""
+    if pairing is not None and not pairing.compatible_with(_underlying_lattice(module)):
         raise PairingError("pairing does not live on this module's lattice")
-    key = ("class_dets", pairing.gram)
+
+
+def _class_determinants(module, pairing):
+    """Per-subgroup-class det((1/|H|)·pairing on M^H/tors), cached by gram matrix.
+
+    The averaged gram is cached rather than its InvariantPairing, whose
+    `.module` would make the cache refer back to the module.
+    """
+    _check_pairing(module, pairing)
+    if pairing is None:
+        gram = module._cache.get("avg_gram")
+        if gram is None:
+            gram = averaged_pairing(module).gram
+            module._cache["avg_gram"] = gram
+    else:
+        gram = pairing.gram
+    key = ("class_dets", gram)
     cached = module._cache.get(key)
     if cached is not None:
         return cached
     dets = []
-    for cls in table:
+    for cls in all_subgroups(module.group):
         h = cls.representative
         basis = fixed_sublattice(module, h)
         if isinstance(module, FpModule):
             basis = column_lattice_basis(module.lattice_quotient()[1] @ basis)
-        dets.append(gram_determinant(pairing.gram, basis, Fraction(1, h.order)))
+        dets.append(gram_determinant(gram, basis, Fraction(1, h.order)))
     dets = tuple(dets)
     module._cache[key] = dets
     return dets
@@ -130,17 +139,34 @@ def regulator_constant(theta, module, pairing=None):
 
 
 def regulator_constants_table(basis, module, pairing=None):
-    """Componentwise regulator constants for a whole relation basis."""
+    """Componentwise regulator constants for a whole relation basis.
+
+    An empty basis (K(G) = 0, as for cyclic G) gives () once the pairing is
+    checked, with no class determinants computed.
+    """
+    if not basis:
+        _check_pairing(module, pairing)
+        return ()
     dets = _class_determinants(module, pairing)
     return tuple(_evaluate(theta, dets) for theta in basis)
 
 
 def _evaluate(theta, values):
-    """Π values[H] ** n_H over the support of Θ, one value per subgroup class."""
-    out = Fraction(1)
+    """Π values[H] ** n_H over the support of Θ, one value per subgroup class.
+
+    Numerators and denominators are multiplied as ints (swapped for n_H < 0)
+    and reduced once, in the one Fraction built at the end.
+    """
+    num = den = 1
     for idx, coeff in theta.support():
-        out *= values[idx] ** coeff
-    return out
+        v = values[idx]
+        if coeff > 0:
+            num *= v.numerator ** coeff
+            den *= v.denominator ** coeff
+        else:
+            num *= v.denominator ** -coeff
+            den *= v.numerator ** -coeff
+    return Fraction(num, den)
 
 
 class SubgroupFunction:

@@ -216,21 +216,23 @@ def sublattice_action(m, basis):
 
 
 def _generating_set(group, elems):
-    """Greedy generators of the subgroup `elems`: each one leaves the span so far.
+    """Greedy generators of the subgroup `elems` and the chain parent <gens[:-1]>.
 
-    At most log2 |H| elements; cached per group and element tuple.
+    Each generator leaves the span so far, so there are at most log2 |H|; the
+    parent is the sorted span before the last one (None for the trivial
+    subgroup). Cached per group and element tuple.
     """
     key = ("generating_set", elems)
-    gens = group._cache.get(key)
-    if gens is None:
-        gens, span = [], {0}
+    out = group._cache.get(key)
+    if out is None:
+        gens, span, parent = [], (0,), None
         for g in elems:
             if g not in span:
                 gens.append(g)
-                span = set(_generated(group.table, tuple(gens)))
-        gens = tuple(gens)
-        group._cache[key] = gens
-    return gens
+                parent, span = span, _generated(group.table, tuple(gens))
+        out = (tuple(gens), parent)
+        group._cache[key] = out
+    return out
 
 
 def fixed_sublattice(module, h):
@@ -250,12 +252,12 @@ def fixed_sublattice(module, h):
     if cached is not None:
         return cached
     rel = _relations(module)
-    gens = _generating_set(module.group, elems)
+    gens, parent = _generating_set(module.group, elems)
     if not gens:
         basis = IntMatrix.identity(rel.rows)
     else:
         # The greedy generating set of K is gens[:-1], so the chain reuses entries.
-        lk = fixed_sublattice(module, _generated(module.group.table, gens[:-1]))
+        lk = fixed_sublattice(module, parent)
         basis = _preimage(module.action[gens[-1]] @ lk - lk, lk, rel)
     module._cache[key] = basis
     return basis

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from factoreq import IntMatrix, brauer_relation_basis, corpus_group, invariant_factors
+from factoreq import IntMatrix, ZGLattice, brauer_relation_basis, corpus_group, invariant_factors
 from factoreq.cli import main
 from factoreq.jsonio import (
     InputError,
@@ -94,6 +94,28 @@ def test_module_from_json_completes_partial_actions():
             group,
             {"rank": 1, "action": {"1": [[1]], "2": [[1]], "3": [[-1]]}},
         )
+
+
+A4_GROUP_JSON = {"generators": [[1, 2, 0, 3], [1, 0, 3, 2]]}  # elements 1: (0 1 2), 2: (0 1)(2 3)
+
+
+def test_module_from_json_refuses_an_action_that_breaks_a_relation(tmp_path, capsys):
+    """A4 has no sign character: (0 1 2)(0 1)(2 3) has order 3, so it cannot act by −1."""
+    group = group_from_json(A4_GROUP_JSON)
+    assert group.order == 12
+    bad = {"rank": 1, "action": {"1": [[1]], "2": [[-1]]}}
+    with pytest.raises(InputError, match="inconsistent action specification"):
+        module_from_json(group, bad)
+    a4, module = _write(tmp_path, "a4.json", A4_GROUP_JSON), _write(tmp_path, "m.json", bad)
+    err = _run_one_line_error(capsys, ["regconst", a4, "--module", module], 2)
+    assert "inconsistent action specification" in err
+    # A consistent assignment loads, and passes the full homomorphism check.
+    perm = {"rank": 4, "action": {
+        str(g): [[int(p[j] == i) for j in range(4)] for i in range(4)]
+        for g, p in zip((1, 2), A4_GROUP_JSON["generators"])
+    }}
+    m = module_from_json(group, perm)
+    assert ZGLattice(group, m.rank, m.action).action == m.action
 
 
 def test_module_from_json_presentation():

@@ -30,7 +30,7 @@ from factoreq import (
     rank,
     rational_solve,
 )
-from factoreq.exactla import _snf_engine
+from factoreq.exactla import _hnf_rows, _snf_engine
 
 
 def _as_sympy(m):
@@ -570,3 +570,73 @@ def test_bareiss_matches_sympy(n):
     for _ in range(10):
         a = _from_rows(_random_rows(rng, n, n), n)
         assert determinant(a) == _as_sympy(a).det()
+
+
+# --- The Hermite loop against its earlier, step-for-step reference --------------
+
+
+def _reference_hnf_rows(rows, width):
+    """The Hermite loop as first written: a list of nonzero rows and min() per step.
+
+    `_hnf_rows` must perform exactly these row operations, so both leave the
+    same rows and return the same rank.
+    """
+    m = len(rows)
+    r = 0
+    for c in range(width):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if rows[i][c]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(rows[i][c]), i))
+            rows[r], rows[i0] = rows[i0], rows[r]
+            if rows[r][c] < 0:
+                rows[r] = [-x for x in rows[r]]
+            clean = True
+            for i in range(r + 1, m):
+                if rows[i][c]:
+                    q = rows[i][c] // rows[r][c]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                    if rows[i][c]:
+                        clean = False
+            if clean:
+                break
+        if rows[r][c]:
+            for i in range(r):
+                q = rows[i][c] // rows[r][c]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+            r += 1
+    return r
+
+
+def _hnf_case(rng, m, n, bound):
+    """Random rows with zeros, zero rows, negative entries and repeated |x|."""
+    rows = [
+        [rng.choice((-1, 1)) * rng.randint(1, bound) if rng.random() < 0.6 else 0 for _ in range(n)]
+        for _ in range(m)
+    ]
+    if m and rng.random() < 0.4:
+        rows[rng.randrange(m)] = [0] * n
+    if m > 1 and n and rng.random() < 0.5:
+        # The same least |x| in several rows of one column, with both signs.
+        c, x = rng.randrange(n), rng.randint(1, bound)
+        for i in rng.sample(range(m), 2):
+            rows[i][c] = rng.choice((-x, x))
+    return rows
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 12, 2**70])
+def test_hnf_rows_matches_reference_loop(bound):
+    rng = random.Random(7000 + bound % 1000)
+    for _ in range(300):
+        m, n = rng.randint(0, 7), rng.randint(0, 9)
+        width = rng.randint(0, n)
+        rows = _hnf_case(rng, m, n, bound)
+        want = [list(r) for r in rows]
+        got = [list(r) for r in rows]
+        assert _hnf_rows(got, width) == _reference_hnf_rows(want, width)
+        assert got == want
+

@@ -5,6 +5,7 @@ trivial lattice every class contributes det = c/|H|, and the c-exponents
 cancel because each basis relation has coefficient sum zero.
 """
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -57,6 +58,7 @@ from factoreq import (
     zero_lattice,
 )
 from factoreq.jsonio import canonical_dumps, fe_report_to_json
+from factoreq.regfe import _evaluate
 from factoreq.zgmod import _relations
 from factoreq.suites import (
     _index2_subgroups,
@@ -209,6 +211,65 @@ def test_constants_table():
     triv = trivial_lattice(v4)
     both = regulator_constants_table(basis, direct_sum(triv, triv))
     assert both == (HALF * HALF,)
+
+
+def test_evaluate_matches_the_fraction_product():
+    """Int products with one reduction at the end equal Π values[H] ** n_H in Fractions."""
+    d4 = corpus_group("D4")
+    n = len(all_subgroups(d4))
+    rng = random.Random(41)
+    primes = (2, 3, 5, 7, 11, 13)
+    for _ in range(40):
+        coeffs = [rng.choice((0, -3, -2, -1, 1, 2, 3)) for _ in range(n)]
+        coeffs[rng.randrange(n)] = -rng.randint(1, 3)
+        theta = BurnsideElement(d4, coeffs)
+        # Numerator and denominator both above 1: p**a / q**b for primes p != q.
+        values = []
+        for _ in range(n):
+            p, q = rng.sample(primes, 2)
+            values.append(Fraction(p ** rng.randint(1, 3), q ** rng.randint(1, 3)))
+        reference = Fraction(1)
+        for idx, coeff in theta.support():
+            reference *= values[idx] ** coeff
+        got = _evaluate(theta, values)
+        assert type(got) is Fraction and got == reference
+
+
+def test_empty_relation_basis_computes_no_class_determinants():
+    c6 = corpus_group("C6")
+    basis = brauer_relation_basis(c6)
+    assert len(basis) == 0
+    m = direct_sum(regular_lattice(c6), trivial_lattice(c6))
+    assert regulator_constants_table(basis, m) == ()
+    assert regulator_constants_table(basis, m, random_invariant_pairing(m, random.Random(2))) == ()
+    assert m._cache == {}
+    # The pairing is still checked first: one on another lattice is refused.
+    with pytest.raises(PairingError):
+        regulator_constants_table(basis, m, averaged_pairing(regular_lattice(c6)))
+
+
+def _refers_to(value, target):
+    """True if `target` is reachable from `value` through object references (types skipped)."""
+    seen, stack = set(), [value]
+    while stack:
+        x = stack.pop()
+        if x is target:
+            return True
+        if id(x) in seen or isinstance(x, type):
+            continue
+        seen.add(id(x))
+        stack.extend(gc.get_referents(x))
+    return False
+
+
+@pytest.mark.parametrize("name", ["V4", "S3", "D4"])
+def test_module_cache_does_not_refer_back_to_the_module(name):
+    """A cached value that refers to its module would keep it alive until a full GC."""
+    group = corpus_group(name)
+    m = direct_sum(regular_lattice(group), trivial_lattice(group))
+    regulator_constants_table(brauer_relation_basis(group), m)
+    assert m._cache
+    assert not any(_refers_to(v, m) for v in m._cache.values())
 
 
 def test_pairing_independence_on_fixed_modules():

@@ -46,7 +46,8 @@ from factoreq import (
 )
 from factoreq.exactla import _snf_engine
 from factoreq.suites import _random_module, _torsion_twist
-from factoreq.zgmod import _averaged_map
+from factoreq.grp import _generated
+from factoreq.zgmod import _averaged_map, _generating_set
 
 
 def _char_by_element_order(m):
@@ -554,6 +555,26 @@ def test_fixed_sublattice_matches_all_elements_stack(name):
         for h in (Subgroup(group, e) for cls in table for e in cls.members):
             got = column_lattice_basis(fixed_sublattice(m, h))
             assert got == _all_elements_fixed_basis(m, h)
+
+
+def test_generating_set_caches_the_chain_parent(monkeypatch):
+    """Greedy generators, each outside the span so far, and the parent <gens[:-1]>."""
+    group = group_from_generators(S4_GENERATORS)
+    members = [e for cls in all_subgroups(group) for e in cls.members]
+    for elems in members:
+        gens, parent = _generating_set(group, elems)
+        assert _generated(group.table, gens) == elems
+        if not gens:
+            assert elems == (0,) and parent is None
+            continue
+        assert parent == _generated(group.table, gens[:-1])
+        for k, g in enumerate(gens):
+            assert g not in _generated(group.table, gens[:k])
+    # Once the generating sets are cached, a new module's fixed points need no closure.
+    monkeypatch.setattr("factoreq.zgmod._generated", None)
+    m = direct_sum(regular_lattice(group), trivial_lattice(group))
+    for elems in members:
+        assert fixed_sublattice(m, elems).rows == m.rank
 
 
 def _fp_modules_with_relations(group, table, name):
