@@ -51,7 +51,6 @@ from .zgmod import (
     FpModule,
     ModuleError,
     ZGLattice,
-    as_fp_module,
     character,
     conjugated_lattice,
     direct_sum,
@@ -114,7 +113,7 @@ __all__ = [
     "BrauerRelationBasis", "BurnsideElement", "PermAction", "RelationError",
     "brauer_relation_basis", "coset_action", "fixed_point_matrix",
     "is_brauer_relation", "regular_action", "relation_is_saturated",
-    "FpModule", "ModuleError", "ZGLattice", "as_fp_module", "character",
+    "FpModule", "ModuleError", "ZGLattice", "character",
     "conjugated_lattice", "direct_sum", "find_equivariant_embedding",
     "fixed_sublattice", "fp_fixed_data", "induced_lattice",
     "permutation_lattice", "rationally_isomorphic", "regular_lattice",

@@ -44,18 +44,20 @@ class PlaceModel(NamedTuple):
         return self.action.size
 
 
+def _subgroup(group, h):
+    """`h` as a Subgroup of `group`; a Subgroup of another group is refused."""
+    if not isinstance(h, Subgroup):
+        return Subgroup(group, h)
+    if h.group is not group:
+        raise ArithmeticModelError("subgroup belongs to a different group")
+    return h
+
+
 def place_model(group, d_list):
     """Disjoint union of the coset actions G/D_i."""
     if not d_list:
         raise ArithmeticModelError("at least one decomposition group is required")
-    ds = []
-    for d in d_list:
-        if isinstance(d, Subgroup):
-            if d.group is not group:
-                raise ArithmeticModelError("decomposition group belongs to a different group")
-            ds.append(d)
-        else:
-            ds.append(Subgroup(group, d))
+    ds = [_subgroup(group, d) for d in d_list]
     action = None
     blocks = []
     for i, d in enumerate(ds):
@@ -80,8 +82,7 @@ class ResidueData(NamedTuple):
 
 def residue_degrees(model, h):
     """Orbit/degree data of H acting on S, with the orbit-stabilizer identity asserted."""
-    if not isinstance(h, Subgroup):
-        h = Subgroup(model.group, h)
+    h = _subgroup(model.group, h)
     orbits = model.action.orbits(h)
     reps, degs = [], []
     for orbit in orbits:
@@ -167,8 +168,7 @@ class SUnitIndexCheck(NamedTuple):
 
 def verify_sunit_index(sunit, h):
     """Compare [(I_S)^H : image of subfield lattice] with n(H)/l(H)."""
-    if not isinstance(h, Subgroup):
-        h = Subgroup(sunit.group, h)
+    h = _subgroup(sunit.group, h)
     rd = residue_degrees(sunit.model, h)
     ambient_vectors = subfield_lattice_embedding(sunit, h)
     coords = integer_solve(sunit.basis, ambient_vectors)

@@ -19,7 +19,6 @@ from .zgmod import (
     FpModule,
     ModuleError,
     ZGLattice,
-    _relations,
     _vstack,
     find_equivariant_embedding,
     fixed_sublattice,
@@ -211,7 +210,7 @@ def _validate_equivariant(m, n, t, rel_m, rel_n):
 
 def index_function(m, n, t):
     """f(H) = [N^H : T(M^H)] / |ker(T restricted to M^H)| per subgroup class."""
-    rel_m, rel_n = _relations(m), _relations(n)
+    rel_m, rel_n = m.relations, n.relations
     _validate_equivariant(m, n, t, rel_m, rel_n)
     table = all_subgroups(m.group)
     values = []

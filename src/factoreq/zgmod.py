@@ -1,15 +1,18 @@
-"""Integral representations: Z[G]-lattices and finitely presented Z[G]-modules.
+"""Integral representations: finitely presented Z[G]-modules and Z[G]-lattices.
 
-A ZGLattice stores one integer matrix per group element (columns are images
-of basis vectors). An FpModule is a cokernel presentation Z^n / im(R) whose
-action matrices satisfy the module axioms modulo the relation columns; it
-carries the torsion information the factor-equivalence lemma needs. Fixed
-points of both kinds go through one routine, `fixed_sublattice`, which reads
-a lattice as a module with no relations.
+Every module is a cokernel presentation Z^n / im(R) with one n x n integer
+matrix per group element (columns are images of basis vectors). The action
+need only satisfy the module axioms modulo the relation columns, and must map
+im(R) into itself. A ZGLattice is the case with no relations (R is n x 0), so
+its axioms hold exactly; an FpModule carries the torsion information the
+factor-equivalence lemma needs. Both share one constructor and one action
+check, `_Module`, and fixed points of both go through one routine,
+`fixed_sublattice`.
 """
 
 import math
 import random
+from operator import index
 
 from .exactla import (
     ImageSolver,
@@ -21,7 +24,7 @@ from .exactla import (
     lattice_index,
     _preimage,
 )
-from .grp import Subgroup, _generated
+from .grp import GroupError, Subgroup, _generated
 from .burnside import PermAction, regular_action
 
 
@@ -29,37 +32,104 @@ class ModuleError(ValueError):
     """Raised for invalid module data or violated map preconditions."""
 
 
-class ZGLattice:
-    """Z-free module with G acting by integer matrices."""
+class _Module:
+    """Z^n / im(relations) with G acting by n x n integer matrices."""
 
-    __slots__ = ("group", "rank", "action", "_cache")
+    __slots__ = ("group", "action", "relations", "_cache")
 
-    def __init__(self, group, rank, action, check=True):
-        action = tuple(
-            m if isinstance(m, IntMatrix) else IntMatrix(m, cols=rank) for m in action
-        )
+    def __init__(self, group, relations, action, check):
+        n = relations.rows
+        action = tuple(a if isinstance(a, IntMatrix) else IntMatrix(a, cols=n) for a in action)
         if len(action) != group.order:
             raise ModuleError("need one action matrix per group element")
-        for m in action:
-            if m.rows != rank or m.cols != rank:
+        for a in action:
+            if a.rows != n or a.cols != n:
                 raise ModuleError("action matrix has wrong shape")
-        if check:
-            if action[0] != IntMatrix.identity(rank):
-                raise ModuleError("identity must act as the identity matrix")
-            for g in range(group.order):
-                for h in range(group.order):
-                    if action[g] @ action[h] != action[group.table[g][h]]:
-                        raise ModuleError("action matrices do not define a homomorphism")
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "action", action)
+        object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "_cache", {})
+        if check:
+            self._check_action()
 
     def __setattr__(self, name, value):
-        raise AttributeError("ZGLattice is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _check_action(self):
+        """ρ(1) = I, ρ(g)·im R ⊆ im R and ρ(g)ρ(h) = ρ(gh), each modulo im R.
+
+        Without relation columns the solver hits only zero, so each test is
+        exact equality.
+        """
+        group, action, rel = self.group, self.action, self.relations
+        solver = ImageSolver(rel)
+
+        def differ(a, b):
+            # Equal matrices need no solve.
+            return a != b and solver.solve(a - b) is None
+
+        if differ(action[0], IntMatrix.identity(rel.rows)):
+            raise ModuleError("identity must act trivially modulo relations")
+        for g in range(group.order):
+            if solver.solve(action[g] @ rel) is None:
+                raise ModuleError("action does not preserve the relation span")
+            for h in range(group.order):
+                if differ(action[g] @ action[h], action[group.table[g][h]]):
+                    raise ModuleError("action matrices are not a homomorphism modulo relations")
+
+
+class ZGLattice(_Module):
+    """Z-free module with G acting by integer matrices: no relations (rank x 0)."""
+
+    __slots__ = ()
+
+    def __init__(self, group, rank, action, check=True):
+        if index(rank) < 0:
+            raise ModuleError("rank must be non-negative")
+        super().__init__(group, IntMatrix.zeros(rank, 0), action, check)
+
+    @property
+    def rank(self):
+        return self.relations.rows
 
     def __repr__(self):
         return f"ZGLattice(rank={self.rank}, |G|={self.group.order})"
+
+
+class FpModule(_Module):
+    """Finitely presented module Z^gens / im(relations) with a G-action."""
+
+    __slots__ = ()
+
+    def __init__(self, group, gens, relations, action, check=True):
+        relations = relations if isinstance(relations, IntMatrix) else IntMatrix(relations)
+        if relations.rows != gens:
+            raise ModuleError("relation matrix must have one row per generator")
+        super().__init__(group, relations, action, check)
+
+    @property
+    def gens(self):
+        return self.relations.rows
+
+    def lattice_quotient(self):
+        """(M/tors as a ZGLattice, projection matrix, integral section).
+
+        proj is a basis of the saturated left kernel of the relation matrix
+        (as rows), so its kernel is the saturation of im(R), that is, the
+        preimage of the torsion; proj @ sec = identity.
+        """
+        cached = self._cache.get("quotient")
+        if cached is not None:
+            return cached
+        proj = integer_kernel(self.relations.transpose()).transpose()
+        sec = integer_solve(proj, IntMatrix.identity(proj.rows))
+        quot = ZGLattice(self.group, proj.rows, (proj @ a @ sec for a in self.action), check=False)
+        out = (quot, proj, sec)
+        self._cache["quotient"] = out
+        return out
+
+    def __repr__(self):
+        return f"FpModule(gens={self.gens}, rels={self.relations.cols}, |G|={self.group.order})"
 
 
 def trivial_lattice(group):
@@ -80,12 +150,8 @@ def sign_lattice(group, h_kernel):
     if 2 * h_kernel.order != group.order:
         raise ModuleError("sign lattice kernel must have index 2")
     plus, minus = IntMatrix([[1]]), IntMatrix([[-1]])
-    return ZGLattice(
-        group,
-        1,
-        (plus if g in h_kernel else minus for g in range(group.order)),
-        check=False,
-    )
+    mats = (plus if g in h_kernel else minus for g in range(group.order))
+    return ZGLattice(group, 1, mats, check=False)
 
 
 def permutation_lattice(group, gset):
@@ -118,7 +184,7 @@ def induced_lattice(group, d, sub_action):
     """
     if not isinstance(d, Subgroup) or d.group is not group:
         raise ModuleError("d must be a subgroup of the group")
-    sub_action = {int(k): (v if isinstance(v, IntMatrix) else IntMatrix(v)) for k, v in sub_action.items()}
+    sub_action = {index(k): (v if isinstance(v, IntMatrix) else IntMatrix(v)) for k, v in sub_action.items()}
     if set(sub_action) != set(d.elements):
         raise ModuleError("sub_action must cover exactly the subgroup elements")
     r = sub_action[0].rows
@@ -178,24 +244,17 @@ def direct_sum(*modules):
     group = modules[0].group
     if any(m.group is not group for m in modules):
         raise ModuleError("summands live over different groups")
+    rel = _block_diagonal([m.relations for m in modules])
+    mats = [_block_diagonal([m.action[g] for m in modules]) for g in range(group.order)]
     if all(isinstance(m, ZGLattice) for m in modules):
-        mats = [_block_diagonal([m.action[g] for m in modules]) for g in range(group.order)]
-        return ZGLattice(group, sum(m.rank for m in modules), mats, check=False)
-    parts = [as_fp_module(m) for m in modules]
-    rel = _block_diagonal([p.relations for p in parts])
-    mats = [_block_diagonal([p.action[g] for p in parts]) for g in range(group.order)]
+        return ZGLattice(group, rel.rows, mats, check=False)
     return FpModule(group, rel.rows, rel, mats, check=False)
 
 
 def conjugated_lattice(m, u):
     """Same module in a new basis: g acts by U^-1 ρ(g) U (U unimodular)."""
     uinv = invert_unimodular(u)
-    return ZGLattice(
-        m.group,
-        m.rank,
-        (uinv @ m.action[g] @ u for g in range(m.group.order)),
-        check=False,
-    )
+    return ZGLattice(m.group, m.rank, (uinv @ a @ u for a in m.action), check=False)
 
 
 def sublattice_action(m, basis):
@@ -220,16 +279,21 @@ def _generating_set(group, elems):
 
     Each generator leaves the span so far, so there are at most log2 |H|; the
     parent is the sorted span before the last one (None for the trivial
-    subgroup). Cached per group and element tuple.
+    subgroup). Cached per group and element tuple, once the span of the
+    generators is checked to be `elems` itself.
     """
     key = ("generating_set", elems)
     out = group._cache.get(key)
     if out is None:
+        if not all(0 <= g < group.order for g in elems):
+            raise GroupError("subgroup element out of range")
         gens, span, parent = [], (0,), None
         for g in elems:
             if g not in span:
                 gens.append(g)
                 parent, span = span, _generated(group.table, tuple(gens))
+        if span != elems:
+            raise GroupError("element set is not a subgroup")
         out = (tuple(gens), parent)
         group._cache[key] = out
     return out
@@ -245,13 +309,15 @@ def fixed_sublattice(module, h):
     L_H = {x ∈ L_K : (ρ(s_k) − I)x ∈ im(R)}, since the action preserves im(R)
     and is a homomorphism modulo im(R). That is one preimage step,
     `_preimage((ρ(s_k) − I)·L_K, L_K, R)`, and each L_K on the way is cached.
+    `h` is a Subgroup of the module's group or the element set of one; any
+    other Subgroup raises ModuleError, any other set GroupError.
     """
-    elems = h.elements if isinstance(h, Subgroup) else tuple(sorted(set(h)))
+    elems = _elements(module, h)
     key = ("fixed", elems)
     cached = module._cache.get(key)
     if cached is not None:
         return cached
-    rel = _relations(module)
+    rel = module.relations
     gens, parent = _generating_set(module.group, elems)
     if not gens:
         basis = IntMatrix.identity(rel.rows)
@@ -263,9 +329,13 @@ def fixed_sublattice(module, h):
     return basis
 
 
-def _relations(module):
-    """The relation matrix of an FP module; a lattice has none (rank x 0)."""
-    return module.relations if isinstance(module, FpModule) else IntMatrix.zeros(module.rank, 0)
+def _elements(module, h):
+    """Sorted element tuple of `h`, a Subgroup of the module's group or an element set."""
+    if not isinstance(h, Subgroup):
+        return tuple(sorted(set(h)))
+    if h.group is not module.group:
+        raise ModuleError("h must be a subgroup of the module's group")
+    return h.elements
 
 
 def character(m):
@@ -331,89 +401,6 @@ def find_equivariant_embedding(m, n, seed=0, retry_budget=64):
     raise ModuleError("equivariant embedding search exhausted retry budget")
 
 
-class FpModule:
-    """Finitely presented module Z^gens / im(relations) with a G-action.
-
-    The action matrices need only satisfy the axioms modulo the relation
-    columns, and must preserve the relation span over Z.
-    """
-
-    __slots__ = ("group", "gens", "relations", "action", "_cache")
-
-    def __init__(self, group, gens, relations, action, check=True):
-        relations = (
-            relations if isinstance(relations, IntMatrix) else IntMatrix(relations, cols=None)
-        )
-        if relations.rows != gens:
-            raise ModuleError("relation matrix must have one row per generator")
-        action = tuple(
-            a if isinstance(a, IntMatrix) else IntMatrix(a, cols=gens) for a in action
-        )
-        if len(action) != group.order:
-            raise ModuleError("need one action matrix per group element")
-        for a in action:
-            if a.rows != gens or a.cols != gens:
-                raise ModuleError("action matrix has wrong shape")
-        if check:
-            solver = ImageSolver(relations)
-            ident = IntMatrix.identity(gens)
-            if solver.solve(action[0] - ident) is None:
-                raise ModuleError("identity must act trivially modulo relations")
-            for g in range(group.order):
-                if solver.solve(action[g] @ relations) is None:
-                    raise ModuleError("action does not preserve the relation span")
-                for h in range(group.order):
-                    gh = group.table[g][h]
-                    if solver.solve(action[g] @ action[h] - action[gh]) is None:
-                        raise ModuleError("action matrices are not a homomorphism modulo relations")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FpModule is immutable")
-
-    def lattice_quotient(self):
-        """(M/tors as a ZGLattice, projection matrix, integral section).
-
-        proj is a basis of the saturated left kernel of the relation matrix
-        (as rows), so its kernel is the saturation of im(R), that is, the
-        preimage of the torsion; proj @ sec = identity.
-        """
-        cached = self._cache.get("quotient")
-        if cached is not None:
-            return cached
-        proj = integer_kernel(self.relations.transpose()).transpose()
-        sec = integer_solve(proj, IntMatrix.identity(proj.rows))
-        quot = ZGLattice(
-            self.group,
-            proj.rows,
-            (proj @ self.action[g] @ sec for g in range(self.group.order)),
-            check=False,
-        )
-        out = (quot, proj, sec)
-        self._cache["quotient"] = out
-        return out
-
-    def __repr__(self):
-        return f"FpModule(gens={self.gens}, rels={self.relations.cols}, |G|={self.group.order})"
-
-
-def as_fp_module(module):
-    """View any module as an FpModule (a lattice gets an empty relation matrix)."""
-    if isinstance(module, FpModule):
-        return module
-    return FpModule(
-        module.group,
-        module.rank,
-        IntMatrix.zeros(module.rank, 0),
-        module.action,
-        check=False,
-    )
-
-
 def fp_fixed_lattice(module, h):
     # Kept only because the benchmark's tracer looks this name up; library code
     # calls fixed_sublattice. An `=` alias would be the same function object,
@@ -428,13 +415,13 @@ def fp_fixed_data(module, h):
     of `lattice_quotient` (its kernel is the saturation of im(R)), so its
     order is one lattice index and its rank that of im(R).
     """
-    elems = h.elements if isinstance(h, Subgroup) else tuple(sorted(set(h)))
+    elems = _elements(module, h)
     key = ("fp_fixed_data", elems)
     cached = module._cache.get(key)
     if cached is not None:
         return cached
     basis = fixed_sublattice(module, elems)
-    if not isinstance(module, FpModule):
+    if not module.relations.cols:
         out = (basis.cols, 1)
     else:
         tors = basis @ integer_kernel(module.lattice_quotient()[1] @ basis)

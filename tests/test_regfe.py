@@ -59,7 +59,6 @@ from factoreq import (
 )
 from factoreq.jsonio import canonical_dumps, fe_report_to_json
 from factoreq.regfe import _evaluate
-from factoreq.zgmod import _relations
 from factoreq.suites import (
     _index2_subgroups,
     _random_equivariant_endo,
@@ -368,7 +367,7 @@ def _reference_kernel_order(m, n, t, h):
     product of their invariant factors. V is the image in L_H(M) of the top
     rows of ker[T·L_H(M) | −R_N], the preimage of im(R_N).
     """
-    rel_m, rel_n = _relations(m), _relations(n)
+    rel_m, rel_n = m.relations, n.relations
     lm = fixed_sublattice(m, h)
     ker = integer_kernel((t @ lm).hstack(-rel_n))
     v = column_lattice_basis(lm @ IntMatrix(ker.tolist()[: lm.cols], cols=ker.cols))
@@ -410,7 +409,7 @@ def test_index_function_kernel_order_matches_reference_route(name):
             h = cls.representative
             korder = _reference_kernel_order(m, n, t, h)
             lm, ln = fixed_sublattice(m, h), fixed_sublattice(n, h)
-            assert f[ci] == Fraction(lattice_index((t @ lm).hstack(_relations(n)), ln), korder)
+            assert f[ci] == Fraction(lattice_index((t @ lm).hstack(n.relations), ln), korder)
             orders.add(korder)
     assert orders > {1}, "no instance had a nontrivial kernel"
 

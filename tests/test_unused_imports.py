@@ -1,13 +1,16 @@
 """Every name a library module imports is used in that module.
 
 Read from each module's syntax tree; `__init__.py` is left out, since its
-imports are the package's public names.
+imports are the package's public names. Those must be exactly `__all__`, so a
+deleted name cannot stay in one list and leave the other.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import factoreq
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "factoreq"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -39,3 +42,17 @@ def test_modules_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+
+def test_all_lists_exactly_the_reexported_names():
+    """`__all__` is what `__init__.py` imports from the package's modules, and `__version__`."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    reexported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(set(factoreq.__all__)) == len(factoreq.__all__)
+    assert set(factoreq.__all__) == reexported | {"__version__"}

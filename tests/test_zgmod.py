@@ -13,12 +13,12 @@ import sympy
 
 from factoreq import (
     FpModule,
+    GroupError,
     IntMatrix,
     ModuleError,
     Subgroup,
     ZGLattice,
     all_subgroups,
-    as_fp_module,
     character,
     column_lattice_basis,
     conjugated_lattice,
@@ -47,7 +47,7 @@ from factoreq import (
 from factoreq.exactla import _snf_engine
 from factoreq.suites import _random_module, _torsion_twist
 from factoreq.grp import _generated
-from factoreq.zgmod import _averaged_map, _generating_set
+from factoreq.zgmod import _Module, _averaged_map, _generating_set
 
 
 def _char_by_element_order(m):
@@ -257,11 +257,78 @@ def test_zero_lattice():
 
 
 def test_action_validation():
+    # No relation columns, so each test of the shared action check is exact equality.
     c2 = corpus_group("C2")
     with pytest.raises(ModuleError):
         ZGLattice(c2, 1, (IntMatrix([[1]]),))  # one matrix missing
-    with pytest.raises(ModuleError):
-        ZGLattice(c2, 1, (IntMatrix([[1]]), IntMatrix([[2]])))  # not a homomorphism
+    with pytest.raises(ModuleError, match="not a homomorphism"):
+        ZGLattice(c2, 1, (IntMatrix([[1]]), IntMatrix([[2]])))
+    with pytest.raises(ModuleError, match="identity must act trivially"):
+        ZGLattice(c2, 1, ([[-1]], [[1]]))
+    with pytest.raises(ModuleError, match="wrong shape"):
+        ZGLattice(c2, 1, ([[1]], [[1], [0]]))
+    with pytest.raises(ModuleError, match="non-negative"):
+        ZGLattice(c2, -1, (IntMatrix.zeros(0, 0),) * 2)
+    assert ZGLattice(c2, 1, ([[1]], [[-1]])).action[1] == IntMatrix([[-1]])
+
+
+def test_modules_are_immutable_and_share_one_base():
+    c2 = corpus_group("C2")
+    lat = trivial_lattice(c2)
+    fp = FpModule(c2, 1, IntMatrix([[2]]), ([[1]], [[1]]))
+    for m, name in ((lat, "ZGLattice"), (fp, "FpModule")):
+        for attr in ("group", "action", "relations", "rank", "gens"):
+            with pytest.raises(AttributeError, match=f"{name} is immutable"):
+                setattr(m, attr, None)
+    assert ZGLattice.__bases__ == FpModule.__bases__ == (_Module,)
+    assert not isinstance(lat, FpModule) and not isinstance(fp, ZGLattice)
+
+
+def test_lattice_relations_have_no_columns():
+    s3 = corpus_group("S3")
+    lattices = (
+        regular_lattice(s3),
+        zero_lattice(s3),
+        ZGLattice(s3, 1, [[[1]]] * 6),
+        direct_sum(trivial_lattice(s3), regular_lattice(s3)),
+        sublattice_action(trivial_lattice(s3), IntMatrix([[2]])),
+    )
+    for m in lattices:
+        assert (m.relations.rows, m.relations.cols) == (m.rank, 0)
+
+
+def test_fixed_points_refuse_a_subgroup_of_another_group():
+    s3, c4 = corpus_group("S3"), corpus_group("C4")
+    m = regular_lattice(s3)
+    with pytest.raises(ModuleError, match="subgroup of the module's group"):
+        fixed_sublattice(m, Subgroup(c4, (0, 2)))
+    with pytest.raises(ModuleError, match="subgroup of the module's group"):
+        fp_fixed_data(m, Subgroup(c4, (0, 2)))
+    fp = _z5_plus_trivial(s3)
+    with pytest.raises(ModuleError, match="subgroup of the module's group"):
+        fp_fixed_data(fp, Subgroup(c4, (0, 2)))
+
+
+def test_fixed_points_refuse_an_element_set_that_is_no_subgroup():
+    # In S3 the element 1 has order 3, so {0, 1} is not closed: <1> = {0, 1, 3}.
+    s3 = corpus_group("S3")
+    m = direct_sum(regular_lattice(s3), trivial_lattice(s3))
+    for bad in ([0, 1], [1], [], [0, 6], [-1, 0]):
+        with pytest.raises(GroupError):
+            fixed_sublattice(m, bad)
+        with pytest.raises(GroupError):
+            fp_fixed_data(m, bad)
+        elems = tuple(sorted(set(bad)))
+        assert ("generating_set", elems) not in s3._cache
+        assert ("fixed", elems) not in m._cache
+    assert fixed_sublattice(m, [0, 1, 3]) == fixed_sublattice(m, Subgroup(s3, (0, 1, 3)))
+
+
+def test_induced_lattice_refuses_float_keys():
+    v4 = corpus_group("V4")
+    d = Subgroup(v4, (0, 1))
+    with pytest.raises(TypeError):
+        induced_lattice(v4, d, {0: IntMatrix([[1]]), 1.0: IntMatrix([[-1]])})
 
 
 # --- equivariant embeddings -----------------------------------------------------------
@@ -427,7 +494,7 @@ def test_fp_fixed_data_matches_reference_route(name):
     ]
     modules = twists + [
         direct_sum(twists[-1], _random_module(group, rng, max_rank=4)),
-        as_fp_module(_random_module(group, rng, max_rank=6)),
+        _without_relations(_random_module(group, rng, max_rank=6)),
     ]
     torsion = set()
     for m in modules:
@@ -438,14 +505,51 @@ def test_fp_fixed_data_matches_reference_route(name):
     assert torsion >= {1, 3, 5, 9}
 
 
-def test_as_fp_module_on_lattice_matches_fixed_sublattice():
+def _without_relations(lattice):
+    """The lattice as an FpModule with an empty relation matrix."""
+    return FpModule(lattice.group, lattice.rank, IntMatrix.zeros(lattice.rank, 0), lattice.action)
+
+
+def test_fp_module_without_relations_matches_lattice_fixed_sublattice():
     s3 = corpus_group("S3")
     m = regular_lattice(s3)
-    fp = as_fp_module(m)
+    fp = _without_relations(m)
     assert fp.relations.cols == 0
     for cls in all_subgroups(s3):
         h = cls.representative
         assert fp_fixed_data(fp, h) == (fixed_sublattice(m, h).cols, 1)
+
+
+def _sympy_block_diagonal(mats):
+    d = sympy.diag(*(sympy.Matrix(a.rows, a.cols, [x for r in a.tolist() for x in r]) for a in mats))
+    return IntMatrix([[int(x) for x in d.row(i)] for i in range(d.rows)], cols=d.cols)
+
+
+def _reference_direct_sum(*modules):
+    """The FpModule route: each lattice viewed as an FpModule with an empty
+    relation matrix, then relations and actions placed block-diagonally by sympy."""
+    parts = [m if isinstance(m, FpModule) else _without_relations(m) for m in modules]
+    rel = _sympy_block_diagonal([p.relations for p in parts])
+    mats = [_sympy_block_diagonal([p.action[g] for p in parts]) for g in range(parts[0].group.order)]
+    return rel, mats
+
+
+def test_direct_sum_matches_the_fp_route():
+    s3 = corpus_group("S3")
+    rng = random.Random(13)
+    twist = _torsion_twist(regular_lattice(s3), 3, rng)
+    cases = (
+        (trivial_lattice(s3), _z5_plus_trivial(s3)),
+        (_z5_plus_trivial(s3), regular_lattice(s3), twist),
+        (twist, zero_lattice(s3), trivial_lattice(s3)),
+        (regular_lattice(s3), trivial_lattice(s3)),
+    )
+    for summands in cases:
+        got = direct_sum(*summands)
+        rel, mats = _reference_direct_sum(*summands)
+        assert isinstance(got, ZGLattice) == all(isinstance(m, ZGLattice) for m in summands)
+        assert got.relations == rel
+        assert list(got.action) == mats
 
 
 def test_direct_sum_mixing_lattice_and_fp():
@@ -461,8 +565,17 @@ def test_direct_sum_mixing_lattice_and_fp():
 
 def test_fp_validation_rejects_bad_action():
     c2 = corpus_group("C2")
-    with pytest.raises(ModuleError):
-        FpModule(c2, 1, IntMatrix([[2]]), (IntMatrix([[1]]), IntMatrix([[0]])))
+    two = IntMatrix([[2]])
+    with pytest.raises(ModuleError, match="not a homomorphism"):
+        FpModule(c2, 1, two, (IntMatrix([[1]]), IntMatrix([[0]])))
+    with pytest.raises(ModuleError, match="identity must act trivially"):
+        FpModule(c2, 1, two, ([[2]], [[1]]))
+    # Swapping the two generators of Z^2 / (2Z ⊕ 0) sends the relation out of its span.
+    swap = IntMatrix([[0, 1], [1, 0]])
+    with pytest.raises(ModuleError, match="relation span"):
+        FpModule(c2, 2, IntMatrix([[2], [0]]), (IntMatrix.identity(2), swap))
+    # 3 ≡ 1 modulo 2: the identity may act by 3 on Z/2.
+    assert FpModule(c2, 1, two, ([[3]], [[1]])).gens == 1
 
 
 def test_lattice_quotient_respects_action():
@@ -522,14 +635,13 @@ def _all_elements_fixed_basis(m, h):
     from `integer_kernel` or any other Hermite-form routine, so the routine
     under test is not its own oracle.
     """
-    fp = as_fp_module(m)
-    n, k, count = fp.gens, fp.relations.cols, len(h.elements)
+    n, k, count = m.relations.rows, m.relations.cols, len(h.elements)
     ident = IntMatrix.identity(n)
     rows = []
     for idx, g in enumerate(h.elements):
-        for i, row in enumerate((fp.action[g] - ident).tolist()):
+        for i, row in enumerate((m.action[g] - ident).tolist()):
             pad = [0] * (count * k)
-            pad[idx * k:(idx + 1) * k] = [-x for x in fp.relations.row(i)]
+            pad[idx * k:(idx + 1) * k] = [-x for x in m.relations.row(i)]
             rows.append(row + pad)
     d, v = _snf_engine(IntMatrix(rows, cols=n + count * k))
     r = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
