@@ -216,14 +216,7 @@ def kgroup_comparison_module(group, d_real, s2_count, parity):
         raise ModuleError("parity must be 'odd' or 'even'")
     if s2_count < 0:
         raise ModuleError("s2_count must be non-negative")
-    ds = []
-    for d in d_real:
-        if isinstance(d, Subgroup):
-            if d.group is not group:
-                raise ModuleError("decomposition group belongs to a different group")
-            ds.append(d)
-        else:
-            ds.append(Subgroup(group, d))
+    ds = [_subgroup(group, d) for d in d_real]
     summands = []
     for d in ds:
         if parity == "even":

@@ -542,9 +542,11 @@ def gram_determinant(pairing, basis, scale=1):
     """det(scale * B^T P B) as an exact Fraction.
 
     `pairing` is a symmetric integer matrix on the ambient space, `basis` a
-    matrix whose columns are the vectors to pair, `scale` a rational applied
-    entrywise to the Gram matrix before taking the determinant.
+    matrix whose columns are the vectors to pair, `scale` an int or Fraction
+    applied entrywise to the Gram matrix before taking the determinant.
     """
+    if not isinstance(scale, (int, Fraction)):
+        raise TypeError("scale must be an int or a Fraction")
     if pairing.rows != pairing.cols:
         raise ExactLinAlgError("pairing matrix must be square")
     if pairing._data != tuple(zip(*pairing._data)):

@@ -7,7 +7,6 @@ from .exactla import (
     ExactLinAlgError,
     ImageSolver,
     IntMatrix,
-    column_lattice_basis,
     gram_determinant,
     is_positive_definite,
     lattice_index,
@@ -16,14 +15,13 @@ from .exactla import (
 from .grp import all_subgroups
 from .burnside import BrauerRelationBasis, RelationError, brauer_relation_basis, is_brauer_relation
 from .zgmod import (
-    FpModule,
     ModuleError,
     ZGLattice,
+    _fixed_quotient,
     _vstack,
     find_equivariant_embedding,
     fixed_sublattice,
     fp_fixed_data,
-    rationally_isomorphic,
 )
 
 
@@ -43,7 +41,11 @@ class InvariantPairing:
     def __init__(self, module, gram, check=True):
         if not isinstance(module, ZGLattice):
             raise PairingError("pairings are defined on Z-free lattices")
-        gram = gram if isinstance(gram, IntMatrix) else IntMatrix(gram, cols=module.rank)
+        if not isinstance(gram, IntMatrix):
+            try:
+                gram = IntMatrix(gram, cols=module.rank)
+            except ExactLinAlgError:
+                raise PairingError("gram matrix has wrong shape") from None
         if gram.rows != module.rank or gram.cols != module.rank:
             raise PairingError("gram matrix has wrong shape")
         if check:
@@ -65,23 +67,16 @@ class InvariantPairing:
         return self.module.rank == lattice.rank and self.module.action == lattice.action
 
 
-def _underlying_lattice(module):
-    """The lattice regulator determinants live on: M itself, or M/tors."""
-    if isinstance(module, FpModule):
-        return module.lattice_quotient()[0]
-    return module
-
-
 def averaged_pairing(module):
     """P = Σ_g ρ(g)ᵀ ρ(g) = Sᵀ·S for S the stacked ρ(g); symmetric, PD and invariant."""
-    lattice = _underlying_lattice(module)
+    lattice = module.lattice_quotient()[0]
     s = _vstack(lattice.action, lattice.rank)
     return InvariantPairing(lattice, s.transpose() @ s, check=False)
 
 
 def random_invariant_pairing(module, rng):
     """P = Σ_g ρ(g)ᵀ D ρ(g) = Sᵀ·(D·S) for a random diagonal D with entries in 1..5."""
-    lattice = _underlying_lattice(module)
+    lattice = module.lattice_quotient()[0]
     d = [rng.randint(1, 5) for _ in range(lattice.rank)]
     s = _vstack(lattice.action, lattice.rank)
     ds = tuple(tuple(x * c for x in row) for row, c in zip(s._data, d * lattice.group.order))
@@ -89,8 +84,8 @@ def random_invariant_pairing(module, rng):
 
 
 def _check_pairing(module, pairing):
-    """Refuse a pairing that does not live on M (or on M/tors for an FP module)."""
-    if pairing is not None and not pairing.compatible_with(_underlying_lattice(module)):
+    """Refuse a pairing that does not live on M/tors."""
+    if pairing is not None and not pairing.compatible_with(module.lattice_quotient()[0]):
         raise PairingError("pairing does not live on this module's lattice")
 
 
@@ -115,9 +110,7 @@ def _class_determinants(module, pairing):
     dets = []
     for cls in all_subgroups(module.group):
         h = cls.representative
-        basis = fixed_sublattice(module, h)
-        if isinstance(module, FpModule):
-            basis = column_lattice_basis(module.lattice_quotient()[1] @ basis)
+        basis = _fixed_quotient(module, h)[0]
         dets.append(gram_determinant(gram, basis, Fraction(1, h.order)))
     dets = tuple(dets)
     module._cache[key] = dets
@@ -245,20 +238,12 @@ class LemmaCheck(NamedTuple):
     factors: tuple
 
 
-def _quotient_map(m, n, t):
-    """The map induced by T on the torsion-free quotients; T itself between lattices."""
-    if isinstance(m, FpModule):
-        t = t @ m.lattice_quotient()[2]
-    if isinstance(n, FpModule):
-        t = n.lattice_quotient()[1] @ t
-    return t
-
-
 def pullback_pairing(m, n, t, pairing_n):
-    """Pairing on M obtained by transporting a pairing on N through T."""
-    tbar = _quotient_map(m, n, t)
+    """Pairing on M/tors transported from one on N/tors through proj_N · T · sec_M."""
+    quot_m, _, sec_m = m.lattice_quotient()
+    tbar = n.lattice_quotient()[1] @ t @ sec_m
     gram = tbar.transpose() @ pairing_n.gram @ tbar
-    return InvariantPairing(_underlying_lattice(m), gram)
+    return InvariantPairing(quot_m, gram)
 
 
 def verify_lemma(m, n, t, theta, pairing=None):
@@ -302,17 +287,11 @@ def factor_equivalent(m, n, seed=0, retry_budget=64):
     Definitional route: a random equivariant embedding's index function must
     have defect 1 on every basis relation. Regulator route: the two constant
     tables must coincide. The routes are provably equivalent; any divergence
-    is raised as InternalError.
+    is raised as InternalError. The embedding search refuses FpModules and
+    pairs that are not rationally isomorphic.
     """
-    if isinstance(m, FpModule) or isinstance(n, FpModule):
-        raise ModuleError(
-            "factor_equivalent requires Z-free lattices; compare general modules "
-            "with verify_lemma and an explicit map"
-        )
-    if not rationally_isomorphic(m, n):
-        raise ModuleError("not rationally isomorphic")
-    basis = brauer_relation_basis(m.group)
     t = find_equivariant_embedding(m, n, seed=seed, retry_budget=retry_budget)
+    basis = brauer_relation_basis(m.group)
     f = index_function(m, n, t)
     verdict, defects = is_factorisable(f, basis)
     constants_m = regulator_constants_table(basis, m)

@@ -7,7 +7,9 @@ im(R) into itself. A ZGLattice is the case with no relations (R is n x 0), so
 its axioms hold exactly; an FpModule carries the torsion information the
 factor-equivalence lemma needs. Both share one constructor and one action
 check, `_Module`, and fixed points of both go through one routine,
-`fixed_sublattice`.
+`fixed_sublattice`. Both answer `lattice_quotient()` (a lattice is its own
+M/tors), and `_fixed_quotient` gives M^H/tors inside M/tors with |M^H_tors|,
+so no caller outside this module asks which kind of module it holds.
 """
 
 import math
@@ -17,6 +19,7 @@ from operator import index
 from .exactla import (
     ImageSolver,
     IntMatrix,
+    column_lattice_basis,
     determinant,
     integer_kernel,
     integer_solve,
@@ -91,6 +94,11 @@ class ZGLattice(_Module):
     @property
     def rank(self):
         return self.relations.rows
+
+    def lattice_quotient(self):
+        """(self, I, I), cached nowhere, so the module's cache never refers back to it."""
+        eye = IntMatrix.identity(self.rank)
+        return self, eye, eye
 
     def __repr__(self):
         return f"ZGLattice(rank={self.rank}, |G|={self.group.order})"
@@ -339,11 +347,10 @@ def _elements(module, h):
 
 
 def character(m):
-    """Trace of the action at one representative per element conjugacy class."""
-    if isinstance(m, FpModule):
-        return character(m.lattice_quotient()[0])
+    """Trace of the action on M/tors at one representative per element conjugacy class."""
+    lattice = m.lattice_quotient()[0]
     return tuple(
-        sum(m.action[cls[0]][i, i] for i in range(m.rank))
+        sum(lattice.action[cls[0]][i, i] for i in range(lattice.rank))
         for cls in m.group.element_classes
     )
 
@@ -408,23 +415,31 @@ def fp_fixed_lattice(module, h):
     return fixed_sublattice(module, h)
 
 
-def fp_fixed_data(module, h):
-    """(free rank, torsion cardinality) of M^H = L_H / im(R).
+def _fixed_quotient(module, h):
+    """(basis of M^H/tors inside M/tors, |M^H_tors|), cached per subgroup.
 
-    The torsion of M^H is (L_H ∩ ker proj) / im(R), with proj the projection
-    of `lattice_quotient` (its kernel is the saturation of im(R)), so its
-    order is one lattice index and its rank that of im(R).
+    Without relations that is (M^H, 1), as proj = I. Otherwise, with L_H the
+    preimage of M^H and proj the projection of `lattice_quotient` (whose
+    kernel is the saturation of im(R)), M^H/tors is spanned by proj·L_H, and
+    the torsion of M^H is (L_H ∩ ker proj) / im(R), one lattice index.
     """
     elems = _elements(module, h)
-    key = ("fp_fixed_data", elems)
+    key = ("fixed_quotient", elems)
     cached = module._cache.get(key)
     if cached is not None:
         return cached
     basis = fixed_sublattice(module, elems)
     if not module.relations.cols:
-        out = (basis.cols, 1)
+        out = (basis, 1)
     else:
-        tors = basis @ integer_kernel(module.lattice_quotient()[1] @ basis)
-        out = (basis.cols - tors.cols, lattice_index(module.relations, tors))
+        image = module.lattice_quotient()[1] @ basis
+        tors = basis @ integer_kernel(image)
+        out = (column_lattice_basis(image), lattice_index(module.relations, tors))
     module._cache[key] = out
     return out
+
+
+def fp_fixed_data(module, h):
+    """(free rank, torsion cardinality) of M^H, read off `_fixed_quotient`."""
+    basis, torsion = _fixed_quotient(module, h)
+    return basis.cols, torsion

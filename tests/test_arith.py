@@ -111,6 +111,8 @@ def test_place_functions_refuse_a_subgroup_of_another_group():
         verify_sunit_index(sunit_lattice(s3, model), foreign)
     with pytest.raises(ArithmeticModelError, match="different group"):
         place_model(s3, [foreign])
+    with pytest.raises(ArithmeticModelError, match="different group"):
+        kgroup_comparison_module(s3, [foreign], 0, "odd")
     a3 = Subgroup(s3, (0, 1, 3))
     assert residue_degrees(model, a3) == residue_degrees(model, (0, 1, 3))
 

@@ -287,6 +287,10 @@ def test_gram_determinant_validation():
         gram_determinant(IntMatrix([[1, 2], [0, 1]]), IntMatrix.identity(2))
     with pytest.raises(ExactLinAlgError):
         gram_determinant(IntMatrix.identity(2), IntMatrix.identity(3))
+    # Only an int or a Fraction scales, and nothing else is coerced.
+    for scale in (0.5, "2", None):
+        with pytest.raises(TypeError, match="scale"):
+            gram_determinant(IntMatrix.identity(2), IntMatrix.identity(2), scale)
 
 
 # --- IntMatrix plumbing ---------------------------------------------------------

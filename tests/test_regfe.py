@@ -37,6 +37,7 @@ from factoreq import (
     factor_equivalent,
     find_equivariant_embedding,
     fixed_sublattice,
+    fp_fixed_data,
     gram_determinant,
     group_from_generators,
     index_function,
@@ -107,6 +108,11 @@ def test_pairing_validation():
         InvariantPairing(reg, IntMatrix([[0, 1], [1, 0]]))
     with pytest.raises(PairingError):
         InvariantPairing(reg, IntMatrix([[1]]))
+    # A gram of the wrong width is refused like one of the wrong height, coerced or not.
+    triv = trivial_lattice(corpus_group("V4"))
+    for gram in ([[1, 2]], [[1], [2]], [[1, 2], [3]], IntMatrix([[1, 2]])):
+        with pytest.raises(PairingError, match="gram matrix has wrong shape"):
+            InvariantPairing(triv, gram)
 
 
 def test_random_invariant_pairing_contract():
@@ -141,7 +147,7 @@ def _pairing_test_modules(group, rng):
 def test_stacked_pairings_match_the_per_element_sums(name):
     group = corpus_group(name)
     for i, m in enumerate(_pairing_test_modules(group, random.Random(name))):
-        lattice = m.lattice_quotient()[0] if isinstance(m, FpModule) else m
+        lattice = m.lattice_quotient()[0]
         assert averaged_pairing(m).gram == _loop_pairing(lattice, [1] * lattice.rank)
         rng, oracle_rng = random.Random(i), random.Random(i)
         p = random_invariant_pairing(m, rng)
@@ -265,10 +271,39 @@ def _refers_to(value, target):
 def test_module_cache_does_not_refer_back_to_the_module(name):
     """A cached value that refers to its module would keep it alive until a full GC."""
     group = corpus_group(name)
-    m = direct_sum(regular_lattice(group), trivial_lattice(group))
+    lattice = direct_sum(regular_lattice(group), trivial_lattice(group))
+    fp = _torsion_twist(lattice, 3, random.Random(name))
+    for m in (lattice, fp):
+        regulator_constants_table(brauer_relation_basis(group), m)
+        for cls in all_subgroups(group):
+            fp_fixed_data(m, cls.representative)
+        m.lattice_quotient()
+        assert m._cache
+        assert not any(_refers_to(v, m) for v in m._cache.values())
+
+
+def test_lattice_quotient_of_a_lattice_is_the_lattice_itself():
+    v4 = corpus_group("V4")
+    m = direct_sum(regular_lattice(v4), trivial_lattice(v4))
+    quot, proj, sec = m.lattice_quotient()
+    assert quot is m
+    assert proj == sec == IntMatrix.identity(m.rank)
+    assert m._cache == {}
+
+
+@pytest.mark.parametrize("name", ["V4", "S3", "D4"])
+def test_fp_fixed_data_and_regulator_constants_share_one_cache_entry(name):
+    group = corpus_group(name)
+    table = all_subgroups(group)
+    m = _torsion_twist(regular_lattice(group), 5, random.Random(name))
     regulator_constants_table(brauer_relation_basis(group), m)
-    assert m._cache
-    assert not any(_refers_to(v, m) for v in m._cache.values())
+    entries = {k[1]: v for k, v in m._cache.items() if k[0] == "fixed_quotient"}
+    assert set(entries) == {cls.representative.elements for cls in table}
+    keys = set(m._cache)
+    for cls in table:
+        basis, torsion = entries[cls.representative.elements]
+        assert fp_fixed_data(m, cls.representative) == (basis.cols, torsion)
+    assert set(m._cache) == keys
 
 
 def test_pairing_independence_on_fixed_modules():
@@ -536,8 +571,10 @@ def test_factor_equivalent_requires_rational_isomorphism():
 def test_factor_equivalent_rejects_fp_modules():
     c2 = corpus_group("C2")
     m = FpModule(c2, 1, IntMatrix([[2]]), (IntMatrix([[1]]), IntMatrix([[1]])))
-    with pytest.raises(ModuleError):
+    with pytest.raises(ModuleError, match="Z-free lattices"):
         factor_equivalent(m, trivial_lattice(c2))
+    with pytest.raises(ModuleError, match="Z-free lattices"):
+        factor_equivalent(trivial_lattice(c2), m)
 
 
 def test_factor_equivalent_raises_internal_error_on_route_mismatch(monkeypatch):
