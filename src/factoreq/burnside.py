@@ -8,7 +8,7 @@ when all its fixed-point counts cancel, so no character theory is needed.
 from operator import index as _as_int
 
 from .exactla import IntMatrix, _snf_engine, integer_kernel, lattice_index
-from .grp import GroupError, Subgroup, all_subgroups
+from .grp import GroupError, Subgroup, all_subgroups, left_cosets
 
 
 class RelationError(ValueError):
@@ -50,6 +50,8 @@ class PermAction:
         if elements is None:
             elements = range(self.group.order)
         elif isinstance(elements, Subgroup):
+            if elements.group is not self.group:
+                raise GroupError("subgroup belongs to a different group")
             elements = elements.elements
         gens = [self.images[g] for g in elements]
         seen = [False] * self.size
@@ -83,11 +85,14 @@ class PermAction:
 
 
 def coset_action(group, subgroup):
-    """Left-multiplication action of G on the cosets G/H, ordered by least element."""
+    """Left-multiplication action of G on the cosets G/H, ordered by least element; cached."""
     if subgroup.group is not group:
         raise GroupError("subgroup belongs to a different group")
-    from .grp import left_cosets
-
+    # Checked before the lookup: a foreign subgroup may have the same element tuple.
+    key = ("coset_action", subgroup.elements)
+    cached = group._cache.get(key)
+    if cached is not None:
+        return cached
     cosets = left_cosets(group, subgroup)
     coset_of = [0] * group.order
     for i, coset in enumerate(cosets):
@@ -97,7 +102,8 @@ def coset_action(group, subgroup):
         tuple(coset_of[group.table[g][coset[0]]] for coset in cosets)
         for g in range(group.order)
     )
-    return PermAction(group, images)
+    action = group._cache[key] = PermAction(group, images)
+    return action
 
 
 def regular_action(group):
@@ -220,7 +226,7 @@ def brauer_relation_basis(group):
     if cached is not None:
         return cached
     table = all_subgroups(group)
-    # SNF, not HNF: this basis is the report until ROADMAP item 4 makes it canonical.
+    # SNF, not HNF: this basis is the report until ROADMAP item 2 makes it canonical.
     d, v = _snf_engine(fixed_point_matrix(group))
     r = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
     relations = []

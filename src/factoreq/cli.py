@@ -24,7 +24,6 @@ from .jsonio import (
     jsonable,
     load_json,
     module_from_json,
-    rational_to_json,
 )
 from .suites import SUITE_NAMES, run_suites
 
@@ -91,7 +90,7 @@ def cmd_relations(args):
     basis = brauer_relation_basis(group)
     report = {
         "rank": basis.rank,
-        "relations": [jsonable(theta) for theta in basis],
+        "relations": basis.relations,
     }
     lines = [f"Brauer relation space of rank {basis.rank}"]
     for i, theta in enumerate(basis):
@@ -111,8 +110,8 @@ def cmd_regconst(args):
         relations = list(basis)
     constants = [regulator_constant(theta, module) for theta in relations]
     report = {
-        "relations": [jsonable(t) for t in relations],
-        "constants": [rational_to_json(c) for c in constants],
+        "relations": relations,
+        "constants": constants,
     }
     lines = ["regulator constants"]
     for i, c in enumerate(constants):
@@ -150,7 +149,7 @@ def cmd_verify(args):
         lines.append(f"  [{status}] {c['name']}[{c['group']}]{detail}")
     s = report["summary"]
     lines.append(f"{s['passed']}/{s['checks']} checks passed")
-    return jsonable(report), lines
+    return report, lines
 
 
 # --- plumbing ---------------------------------------------------------------

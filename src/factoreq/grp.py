@@ -376,6 +376,8 @@ class DoubleCoset(NamedTuple):
 
 def left_cosets(group, subgroup):
     """Left cosets gH as sorted tuples, ordered by least element."""
+    if subgroup.group is not group:
+        raise GroupError("subgroup belongs to a different group")
     seen = [False] * group.order
     cosets = []
     for g in range(group.order):
@@ -390,6 +392,9 @@ def left_cosets(group, subgroup):
 
 def double_cosets(group, h, k):
     """H-orbits on G/K with sizes and stabilizer-intersection orders."""
+    if h.group is not group:
+        raise GroupError("subgroup belongs to a different group")
+    # Its own coset lookup, so bench/oracle.py has a route that bypasses coset_action.
     cosets = left_cosets(group, k)
     coset_of = [0] * group.order
     for i, coset in enumerate(cosets):

@@ -204,18 +204,15 @@ def jsonable(x):
 
 def fe_report_to_json(report):
     """Shape: relations, regulator_constants {M, N}, defects, verdict, embedding."""
-    return {
+    return jsonable({
         "verdict": report.verdict,
-        "relations": [jsonable(theta) for theta in report.relations],
-        "regulator_constants": {
-            "M": [rational_to_json(c) for c in report.constants_m],
-            "N": [rational_to_json(c) for c in report.constants_n],
-        },
-        "defects": [rational_to_json(d) for d in report.defects],
-        "index_values": [rational_to_json(v) for v in report.index_values.values],
-        "embedding": report.embedding.tolist(),
+        "relations": report.relations.relations,
+        "regulator_constants": {"M": report.constants_m, "N": report.constants_n},
+        "defects": report.defects,
+        "index_values": report.index_values.values,
+        "embedding": report.embedding,
         "seed": report.seed,
-    }
+    })
 
 
 def canonical_dumps(obj):

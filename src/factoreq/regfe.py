@@ -252,6 +252,7 @@ def verify_lemma(m, n, t, theta, pairing=None):
     Both regulator constants are evaluated against the same pairing: one on N
     (averaged by default) and its pullback through T on M.
     """
+    _check_pairing(n, pairing)
     f = index_function(m, n, t)
     factors = []
     for ci, cls in enumerate(f.table):

@@ -9,7 +9,7 @@ factor-equivalence queries.
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 from .corpus import corpus_group, corpus_names
 from .exactla import IntMatrix, determinant, rank
@@ -23,7 +23,7 @@ from .burnside import (
 )
 from .zgmod import (
     FpModule,
-    _averaged_map,
+    _averaged_maps,
     conjugated_lattice,
     direct_sum,
     induced_lattice,
@@ -134,11 +134,7 @@ def _random_equivariant_endo(m, rng, tries=8):
     if r == 0:
         return IntMatrix.zeros(0, 0)
     t = None
-    for _ in range(tries):
-        rand = IntMatrix(
-            (tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(r)), cols=r
-        )
-        t = _averaged_map(m, m, rand)
+    for t in islice(_averaged_maps(m, m, rng, 2), tries):
         if determinant(t) != 0:
             return t
     c = 1 + max(sum(abs(x) for x in t.row(i)) for i in range(r))

@@ -14,6 +14,7 @@ so no caller outside this module asks which kind of module it holds.
 
 import math
 import random
+from itertools import islice
 from operator import index
 
 from .exactla import (
@@ -28,7 +29,7 @@ from .exactla import (
     _preimage,
 )
 from .grp import GroupError, Subgroup, _generated
-from .burnside import PermAction, regular_action
+from .burnside import PermAction, coset_action, regular_action
 
 
 class ModuleError(ValueError):
@@ -141,13 +142,13 @@ class FpModule(_Module):
 
 
 def trivial_lattice(group):
-    one = IntMatrix.identity(1)
-    return ZGLattice(group, 1, (one,) * group.order, check=False)
+    """Z with trivial action: the lattice of the one-point G-set."""
+    return permutation_lattice(group, PermAction(group, ((0,),) * group.order))
 
 
 def zero_lattice(group):
-    empty = IntMatrix.zeros(0, 0)
-    return ZGLattice(group, 0, (empty,) * group.order, check=False)
+    """The lattice of the empty G-set."""
+    return permutation_lattice(group, PermAction(group, ((),) * group.order))
 
 
 def sign_lattice(group, h_kernel):
@@ -205,27 +206,18 @@ def induced_lattice(group, d, sub_action):
         for b in d.elements:
             if sub_action[a] @ sub_action[b] != sub_action[group.table[a][b]]:
                 raise ModuleError("sub_action is not a homomorphism on the subgroup")
-    from .grp import left_cosets
-
-    cosets = left_cosets(group, d)
-    coset_of = [0] * group.order
-    for i, coset in enumerate(cosets):
-        for x in coset:
-            coset_of[x] = i
-    reps = [coset[0] for coset in cosets]
-    k = len(cosets)
+    # Coset i of G/D holds g iff g·D is coset i; its least such g is its representative.
+    images = coset_action(group, d).images
+    k = len(images[0])
+    reps = [next(g for g in range(group.order) if images[g][0] == i) for i in range(k)]
     mats = []
     for g in range(group.order):
-        rows = [[0] * (k * r) for _ in range(k * r)]
-        for i in range(k):
-            u = group.table[g][reps[i]]
-            j = coset_of[u]
-            dd = group.table[group.inverse[reps[j]]][u]
-            block = sub_action[dd]
-            for a in range(r):
-                for b in range(r):
-                    rows[j * r + a][i * r + b] = block[a, b]
-        mats.append(IntMatrix(rows, cols=k * r))
+        # Block row j holds ρ_D(reps[j]⁻¹·g·reps[i]), in the block column i with g·(coset i) = coset j.
+        rows = []
+        for j, i in enumerate(images[group.inverse[g]]):
+            block = sub_action[group.table[group.inverse[reps[j]]][group.table[g][reps[i]]]]
+            rows.extend((0,) * (i * r) + row + (0,) * ((k - 1 - i) * r) for row in block._data)
+        mats.append(IntMatrix._trusted(tuple(rows), k * r))
     return ZGLattice(group, k * r, mats, check=False)
 
 
@@ -371,6 +363,14 @@ def _averaged_map(m, n, x):
     return IntMatrix.hstack(*n.action) @ right
 
 
+def _averaged_maps(m, n, rng, bound):
+    """Endless averaged maps M -> N, each from a fresh square X with entries in [−bound, bound]."""
+    r = m.rank
+    while True:
+        rows = tuple(tuple(rng.randint(-bound, bound) for _ in range(r)) for _ in range(r))
+        yield _averaged_map(m, n, IntMatrix._trusted(rows, r))
+
+
 def find_equivariant_embedding(m, n, seed=0, retry_budget=64):
     """Random injective equivariant map T: M -> N with finite cokernel.
 
@@ -387,12 +387,7 @@ def find_equivariant_embedding(m, n, seed=0, retry_budget=64):
     r = m.rank
     if r == 0:
         return IntMatrix.zeros(0, 0)
-    rng = random.Random(seed)
-    for _ in range(retry_budget):
-        rand = IntMatrix(
-            (tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(r)), cols=r
-        )
-        t = _averaged_map(m, n, rand)
+    for t in islice(_averaged_maps(m, n, random.Random(seed), 3), retry_budget):
         if determinant(t) == 0:
             continue
         g = 0

@@ -4,6 +4,9 @@ Frozen rows and relation vectors are hand-derived from coset counting; the
 kernel rank is cross-checked against sympy's rank as an independent oracle.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -23,6 +26,7 @@ from factoreq import (
     coset_action,
     fixed_point_matrix,
     group_from_generators,
+    group_from_table,
     is_brauer_relation,
     regular_action,
     relation_is_saturated,
@@ -229,6 +233,58 @@ def test_coset_action_basics():
     assert act.size == 3
     assert len(act.orbits()) == 1
     assert sum(1 for g in range(group.order) if act.images[g][0] == 0) == 2
+
+
+def test_coset_action_is_built_once_per_subgroup():
+    group = group_from_table(corpus_group("D4").table)
+    for cls in all_subgroups(group):
+        h = cls.representative
+        assert coset_action(group, h) is coset_action(group, h)
+        assert coset_action(group, Subgroup(group, h.elements)) is coset_action(group, h)
+
+
+def test_coset_action_refuses_a_foreign_subgroup_with_cached_elements():
+    group = group_from_table(corpus_group("S3").table)
+    twin = group_from_table(group.table)
+    h = all_subgroups(group)[1].representative
+    coset_action(group, h)
+    assert ("coset_action", h.elements) in group._cache
+    with pytest.raises(GroupError, match="different group"):
+        coset_action(group, Subgroup(twin, h.elements))
+
+
+def test_orbits_refuse_a_subgroup_of_another_group():
+    s3, c6 = corpus_group("S3"), corpus_group("C6")
+    act = regular_action(s3)
+    with pytest.raises(GroupError, match="different group"):
+        act.orbits(Subgroup(c6, (0, 2, 4)))
+    h = Subgroup(s3, (0, 1, 3))
+    assert act.orbits(h) == act.orbits(h.elements) == [(0, 1, 3), (2, 4, 5)]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "factoreq"
+
+
+def _identifiers(source):
+    """Every name a module reads, imports, or looks up as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update((node.name, node.asname))
+    return out
+
+
+def test_only_grp_and_burnside_form_left_cosets():
+    # Every other module reads cosets off coset_action; `__init__.py` only re-exports.
+    users = {
+        p.name for p in SRC.glob("*.py")
+        if p.name != "__init__.py" and "left_cosets" in _identifiers(p.read_text(encoding="utf-8"))
+    }
+    assert users == {"grp.py", "burnside.py"}
 
 
 def test_perm_action_refuses_non_integer_images():

@@ -226,6 +226,19 @@ def test_left_cosets_partition():
     assert sorted(x for c in cos for x in c) == list(range(6))
 
 
+def test_coset_entry_points_refuse_a_subgroup_of_another_group():
+    s3, c6 = corpus_group("S3"), corpus_group("C6")
+    foreign, own = Subgroup(c6, (0, 2, 4)), Subgroup(s3, (0, 1, 3))
+    for call in (
+        lambda: left_cosets(s3, foreign),
+        lambda: double_cosets(s3, foreign, own),
+        lambda: double_cosets(s3, own, foreign),
+    ):
+        with pytest.raises(GroupError, match="subgroup belongs to a different group"):
+            call()
+    assert left_cosets(s3, own) == [(0, 1, 3), (2, 4, 5)]
+
+
 def test_double_cosets_v4():
     # abelian: H = K of order 2 fixes both cosets of K pointwise
     g = corpus_group("V4")

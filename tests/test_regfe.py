@@ -607,6 +607,31 @@ def test_lemma_identity_map():
     assert res.lhs == res.rhs == regulator_constant(theta, m)
 
 
+def test_lemma_refuses_a_pairing_of_another_rank():
+    v4 = corpus_group("V4")
+    theta = brauer_relation_basis(v4)[0]
+    m = regular_lattice(v4)
+    with pytest.raises(PairingError, match="does not live on this module's lattice"):
+        verify_lemma(m, m, IntMatrix.identity(4), theta, pairing=averaged_pairing(trivial_lattice(v4)))
+
+
+def test_lemma_refuses_a_pairing_of_another_action_before_the_pullback(monkeypatch):
+    import factoreq.regfe as regfe
+
+    v4 = corpus_group("V4")
+    theta = brauer_relation_basis(v4)[0]
+    m = regular_lattice(v4)
+    # 4·I on four trivial summands: the right rank, and invariant under Z[V4] too.
+    pairing = averaged_pairing(direct_sum(*(trivial_lattice(v4),) * 4))
+
+    def fail(*args):
+        raise AssertionError("pullback_pairing ran before the pairing was checked")
+
+    monkeypatch.setattr(regfe, "pullback_pairing", fail)
+    with pytest.raises(PairingError, match="does not live on this module's lattice"):
+        verify_lemma(m, m, IntMatrix.identity(4), theta, pairing=pairing)
+
+
 def test_lemma_scaling_on_trivial():
     v4 = corpus_group("V4")
     theta = brauer_relation_basis(v4)[0]

@@ -36,6 +36,7 @@ from factoreq import (
     integer_solve,
     invariant_factors,
     invert_unimodular,
+    left_cosets,
     permutation_lattice,
     rationally_isomorphic,
     regular_lattice,
@@ -129,6 +130,63 @@ def test_induced_trivial_is_permutation_lattice():
         ind = induced_lattice(s3, d, triv)
         perm = permutation_lattice(s3, coset_action(s3, d))
         assert character(ind) == character(perm)
+
+
+def _reference_induced_action(group, d, sub_action):
+    """Induced action matrices from a coset table of their own, filled in densely."""
+    cosets = left_cosets(group, d)
+    coset_of = [0] * group.order
+    for i, coset in enumerate(cosets):
+        for x in coset:
+            coset_of[x] = i
+    reps = [coset[0] for coset in cosets]
+    k, r = len(cosets), sub_action[0].rows
+    mats = []
+    for g in range(group.order):
+        rows = [[0] * (k * r) for _ in range(k * r)]
+        for i in range(k):
+            u = group.table[g][reps[i]]
+            j = coset_of[u]
+            block = sub_action[group.table[group.inverse[reps[j]]][u]]
+            for a in range(r):
+                for b in range(r):
+                    rows[j * r + a][i * r + b] = block[a, b]
+        mats.append(IntMatrix(rows, cols=k * r))
+    return tuple(mats)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_induced_lattice_matches_the_coset_table_route(name):
+    group = corpus_group(name)
+    for cls in all_subgroups(group):
+        d = cls.representative
+        triv = {x: IntMatrix([[1]]) for x in d.elements}
+        ind = induced_lattice(group, d, triv)
+        assert ind.action == _reference_induced_action(group, d, triv)
+        assert ind.action == permutation_lattice(group, coset_action(group, d)).action
+        # D's regular representation: blocks of rank |D| that are not all symmetric.
+        pos = {x: i for i, x in enumerate(d.elements)}
+        reg = {
+            x: IntMatrix.from_columns(
+                [[int(pos[group.table[x][y]] == i) for i in range(d.order)] for y in d.elements]
+            )
+            for x in d.elements
+        }
+        assert induced_lattice(group, d, reg).action == _reference_induced_action(group, d, reg)
+        if d.order == 2:
+            eps = {0: IntMatrix([[1]]), d.elements[1]: IntMatrix([[-1]])}
+            assert induced_lattice(group, d, eps).action == _reference_induced_action(group, d, eps)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_trivial_and_zero_lattices_are_cached_permutation_lattices(name):
+    group = corpus_group(name)
+    triv, zero = trivial_lattice(group), zero_lattice(group)
+    assert trivial_lattice(group) is triv and zero_lattice(group) is zero
+    assert triv.action == (IntMatrix.identity(1),) * group.order
+    assert zero.action == (IntMatrix.zeros(0, 0),) * group.order
+    assert ZGLattice(group, 1, triv.action, check=True).action == triv.action
+    assert ZGLattice(group, 0, zero.action, check=True).action == zero.action
 
 
 def test_coset_lattice_character_matches_fixed_counts():
