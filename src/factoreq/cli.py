@@ -17,9 +17,9 @@ from .zgmod import ModuleError
 from .regfe import InternalError, PairingError, factor_equivalent, regulator_constant
 from .jsonio import (
     InputError,
+    _fe_report_fields,
     burnside_from_json,
     canonical_dumps,
-    fe_report_to_json,
     group_from_json,
     jsonable,
     load_json,
@@ -126,7 +126,7 @@ def cmd_factor_equiv(args):
     m = module_from_json(group, load_json(_read_source(args.module_a)))
     n = module_from_json(group, load_json(_read_source(args.module_b)))
     fe = factor_equivalent(m, n, seed=args.seed, retry_budget=args.retry_budget)
-    report = fe_report_to_json(fe)
+    report = _fe_report_fields(fe)
     lines = [f"factor equivalent: {'yes' if fe.verdict else 'no'}"]
     for i, d in enumerate(fe.defects):
         lines.append(

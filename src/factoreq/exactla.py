@@ -300,10 +300,14 @@ def _bareiss_pivots(a):
     by swapping in a later row, and a pivot that stays zero (the matrix is
     singular) ends the run. While no row has been swapped, pivot k is the
     leading principal minor of order k + 1; the last pivot is ± det(A).
+
+    A row with 0 in the pivot column would only be scaled by p_k/p_{k−1}; it
+    is left as it is, with the divisor it was current at, and scaled once
+    when next used. Entries are minors of A, so that division is exact.
     """
     n = a.rows
     m = [list(r) for r in a._data]
-    prev = 1
+    prev, since = 1, [1] * n
     for k in range(n):
         swapped = False
         if m[k][k] == 0:
@@ -312,14 +316,23 @@ def _bareiss_pivots(a):
                 yield 0, False
                 return
             m[k], m[pivot] = m[pivot], m[k]
+            since[k], since[pivot] = since[pivot], since[k]
             swapped = True
-        p, mk = m[k][k], m[k]
+        mk = m[k]
+        if since[k] != prev:
+            mk[k:] = [x * prev // since[k] for x in mk[k:]]
+        p = mk[k]
         yield p, swapped
         for i in range(k + 1, n):
             mi = m[i]
+            if not mi[k]:
+                continue
+            if since[i] != prev:
+                mi[k:] = [x * prev // since[i] for x in mi[k:]]
             c = mi[k]
             for j in range(k + 1, n):
                 mi[j] = (mi[j] * p - c * mk[j]) // prev
+            since[i] = p
         prev = p
 
 

@@ -202,9 +202,9 @@ def jsonable(x):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def fe_report_to_json(report):
-    """Shape: relations, regulator_constants {M, N}, defects, verdict, embedding."""
-    return jsonable({
+def _fe_report_fields(report):
+    """A factor-equivalence report's library values under their JSON keys."""
+    return {
         "verdict": report.verdict,
         "relations": report.relations.relations,
         "regulator_constants": {"M": report.constants_m, "N": report.constants_n},
@@ -212,7 +212,12 @@ def fe_report_to_json(report):
         "index_values": report.index_values.values,
         "embedding": report.embedding,
         "seed": report.seed,
-    })
+    }
+
+
+def fe_report_to_json(report):
+    """Shape: relations, regulator_constants {M, N}, defects, verdict, embedding."""
+    return jsonable(_fe_report_fields(report))
 
 
 def canonical_dumps(obj):

@@ -7,7 +7,7 @@ from .exactla import (
     ExactLinAlgError,
     ImageSolver,
     IntMatrix,
-    gram_determinant,
+    determinant,
     is_positive_definite,
     lattice_index,
     _preimage,
@@ -17,7 +17,8 @@ from .burnside import BrauerRelationBasis, RelationError, brauer_relation_basis,
 from .zgmod import (
     ModuleError,
     ZGLattice,
-    _fixed_quotient,
+    _averaged_gram,
+    _fixed_gram,
     _vstack,
     find_equivariant_embedding,
     fixed_sublattice,
@@ -68,10 +69,9 @@ class InvariantPairing:
 
 
 def averaged_pairing(module):
-    """P = Σ_g ρ(g)ᵀ ρ(g) = Sᵀ·S for S the stacked ρ(g); symmetric, PD and invariant."""
+    """P = Σ_g ρ(g)ᵀ ρ(g) on M/tors, cached on it by zgmod; symmetric, PD and invariant."""
     lattice = module.lattice_quotient()[0]
-    s = _vstack(lattice.action, lattice.rank)
-    return InvariantPairing(lattice, s.transpose() @ s, check=False)
+    return InvariantPairing(lattice, _averaged_gram(lattice), check=False)
 
 
 def random_invariant_pairing(module, rng):
@@ -90,28 +90,17 @@ def _check_pairing(module, pairing):
 
 
 def _class_determinants(module, pairing):
-    """Per-subgroup-class det((1/|H|)·pairing on M^H/tors), cached by gram matrix.
-
-    The averaged gram is cached rather than its InvariantPairing, whose
-    `.module` would make the cache refer back to the module.
-    """
+    """Per-subgroup-class det((1/|H|)·pairing on M^H/tors) from `_fixed_gram`, cached by gram."""
     _check_pairing(module, pairing)
-    if pairing is None:
-        gram = module._cache.get("avg_gram")
-        if gram is None:
-            gram = averaged_pairing(module).gram
-            module._cache["avg_gram"] = gram
-    else:
-        gram = pairing.gram
+    gram = (averaged_pairing(module) if pairing is None else pairing).gram
     key = ("class_dets", gram)
     cached = module._cache.get(key)
     if cached is not None:
         return cached
     dets = []
     for cls in all_subgroups(module.group):
-        h = cls.representative
-        basis = _fixed_quotient(module, h)[0]
-        dets.append(gram_determinant(gram, basis, Fraction(1, h.order)))
+        g = _fixed_gram(module, gram, cls.representative)
+        dets.append(Fraction(determinant(g), cls.order ** g.rows))
     dets = tuple(dets)
     module._cache[key] = dets
     return dets

@@ -167,7 +167,7 @@ def permutation_lattice(group, gset):
     """Free lattice on the points of a PermAction, G permuting the basis.
 
     Built once per group and action, so repeated Z[G/H] share one immutable
-    lattice and its cached fixed sublattices and determinants.
+    lattice and its caches; its averaged gram is |G|·I (ρ(g) is orthogonal).
     """
     if not isinstance(gset, PermAction) or gset.group is not group:
         raise ModuleError("gset must be a permutation action of the same group")
@@ -177,8 +177,17 @@ def permutation_lattice(group, gset):
         n, eye = gset.size, IntMatrix.identity(gset.size)._data
         mats = (IntMatrix._trusted(tuple(eye[i] for i in gset.images[h]), n)
                 for h in group.inverse)
-        group._cache[key] = ZGLattice(group, n, mats, check=False)
+        lattice = group._cache[key] = ZGLattice(group, n, mats, check=False)
+        lattice._cache["avg_gram"] = group.order * IntMatrix.identity(n)
     return group._cache[key]
+
+
+def _averaged_gram(lattice):
+    """Σ_g ρ(g)ᵀ ρ(g) = Sᵀ·S for S the stacked ρ(g), cached on the lattice."""
+    if "avg_gram" not in lattice._cache:
+        s = _vstack(lattice.action, lattice.rank)
+        lattice._cache["avg_gram"] = s.transpose() @ s
+    return lattice._cache["avg_gram"]
 
 
 def regular_lattice(group):
@@ -309,6 +318,7 @@ def fixed_sublattice(module, h):
     L_H = {x ∈ L_K : (ρ(s_k) − I)x ∈ im(R)}, since the action preserves im(R)
     and is a homomorphism modulo im(R). That is one preimage step,
     `_preimage((ρ(s_k) − I)·L_K, L_K, R)`, and each L_K on the way is cached.
+    For a lattice that is L_H = L_K·C, with K and C cached beside L_H.
     `h` is a Subgroup of the module's group or the element set of one; any
     other Subgroup raises ModuleError, any other set GroupError.
     """
@@ -316,16 +326,19 @@ def fixed_sublattice(module, h):
     key = ("fixed", elems)
     cached = module._cache.get(key)
     if cached is not None:
-        return cached
+        return cached[0]
     rel = module.relations
     gens, parent = _generating_set(module.group, elems)
+    c = None
     if not gens:
         basis = IntMatrix.identity(rel.rows)
     else:
         # The greedy generating set of K is gens[:-1], so the chain reuses entries.
         lk = fixed_sublattice(module, parent)
-        basis = _preimage(module.action[gens[-1]] @ lk - lk, lk, rel)
-    module._cache[key] = basis
+        al = module.action[gens[-1]] @ lk - lk
+        c = None if rel.cols else integer_kernel(al)
+        basis = _preimage(al, lk, rel) if c is None else lk @ c
+    module._cache[key] = (basis, parent, c)
     return basis
 
 
@@ -431,6 +444,26 @@ def _fixed_quotient(module, h):
         tors = basis @ integer_kernel(image)
         out = (column_lattice_basis(image), lattice_index(module.relations, tors))
     module._cache[key] = out
+    return out
+
+
+def _fixed_gram(module, gram, h):
+    """Gram matrix under `gram` of `_fixed_quotient(module, h)[0]`: Bᵀ·gram·B, or down the chain."""
+    elems = _elements(module, h)
+    basis = _fixed_quotient(module, elems)[0]  # also caches L_H's chain for a lattice
+    if module.relations.cols:
+        return basis.transpose() @ gram @ basis
+    return _chain_gram(module, gram, elems)
+
+
+def _chain_gram(lattice, gram, elems):
+    """Gram of a cached L_H: `gram` for H = 1, else Cᵀ·(Gram(L_K)·C) for L_H = L_K·C."""
+    key = ("fixed_gram", gram, elems)
+    out = lattice._cache.get(key)
+    if out is None:
+        _, parent, c = lattice._cache[("fixed", elems)]
+        out = gram if c is None else c.transpose() @ (_chain_gram(lattice, gram, parent) @ c)
+        lattice._cache[key] = out
     return out
 
 

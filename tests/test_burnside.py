@@ -311,3 +311,17 @@ def test_disjoint_union_sizes():
     u = a.disjoint_union(b)
     assert u.size == a.size + b.size
     assert len(u.orbits()) == 2
+
+
+def test_burnside_elements_compare_and_hash_by_group_and_vector():
+    group = group_from_table(corpus_group("S3").table)
+    twin = group_from_table(group.table)
+    theta = brauer_relation_basis(group)[0]
+    same = BurnsideElement(group, list(theta.coeffs))
+    assert same is not theta and same == theta and hash(same) == hash(theta)
+    assert len({theta, same}) == 1
+    other = BurnsideElement(group, [c + (i == 0) for i, c in enumerate(theta.coeffs)])
+    assert other != theta and not other == theta
+    # The same vector over a twin group built from the same table is another element.
+    assert BurnsideElement(twin, theta.coeffs) != theta
+    assert len({theta, BurnsideElement(twin, theta.coeffs)}) == 2

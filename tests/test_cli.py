@@ -15,12 +15,20 @@ from pathlib import Path
 
 import pytest
 
-from factoreq import IntMatrix, ZGLattice, brauer_relation_basis, corpus_group, invariant_factors
+from factoreq import (
+    IntMatrix,
+    ZGLattice,
+    brauer_relation_basis,
+    corpus_group,
+    factor_equivalent,
+    invariant_factors,
+)
 from factoreq.cli import main
 from factoreq.jsonio import (
     InputError,
     burnside_from_json,
     canonical_dumps,
+    fe_report_to_json,
     group_from_json,
     jsonable,
     load_json,
@@ -226,6 +234,19 @@ def test_cli_factor_equiv_isomorphic(v4_file, trivial_module_file, capsys):
     )
     out = capsys.readouterr().out
     assert "factor equivalent: yes" in out
+
+
+def test_cli_factor_equiv_converts_its_report_to_json_once(v4_file, trivial_module_file, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr("factoreq.cli.jsonable", lambda x: seen.append(x) or jsonable(x))
+    args = ["--format", "json", "factor-equiv", v4_file, "--module-a", trivial_module_file]
+    assert main(args + ["--module-b", trivial_module_file]) == 0
+    # `_emit` gets library values, not JSON data, and makes the one conversion.
+    (report,) = seen
+    assert isinstance(report["embedding"], IntMatrix)
+    group = group_from_json(V4_GROUP_JSON)
+    m = module_from_json(group, TRIVIAL_MODULE_JSON)
+    assert capsys.readouterr().out == canonical_dumps(fe_report_to_json(factor_equivalent(m, m)))
 
 
 def test_cli_verify_suite(capsys):

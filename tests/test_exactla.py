@@ -30,7 +30,7 @@ from factoreq import (
     rank,
     rational_solve,
 )
-from factoreq.exactla import _hnf_rows, _snf_engine
+from factoreq.exactla import _bareiss_pivots, _hnf_rows, _snf_engine
 
 
 def _as_sympy(m):
@@ -644,3 +644,76 @@ def test_hnf_rows_matches_reference_loop(bound):
         assert _hnf_rows(got, width) == _reference_hnf_rows(want, width)
         assert got == want
 
+
+
+# --- The lazily scaled Bareiss loop against the eager one --------------------------
+
+
+def _reference_bareiss_pivots(a):
+    """Bareiss as first written: every later row is updated at every step.
+
+    A row with 0 in the pivot column is still scaled by p_k/p_{k−1}; the
+    lazy loop must yield exactly the same (pivot, swapped) sequence.
+    """
+    n = a.rows
+    m = [list(r) for r in a._data]
+    prev = 1
+    for k in range(n):
+        swapped = False
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                yield 0, False
+                return
+            m[k], m[pivot] = m[pivot], m[k]
+            swapped = True
+        p, mk = m[k][k], m[k]
+        yield p, swapped
+        for i in range(k + 1, n):
+            mi = m[i]
+            c = mi[k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * p - c * mk[j]) // prev
+        prev = p
+
+
+def _bareiss_case(rng, n, density, kind):
+    """A random n x n matrix of the given kind; entries are nonzero with probability `density`."""
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        return rng.choice((-1, 1)) * (rng.randint(1, 2**40) if rng.random() < 0.1 else rng.randint(1, 9))
+
+    if kind == "diagonal":
+        return _from_rows([[entry() if i == j else 0 for j in range(n)] for i in range(n)], n)
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if kind == "gram":
+        # Bᵀ·B + D for a sparse B: symmetric, often near-diagonal, often positive definite.
+        b = _from_rows(rows, n)
+        g = (b.transpose() @ b).tolist()
+        for i in range(n):
+            g[i][i] += rng.randint(1, 3)
+        return _from_rows(g, n)
+    if kind == "singular" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        rows[j] = list(rows[i]) if rng.random() < 0.5 else [0] * n
+    if kind == "zero_leading" and n:
+        # Zero leading entries force swaps, some of them past several rows.
+        for i in range(rng.randint(1, n)):
+            rows[i][i] = 0
+    return _from_rows(rows, n)
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "gram", "singular", "zero_leading"])
+def test_lazy_bareiss_matches_the_eager_loop(kind):
+    rng = random.Random(f"bareiss-{kind}")
+    for t in range(500):
+        n = t % 11
+        density = (1 + t % 10) / 10
+        a = _bareiss_case(rng, n, density, kind)
+        want = list(_reference_bareiss_pivots(a))
+        assert list(_bareiss_pivots(a)) == want, a
+        sign = -1 if sum(s for _, s in want) % 2 else 1
+        assert determinant(a) == (sign * want[-1][0] if want else 1)
+        assert is_positive_definite(a) == all(p > 0 and not s for p, s in want)

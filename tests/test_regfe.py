@@ -554,6 +554,15 @@ def test_factor_equivalence_report_json_is_pinned():
     )
 
 
+def test_factor_equivalent_defaults_to_the_seed_0_certificate():
+    _, m, n = _v4_false_pair()
+    report = factor_equivalent(m, n)
+    assert report.seed == 0
+    assert report.embedding == factor_equivalent(m, n, seed=0).embedding
+    # The embedding depends on the seed, so the default seed shows.
+    assert report.embedding != factor_equivalent(m, n, seed=1).embedding
+
+
 @pytest.mark.parametrize("seed", (0, 1, 17, 123))
 def test_verdict_is_seed_independent(seed):
     _, m, n = _v4_false_pair()

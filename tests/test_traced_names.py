@@ -27,7 +27,12 @@ LAUNCH = ROOT / "bench" / "launch.py"
 SRC = ROOT / "src" / "factoreq"
 
 # Kept only for the benchmark's tracer; the next benchmark change drops them.
-UNUSED_BY_LIBRARY = {"exactla.rational_solve", "exactla.invariant_factors", "zgmod.fp_fixed_lattice"}
+# `gram_determinant` stays public and tested: class Gram matrices now come
+# from `zgmod._fixed_gram`, down the chain of fixed sublattices.
+UNUSED_BY_LIBRARY = {
+    "exactla.rational_solve", "exactla.invariant_factors", "zgmod.fp_fixed_lattice",
+    "exactla.gram_determinant",
+}
 
 
 def _traced_table():

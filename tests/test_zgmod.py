@@ -38,6 +38,7 @@ from factoreq import (
     invert_unimodular,
     left_cosets,
     permutation_lattice,
+    random_invariant_pairing,
     rationally_isomorphic,
     regular_lattice,
     sign_lattice,
@@ -48,7 +49,7 @@ from factoreq import (
 from factoreq.exactla import _snf_engine
 from factoreq.suites import _random_module, _torsion_twist
 from factoreq.grp import _generated
-from factoreq.zgmod import _Module, _averaged_map, _generating_set
+from factoreq.zgmod import _Module, _averaged_gram, _averaged_map, _fixed_gram, _fixed_quotient, _generating_set
 
 
 def _char_by_element_order(m):
@@ -771,3 +772,62 @@ def test_fixed_sublattice_accepts_fp_module():
     assert fixed_sublattice(m, Subgroup(v4, [0, 1])) == IntMatrix([[1, 0], [0, 3]])
     assert fixed_sublattice(m, Subgroup(v4, [0, 2])) == IntMatrix.identity(2)
     assert fixed_sublattice(m, v4.trivial_subgroup()) == IntMatrix.identity(2)
+
+
+# --- class Gram matrices down the fixed-point chain; seeded averaged grams ---------
+
+A4_GENERATORS = [[1, 2, 0, 3], [1, 0, 3, 2]]
+
+
+def _stacked_gram(lattice):
+    """Σ_g ρ(g)ᵀ ρ(g), one product per element."""
+    r = lattice.rank
+    return sum((a.transpose() @ a for a in lattice.action), IntMatrix.zeros(r, r))
+
+
+@pytest.mark.parametrize("name", corpus_names() + ("A4", "S4"))
+def test_fixed_gram_matches_the_ambient_product(name):
+    """For every subgroup, the Gram matrix from the chain is Bᵀ·gram·B for B from `_fixed_quotient`.
+
+    Lattices take the chain L_H = L_K·C; an FP module takes the ambient product.
+    """
+    gens = {"A4": A4_GENERATORS, "S4": S4_GENERATORS}.get(name)
+    group = group_from_generators(gens) if gens else corpus_group(name)
+    table = all_subgroups(group)
+    rng = random.Random(name)
+    reg = regular_lattice(group)
+    coset = permutation_lattice(group, coset_action(group, table[1].representative))
+    summed = conjugated_lattice(direct_sum(reg, coset), _unitriangular(reg.rank + coset.rank))
+    fp = _fp_modules_with_relations(group, table, name)[-1]
+    cases = [
+        (reg, _averaged_gram(reg)),
+        (reg, random_invariant_pairing(reg, rng).gram),
+        (coset, _averaged_gram(coset)),
+        (summed, random_invariant_pairing(summed, rng).gram),
+        (fp, random_invariant_pairing(fp, rng).gram),
+        (fp, _averaged_gram(fp.lattice_quotient()[0])),
+    ]
+    for m, gram in cases:
+        for h in (e for cls in table for e in cls.members):
+            b = _fixed_quotient(m, h)[0]
+            assert _fixed_gram(m, gram, h) == b.transpose() @ gram @ b
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_permutation_lattices_are_built_with_their_averaged_gram(name):
+    # A twin group from the same table starts with empty caches.
+    group = group_from_table(corpus_group(name).table)
+    cosets = [permutation_lattice(group, coset_action(group, c.representative)) for c in all_subgroups(group)]
+    for lattice in [trivial_lattice(group), zero_lattice(group)] + cosets:
+        seeded = lattice._cache["avg_gram"]
+        assert seeded == _stacked_gram(lattice) == group.order * IntMatrix.identity(lattice.rank)
+        assert _averaged_gram(lattice) is seeded
+
+
+def test_averaged_gram_of_other_lattices_is_computed_once():
+    group = corpus_group("D4")
+    index2 = next(c.representative for c in all_subgroups(group) if 2 * c.order == group.order)
+    for lattice in (conjugated_lattice(regular_lattice(group), _unitriangular(8)), sign_lattice(group, index2)):
+        assert "avg_gram" not in lattice._cache
+        gram = _averaged_gram(lattice)
+        assert gram == _stacked_gram(lattice) and _averaged_gram(lattice) is gram
