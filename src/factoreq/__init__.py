@@ -61,7 +61,6 @@ from .zgmod import (
     permutation_lattice,
     rationally_isomorphic,
     regular_lattice,
-    sign_lattice,
     sublattice_action,
     trivial_lattice,
     zero_lattice,
@@ -117,7 +116,7 @@ __all__ = [
     "conjugated_lattice", "direct_sum", "find_equivariant_embedding",
     "fixed_sublattice", "fp_fixed_data", "induced_lattice",
     "permutation_lattice", "rationally_isomorphic", "regular_lattice",
-    "sign_lattice", "sublattice_action", "trivial_lattice", "zero_lattice",
+    "sublattice_action", "trivial_lattice", "zero_lattice",
     "FactorEquivalenceReport", "InternalError", "InvariantPairing", "LemmaCheck",
     "PairingError", "SubgroupFunction", "averaged_pairing", "factor_equivalent",
     "index_function", "is_factorisable", "pullback_pairing",

@@ -197,7 +197,7 @@ def verify_sunit_closed_form(sunit, theta):
     lhs = regulator_constant(theta, sunit.lattice, sunit.pairing)
     rhs = regulator_constant(theta, trivial_lattice(group))
     for d in sunit.model.decomposition_groups:
-        rhs /= regulator_constant(theta, permutation_lattice(group, coset_action(group, d)))
+        rhs /= regulator_constant(theta, induced_lattice(group, d))
     table = all_subgroups(group)
     for ci, coeff in theta.support():
         rd = residue_degrees(sunit.model, table[ci].representative)
@@ -222,12 +222,11 @@ def kgroup_comparison_module(group, d_real, s2_count, parity):
         if parity == "even":
             if d.order != 2:
                 raise ModuleError("even-parity decomposition groups must have order exactly 2")
-            eps = {0: IntMatrix([[1]]), d.elements[1]: IntMatrix([[-1]])}
-            summands.append(induced_lattice(group, d, eps))
+            summands.append(induced_lattice(group, d, group.trivial_subgroup()))
         else:
             if d.order > 2:
                 raise ModuleError("odd-parity decomposition groups must have order at most 2")
-            summands.append(permutation_lattice(group, coset_action(group, d)))
+            summands.append(induced_lattice(group, d))
     for _ in range(s2_count):
         summands.append(regular_lattice(group))
     if not summands:

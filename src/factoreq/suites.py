@@ -17,7 +17,6 @@ from .grp import all_subgroups
 from .burnside import (
     BurnsideElement,
     brauer_relation_basis,
-    coset_action,
     fixed_point_matrix,
     relation_is_saturated,
 )
@@ -27,7 +26,6 @@ from .zgmod import (
     conjugated_lattice,
     direct_sum,
     induced_lattice,
-    permutation_lattice,
     regular_lattice,
     sublattice_action,
     trivial_lattice,
@@ -102,7 +100,7 @@ def _random_module(group, rng, max_rank=12):
     table = all_subgroups(group)
 
     def coset(ci):
-        return permutation_lattice(group, coset_action(group, table[ci].representative))
+        return induced_lattice(group, table[ci].representative)
 
     kind = rng.randrange(4)
     if kind == 0:
@@ -119,8 +117,7 @@ def _random_module(group, rng, max_rank=12):
     order2 = [c for c in table if c.order == 2]
     if order2:
         d = order2[rng.randrange(len(order2))].representative
-        eps = {0: IntMatrix([[1]]), d.elements[1]: IntMatrix([[-1]])}
-        return induced_lattice(group, d, eps)
+        return induced_lattice(group, d, group.trivial_subgroup())
     return coset(rng.randrange(len(table)))
 
 
@@ -395,7 +392,7 @@ def _corollary_known_false(seed):
         regular_lattice(group), trivial_lattice(group), trivial_lattice(group)
     )
     n = direct_sum(
-        *(permutation_lattice(group, coset_action(group, h)) for h in order2)
+        *(induced_lattice(group, h) for h in order2)
     )
     report = factor_equivalent(m, n, seed=seed)
     defect = report.defects[0]
@@ -549,7 +546,7 @@ def _regulator_constant_tables():
             "regular": list(regulator_constants_table(basis, regular_lattice(group))),
         }
         for ci, cls in enumerate(table):
-            lat = permutation_lattice(group, coset_action(group, cls.representative))
+            lat = induced_lattice(group, cls.representative)
             entry[f"coset[{ci}]"] = list(regulator_constants_table(basis, lat))
         out[name] = entry
     return out

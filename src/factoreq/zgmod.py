@@ -151,18 +151,6 @@ def zero_lattice(group):
     return permutation_lattice(group, PermAction(group, ((),) * group.order))
 
 
-def sign_lattice(group, h_kernel):
-    """Rank-1 lattice: +1 on the index-2 subgroup `h_kernel`, -1 elsewhere."""
-    if isinstance(h_kernel, Subgroup) and h_kernel.group is not group:
-        raise ModuleError("h_kernel must be a subgroup of the group")
-    h_kernel = Subgroup(group, h_kernel)
-    if 2 * h_kernel.order != group.order:
-        raise ModuleError("sign lattice kernel must have index 2")
-    plus, minus = IntMatrix([[1]]), IntMatrix([[-1]])
-    mats = (plus if g in h_kernel else minus for g in range(group.order))
-    return ZGLattice(group, 1, mats, check=False)
-
-
 def permutation_lattice(group, gset):
     """Free lattice on the points of a PermAction, G permuting the basis.
 
@@ -194,40 +182,43 @@ def regular_lattice(group):
     return permutation_lattice(group, regular_action(group))
 
 
-def induced_lattice(group, d, sub_action):
-    """Induce a D-lattice up to G along the cosets G/D.
+def induced_lattice(group, d, kernel=None):
+    """Ind_D^G of the ±1 character of D that is +1 exactly on `kernel`.
 
-    `sub_action` maps each element of D (as a G element index) to an integer
-    matrix; it must itself be a homomorphism on D.
+    `kernel` (None means D) has index 1 or 2 in D. Index 1 gives Z[G/D], the
+    cached permutation lattice. Index 2 gives signed permutation matrices:
+    row j of ρ(g) is ±e_i, where g·(coset i) = coset j, with + iff
+    reps[j]⁻¹·g·reps[i] ∈ kernel. They are built once per group and pair;
+    ρ(g) is orthogonal, so the averaged gram is |G|·I.
     """
-    if not isinstance(d, Subgroup) or d.group is not group:
-        raise ModuleError("d must be a subgroup of the group")
-    sub_action = {index(k): (v if isinstance(v, IntMatrix) else IntMatrix(v)) for k, v in sub_action.items()}
-    if set(sub_action) != set(d.elements):
-        raise ModuleError("sub_action must cover exactly the subgroup elements")
-    r = sub_action[0].rows
-    for m in sub_action.values():
-        if m.rows != r or m.cols != r:
-            raise ModuleError("sub_action matrix has wrong shape")
-    if sub_action[0] != IntMatrix.identity(r):
-        raise ModuleError("identity must act as the identity matrix")
-    for a in d.elements:
-        for b in d.elements:
-            if sub_action[a] @ sub_action[b] != sub_action[group.table[a][b]]:
-                raise ModuleError("sub_action is not a homomorphism on the subgroup")
-    # Coset i of G/D holds g iff g·D is coset i; its least such g is its representative.
-    images = coset_action(group, d).images
-    k = len(images[0])
-    reps = [next(g for g in range(group.order) if images[g][0] == i) for i in range(k)]
-    mats = []
-    for g in range(group.order):
-        # Block row j holds ρ_D(reps[j]⁻¹·g·reps[i]), in the block column i with g·(coset i) = coset j.
-        rows = []
-        for j, i in enumerate(images[group.inverse[g]]):
-            block = sub_action[group.table[group.inverse[reps[j]]][group.table[g][reps[i]]]]
-            rows.extend((0,) * (i * r) + row + (0,) * ((k - 1 - i) * r) for row in block._data)
-        mats.append(IntMatrix._trusted(tuple(rows), k * r))
-    return ZGLattice(group, k * r, mats, check=False)
+    kernel = d if kernel is None else kernel
+    for name, sub in (("d", d), ("kernel", kernel)):
+        if not isinstance(sub, Subgroup) or sub.group is not group:
+            raise ModuleError(f"{name} must be a subgroup of the group")
+    if not set(kernel) <= set(d):
+        raise ModuleError("kernel must lie in d")
+    if kernel.order == d.order:
+        return permutation_lattice(group, coset_action(group, d))
+    if 2 * kernel.order != d.order:
+        raise ModuleError("kernel must have index 1 or 2 in d")
+    key = ("induced_lattice", d.elements, kernel.elements)
+    if key not in group._cache:
+        # Coset i of G/D holds g iff g·D is coset i; its least such g is its representative.
+        images, mul, inv = coset_action(group, d).images, group.table, group.inverse
+        k = len(images[0])
+        reps = [next(g for g in range(group.order) if images[g][0] == i) for i in range(k)]
+        eye = IntMatrix.identity(k)
+        plus, minus = eye._data, (-eye)._data
+        mats = (
+            IntMatrix._trusted(tuple(
+                (plus if mul[inv[reps[j]]][mul[g][reps[i]]] in kernel else minus)[i]
+                for j, i in enumerate(images[inv[g]])
+            ), k)
+            for g in range(group.order)
+        )
+        lattice = group._cache[key] = ZGLattice(group, k, mats, check=False)
+        lattice._cache["avg_gram"] = group.order * eye
+    return group._cache[key]
 
 
 def _block_diagonal(blocks):

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+import factoreq.suites
+
 from factoreq import (
     ArithmeticModelError,
     BurnsideElement,
@@ -21,11 +23,14 @@ from factoreq import (
     corpus_group,
     corpus_names,
     coset_action,
+    double_cosets,
     fixed_sublattice,
+    induced_lattice,
     kgroup_comparison_module,
     permutation_lattice,
     place_model,
     regular_lattice,
+    regulator_constants_table,
     residue_degrees,
     subfield_lattice_embedding,
     sunit_lattice,
@@ -34,6 +39,7 @@ from factoreq import (
     verify_sunit_closed_form,
     verify_sunit_index,
 )
+from test_zgmod import LADDER_GENERATORS, _group
 
 
 def _class_rep(group, order, which=0):
@@ -304,3 +310,75 @@ def test_sunit_lattice_accepts_prebuilt_model():
     su = sunit_lattice(v4, model)
     assert su.model is model
     assert su.lattice.rank == 3
+
+
+# --- lattices on signed G-sets against the double-coset closed form --------------
+
+def _induced_closed_form(group, basis, d, kernel):
+    """C_Θ(Ind_D χ) for each Θ in `basis`, χ the ±1 character of D with kernel `kernel`.
+
+    (Ind_D χ)^H has an orthogonal basis of signed orbit sums, one for each
+    double coset HgD that is χ-trivial: g⁻¹hg ∈ kernel for every h ∈ H with
+    g⁻¹hg ∈ D. Scaled by 1/|H|, each has norm 1/|H ∩ gDg⁻¹|, so
+    C_Θ = Π_H Π_{HgD χ-trivial} |H ∩ gDg⁻¹|^(−n_H) (Dokchitser & Dokchitser,
+    Regulator constants and the parity conjecture, Invent. Math. 2009, for
+    χ = 1). Only `double_cosets` is read: no fixed sublattice, no determinant.
+    """
+    factors = []
+    for h in (cls.representative for cls in all_subgroups(group)):
+        f = 1
+        for dc in double_cosets(group, h, d):
+            conj = [group.conj(group.inverse[dc.representative], x) for x in h.elements]
+            if all(y in kernel for y in conj if y in d):
+                f *= dc.stabilizer_order
+        factors.append(f)
+    out = []
+    for theta in basis:
+        value = Fraction(1)
+        for ci, coeff in theta.support():
+            value /= Fraction(factors[ci]) ** coeff
+        out.append(value)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", corpus_names() + tuple(LADDER_GENERATORS))
+def test_signed_coset_lattices_match_the_closed_form(name):
+    """Z[G/D] for every class, Ind_D(ε) for every order-2 class, and every sign lattice of G."""
+    group = _group(name)
+    basis = brauer_relation_basis(group)
+    reps = [cls.representative for cls in all_subgroups(group)]
+    pairs = [(d, d) for d in reps]
+    pairs += [(d, group.trivial_subgroup()) for d in reps if d.order == 2]
+    pairs += [(group.full_subgroup(), k) for k in reps if 2 * k.order == group.order]
+    for d, k in pairs:
+        expected = _induced_closed_form(group, basis, d, k)
+        assert regulator_constants_table(basis, induced_lattice(group, d, k)) == expected, (d, k)
+
+
+def test_kgroup_comparison_modules_match_the_closed_form(monkeypatch):
+    """Every module the K-group suite builds, on V4, D4, Q8, A4, D8 and S4.
+
+    C_Θ is multiplicative in direct sums: Ind_D(ε) for even parity, Z[G/D]
+    for odd, and Z[G] = Ind_1(1) for each copy of the regular lattice.
+    """
+    built = []
+
+    def recording(group, d_real, s2_count, parity):
+        module = kgroup_comparison_module(group, d_real, s2_count, parity)
+        built.append((group, d_real, s2_count, parity, module))
+        return module
+
+    monkeypatch.setattr(factoreq.suites, "kgroup_comparison_module", recording)
+    names = ("V4", "D4", "Q8", "A4", "D8", "S4")
+    monkeypatch.setattr(factoreq.suites, "corpus_group", _group)
+    for name in names:
+        assert all(c["ok"] for c in factoreq.suites._kgroup_checks(name))
+    assert len(built) == 218
+    for group, d_real, s2_count, parity, module in built:
+        basis = brauer_relation_basis(group)
+        summands = [(d, group.trivial_subgroup() if parity == "even" else d) for d in d_real]
+        summands += [(group.trivial_subgroup(),) * 2] * s2_count
+        expected = [Fraction(1)] * len(basis)
+        for d, k in summands:
+            expected = [a * b for a, b in zip(expected, _induced_closed_form(group, basis, d, k))]
+        assert regulator_constants_table(basis, module) == tuple(expected) == (1,) * len(basis)

@@ -41,6 +41,7 @@ from factoreq import (
     gram_determinant,
     group_from_generators,
     index_function,
+    induced_lattice,
     integer_kernel,
     integer_solve,
     invariant_factors,
@@ -52,7 +53,6 @@ from factoreq import (
     regular_lattice,
     regulator_constant,
     regulator_constants_table,
-    sign_lattice,
     sublattice_action,
     trivial_lattice,
     verify_lemma,
@@ -94,7 +94,8 @@ def test_averaged_pairing_frozen():
     assert averaged_pairing(trivial_lattice(c4)).gram == IntMatrix([[4]])
     c2 = corpus_group("C2")
     assert averaged_pairing(regular_lattice(c2)).gram == IntMatrix.identity(2) * 2
-    assert averaged_pairing(sign_lattice(c2, (0,))).gram == IntMatrix([[2]])
+    sign = induced_lattice(c2, c2.full_subgroup(), c2.trivial_subgroup())
+    assert averaged_pairing(sign).gram == IntMatrix([[2]])
 
 
 def test_pairing_validation():

@@ -2,7 +2,8 @@
 
 Read from each module's syntax tree; `__init__.py` is left out, since its
 imports are the package's public names. Those must be exactly `__all__`, so a
-deleted name cannot stay in one list and leave the other.
+deleted name cannot stay in one list and leave the other. The public names
+that neither the library nor the benchmark scripts use are pinned as well.
 """
 
 import ast
@@ -11,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import factoreq
+from test_traced_names import _references
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "factoreq"
+BENCH = SRC.parent.parent / "bench"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -44,7 +47,6 @@ def test_no_unused_imports(module):
     assert _unused_imports((SRC / module).read_text(encoding="utf-8")) == []
 
 
-
 def test_all_lists_exactly_the_reexported_names():
     """`__all__` is what `__init__.py` imports from the package's modules, and `__version__`."""
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
@@ -56,3 +58,14 @@ def test_all_lists_exactly_the_reexported_names():
     }
     assert len(set(factoreq.__all__)) == len(factoreq.__all__)
     assert set(factoreq.__all__) == reexported | {"__version__"}
+
+
+# Public names that only tests call: candidates for deletion, pinned so that
+# a new one shows up here.
+TEST_ONLY_PUBLIC = {"gram_determinant", "invariant_factors", "rational_solve", "rationally_isomorphic"}
+
+
+def test_public_names_used_only_by_tests_are_pinned():
+    sources = [p for p in SRC.glob("*.py") if p.name != "__init__.py"] + sorted(BENCH.glob("*.py"))
+    used = set().union(*(_references(p.read_text(encoding="utf-8")) for p in sources))
+    assert set(factoreq.__all__) - used - {"__version__"} == TEST_ONLY_PUBLIC

@@ -41,8 +41,8 @@ from factoreq import (
     random_invariant_pairing,
     rationally_isomorphic,
     regular_lattice,
-    sign_lattice,
     sublattice_action,
+    sunit_lattice,
     trivial_lattice,
     zero_lattice,
 )
@@ -85,31 +85,51 @@ def test_trivial_and_regular_characters():
 
 def test_sign_characters():
     c2 = corpus_group("C2")
-    assert character(sign_lattice(c2, (0,))) == (1, -1)
+    assert character(induced_lattice(c2, c2.full_subgroup(), c2.trivial_subgroup())) == (1, -1)
     s3 = corpus_group("S3")
     a3 = next(c.representative for c in all_subgroups(s3) if c.order == 3)
-    eps = _char_by_element_order(sign_lattice(s3, a3))
+    eps = _char_by_element_order(induced_lattice(s3, s3.full_subgroup(), a3))
     assert eps == {1: 1, 2: -1, 3: 1}
 
 
 def test_sign_lattice_requires_index_two_kernel():
     c4 = corpus_group("C4")
-    with pytest.raises(ModuleError):
-        sign_lattice(c4, (0,))
+    with pytest.raises(ModuleError, match="index 1 or 2 in d"):
+        induced_lattice(c4, c4.full_subgroup(), c4.trivial_subgroup())
 
 
 def test_sign_lattice_refuses_a_subgroup_of_another_group():
     c4 = corpus_group("C4")
-    with pytest.raises(ModuleError, match="subgroup of the group"):
-        sign_lattice(corpus_group("V4"), Subgroup(c4, (0, 2)))
-    assert character(sign_lattice(c4, Subgroup(c4, (0, 2)))) == character(sign_lattice(c4, (0, 2)))
+    v4 = corpus_group("V4")
+    with pytest.raises(ModuleError, match="kernel must be a subgroup of the group"):
+        induced_lattice(v4, v4.full_subgroup(), Subgroup(c4, (0, 2)))
+    # Same elements, another group: refused before any cache lookup.
+    induced_lattice(c4, c4.full_subgroup(), Subgroup(c4, (0, 2)))
+    with pytest.raises(ModuleError, match="kernel must be a subgroup of the group"):
+        induced_lattice(c4, c4.full_subgroup(), Subgroup(group_from_table(c4.table), (0, 2)))
+
+
+def test_induced_lattice_refuses_a_foreign_d():
+    c4, v4 = corpus_group("C4"), corpus_group("V4")
+    with pytest.raises(ModuleError, match="d must be a subgroup of the group"):
+        induced_lattice(v4, Subgroup(c4, (0, 2)))
+
+
+def test_induced_lattice_refuses_a_kernel_outside_d():
+    v4 = corpus_group("V4")
+    with pytest.raises(ModuleError, match="kernel must lie in d"):
+        induced_lattice(v4, Subgroup(v4, (0, 1)), Subgroup(v4, (0, 2)))
+
+
+def test_induced_lattice_refuses_a_kernel_that_is_no_subgroup():
+    v4 = corpus_group("V4")
+    with pytest.raises(ModuleError, match="kernel must be a subgroup of the group"):
+        induced_lattice(v4, Subgroup(v4, (0, 1)), (0,))
 
 
 def test_induced_sign_character_v4():
     v4 = corpus_group("V4")
-    d = Subgroup(v4, (0, 1))
-    eps = {0: IntMatrix([[1]]), 1: IntMatrix([[-1]])}
-    ind = induced_lattice(v4, d, eps)
+    ind = induced_lattice(v4, Subgroup(v4, (0, 1)), v4.trivial_subgroup())
     assert ind.rank == 2
     assert character(ind) == (2, -2, 0, 0)
 
@@ -117,8 +137,7 @@ def test_induced_sign_character_v4():
 def test_induced_sign_character_q8():
     q8 = corpus_group("Q8")
     z = next(c.representative for c in all_subgroups(q8) if c.order == 2)
-    eps = {0: IntMatrix([[1]]), z.elements[1]: IntMatrix([[-1]])}
-    ind = induced_lattice(q8, z, eps)
+    ind = induced_lattice(q8, z, q8.trivial_subgroup())
     assert ind.rank == 4
     assert _char_by_element_order(ind) == {1: 4, 2: -4, 4: 0}
 
@@ -127,10 +146,24 @@ def test_induced_trivial_is_permutation_lattice():
     s3 = corpus_group("S3")
     for cls in all_subgroups(s3):
         d = cls.representative
-        triv = {g: IntMatrix([[1]]) for g in d.elements}
-        ind = induced_lattice(s3, d, triv)
         perm = permutation_lattice(s3, coset_action(s3, d))
-        assert character(ind) == character(perm)
+        assert induced_lattice(s3, d) is perm
+        assert induced_lattice(s3, d, d) is perm
+        assert induced_lattice(s3, d, Subgroup(s3, d.elements)) is perm
+    assert induced_lattice(s3, s3.full_subgroup()) is trivial_lattice(s3)
+    assert induced_lattice(s3, s3.trivial_subgroup()) is regular_lattice(s3)
+
+
+def test_induced_sign_lattice_is_built_once_per_group_and_pair():
+    d4 = corpus_group("D4")
+    # A second group from the same table has its own lattices (and caches).
+    twin = group_from_table(d4.table)
+    for d in (c.representative for c in all_subgroups(d4)):
+        for k in _index2_kernels(d4, d):
+            lattice = induced_lattice(d4, d, k)
+            assert induced_lattice(d4, Subgroup(d4, d.elements), Subgroup(d4, k.elements)) is lattice
+            other = induced_lattice(twin, Subgroup(twin, d.elements), Subgroup(twin, k.elements))
+            assert other is not lattice and other.group is twin and other.action == lattice.action
 
 
 def _reference_induced_action(group, d, sub_action):
@@ -156,27 +189,35 @@ def _reference_induced_action(group, d, sub_action):
     return tuple(mats)
 
 
-@pytest.mark.parametrize("name", corpus_names())
+# Permutation generators of three larger groups, as in bench/ladder.py.
+LADDER_GENERATORS = {
+    "A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
+    "D8": [[1, 2, 3, 4, 5, 6, 7, 0], [0, 7, 6, 5, 4, 3, 2, 1]],
+    "S4": [[1, 0, 2, 3], [1, 2, 3, 0]],
+}
+
+
+def _group(name):
+    gens = LADDER_GENERATORS.get(name)
+    return group_from_generators(gens) if gens else corpus_group(name)
+
+
+def _index2_kernels(group, d):
+    """Every subgroup of index 2 in the subgroup `d`."""
+    members = (e for cls in all_subgroups(group) for e in cls.members)
+    return [Subgroup(group, e) for e in members if 2 * len(e) == d.order and set(e) <= set(d.elements)]
+
+
+@pytest.mark.parametrize("name", corpus_names() + tuple(LADDER_GENERATORS))
 def test_induced_lattice_matches_the_coset_table_route(name):
-    group = corpus_group(name)
-    for cls in all_subgroups(group):
-        d = cls.representative
+    group = _group(name)
+    for d in (Subgroup(group, e) for cls in all_subgroups(group) for e in cls.members):
         triv = {x: IntMatrix([[1]]) for x in d.elements}
-        ind = induced_lattice(group, d, triv)
-        assert ind.action == _reference_induced_action(group, d, triv)
-        assert ind.action == permutation_lattice(group, coset_action(group, d)).action
-        # D's regular representation: blocks of rank |D| that are not all symmetric.
-        pos = {x: i for i, x in enumerate(d.elements)}
-        reg = {
-            x: IntMatrix.from_columns(
-                [[int(pos[group.table[x][y]] == i) for i in range(d.order)] for y in d.elements]
-            )
-            for x in d.elements
-        }
-        assert induced_lattice(group, d, reg).action == _reference_induced_action(group, d, reg)
-        if d.order == 2:
-            eps = {0: IntMatrix([[1]]), d.elements[1]: IntMatrix([[-1]])}
-            assert induced_lattice(group, d, eps).action == _reference_induced_action(group, d, eps)
+        assert induced_lattice(group, d).action == _reference_induced_action(group, d, triv)
+        # The ε of an order-2 D, and every other ±1 character: the G-sign lattices among them.
+        for k in _index2_kernels(group, d):
+            chi = {x: IntMatrix([[1 if x in k else -1]]) for x in d.elements}
+            assert induced_lattice(group, d, k).action == _reference_induced_action(group, d, chi)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -199,7 +240,7 @@ def test_coset_lattice_character_matches_fixed_counts():
 
 def test_direct_sum_character_adds():
     c2 = corpus_group("C2")
-    both = direct_sum(trivial_lattice(c2), sign_lattice(c2, (0,)))
+    both = direct_sum(trivial_lattice(c2), induced_lattice(c2, c2.full_subgroup(), c2.trivial_subgroup()))
     assert character(both) == (2, 0)
     s3 = corpus_group("S3")
     m = regular_lattice(s3)
@@ -269,7 +310,7 @@ def test_fixed_sublattice_is_saturated_and_stable():
 
 def test_fixed_sublattice_of_sign():
     c2 = corpus_group("C2")
-    eps = sign_lattice(c2, (0,))
+    eps = induced_lattice(c2, c2.full_subgroup(), c2.trivial_subgroup())
     assert fixed_sublattice(eps, c2.full_subgroup()).cols == 0
     assert fixed_sublattice(eps, c2.trivial_subgroup()).cols == 1
 
@@ -383,13 +424,6 @@ def test_fixed_points_refuse_an_element_set_that_is_no_subgroup():
     assert fixed_sublattice(m, [0, 1, 3]) == fixed_sublattice(m, Subgroup(s3, (0, 1, 3)))
 
 
-def test_induced_lattice_refuses_float_keys():
-    v4 = corpus_group("V4")
-    d = Subgroup(v4, (0, 1))
-    with pytest.raises(TypeError):
-        induced_lattice(v4, d, {0: IntMatrix([[1]]), 1.0: IntMatrix([[-1]])})
-
-
 # --- equivariant embeddings -----------------------------------------------------------
 
 
@@ -463,7 +497,7 @@ def test_embedding_is_equivariant_and_injective(seed):
 def test_embedding_requires_rational_isomorphism():
     c2 = corpus_group("C2")
     with pytest.raises(ModuleError, match="not rationally isomorphic"):
-        find_equivariant_embedding(trivial_lattice(c2), sign_lattice(c2, (0,)))
+        find_equivariant_embedding(trivial_lattice(c2), induced_lattice(c2, c2.full_subgroup(), c2.trivial_subgroup()))
 
 
 def test_embedding_rejects_fp_modules():
@@ -682,7 +716,6 @@ def test_lattice_quotient_contract(rel):
 
 # --- fixed sublattices from generators against the all-elements stack ------------
 
-S4_GENERATORS = [[1, 0, 2, 3], [1, 2, 3, 0]]
 
 
 def _all_elements_fixed_basis(m, h):
@@ -715,7 +748,7 @@ def _unitriangular(n):
 
 @pytest.mark.parametrize("name", corpus_names() + ("S4",))
 def test_fixed_sublattice_matches_all_elements_stack(name):
-    group = group_from_generators(S4_GENERATORS) if name == "S4" else corpus_group(name)
+    group = _group(name)
     table = all_subgroups(group)
     reg = regular_lattice(group)
     modules = [reg, permutation_lattice(group, coset_action(group, table[1].representative))]
@@ -730,7 +763,7 @@ def test_fixed_sublattice_matches_all_elements_stack(name):
 
 def test_generating_set_caches_the_chain_parent(monkeypatch):
     """Greedy generators, each outside the span so far, and the parent <gens[:-1]>."""
-    group = group_from_generators(S4_GENERATORS)
+    group = _group("S4")
     members = [e for cls in all_subgroups(group) for e in cls.members]
     for elems in members:
         gens, parent = _generating_set(group, elems)
@@ -776,7 +809,6 @@ def test_fixed_sublattice_accepts_fp_module():
 
 # --- class Gram matrices down the fixed-point chain; seeded averaged grams ---------
 
-A4_GENERATORS = [[1, 2, 0, 3], [1, 0, 3, 2]]
 
 
 def _stacked_gram(lattice):
@@ -791,8 +823,7 @@ def test_fixed_gram_matches_the_ambient_product(name):
 
     Lattices take the chain L_H = L_K·C; an FP module takes the ambient product.
     """
-    gens = {"A4": A4_GENERATORS, "S4": S4_GENERATORS}.get(name)
-    group = group_from_generators(gens) if gens else corpus_group(name)
+    group = _group(name)
     table = all_subgroups(group)
     rng = random.Random(name)
     reg = regular_lattice(group)
@@ -817,8 +848,12 @@ def test_fixed_gram_matches_the_ambient_product(name):
 def test_permutation_lattices_are_built_with_their_averaged_gram(name):
     # A twin group from the same table starts with empty caches.
     group = group_from_table(corpus_group(name).table)
-    cosets = [permutation_lattice(group, coset_action(group, c.representative)) for c in all_subgroups(group)]
-    for lattice in [trivial_lattice(group), zero_lattice(group)] + cosets:
+    reps = [c.representative for c in all_subgroups(group)]
+    cosets = [permutation_lattice(group, coset_action(group, d)) for d in reps]
+    # Ind_D(ε) for every order-2 class, and the sign lattices of G: signed permutation matrices.
+    signed = [induced_lattice(group, d, group.trivial_subgroup()) for d in reps if d.order == 2]
+    signed += [induced_lattice(group, group.full_subgroup(), k) for k in _index2_kernels(group, group.full_subgroup())]
+    for lattice in [trivial_lattice(group), zero_lattice(group)] + cosets + signed:
         seeded = lattice._cache["avg_gram"]
         assert seeded == _stacked_gram(lattice) == group.order * IntMatrix.identity(lattice.rank)
         assert _averaged_gram(lattice) is seeded
@@ -826,8 +861,8 @@ def test_permutation_lattices_are_built_with_their_averaged_gram(name):
 
 def test_averaged_gram_of_other_lattices_is_computed_once():
     group = corpus_group("D4")
-    index2 = next(c.representative for c in all_subgroups(group) if 2 * c.order == group.order)
-    for lattice in (conjugated_lattice(regular_lattice(group), _unitriangular(8)), sign_lattice(group, index2)):
+    sunit = sunit_lattice(group, [all_subgroups(group)[1].representative])
+    for lattice in (conjugated_lattice(regular_lattice(group), _unitriangular(8)), sunit.lattice):
         assert "avg_gram" not in lattice._cache
         gram = _averaged_gram(lattice)
         assert gram == _stacked_gram(lattice) and _averaged_gram(lattice) is gram
