@@ -8,12 +8,20 @@ the Brauer relation basis, and the public `invariant_factors`) and Bareiss
 (determinants). Fractions appear only in results, such as a scaled Gram
 determinant or a rational solution read off an integer one. No floating
 point is used anywhere, so all equalities downstream are exact.
+`integer_kernel`, `column_lattice_basis`, `lattice_index`, `determinant` and
+`_solver` (the `ImageSolver` of every library solve) keep LRU caches keyed on
+content, of `_CACHE` = 32 entries each: a hit shares the earlier immutable
+result, and a refusal is raised again, never cached.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, index as _as_int, mul, neg, sub
+
+
+_CACHE = 32
 
 
 class ExactLinAlgError(ValueError):
@@ -133,7 +141,7 @@ class IntMatrix:
 
     def __mul__(self, scalar):
         c = _as_int(scalar)
-        return IntMatrix((tuple(c * x for x in r) for r in self._data), cols=self.cols)
+        return IntMatrix._trusted(tuple(tuple(c * x for x in r) for r in self._data), self.cols)
 
     __rmul__ = __mul__
 
@@ -274,6 +282,7 @@ def rank(a):
     return _hnf_rows([list(r) for r in a._data], a.cols)
 
 
+@lru_cache(maxsize=_CACHE)
 def integer_kernel(a):
     """Basis of {x in Z^cols : A x = 0} as matrix columns, from `_hermite_transform`."""
     rows, r = _hermite_transform(a)
@@ -336,6 +345,7 @@ def _bareiss_pivots(a):
         prev = p
 
 
+@lru_cache(maxsize=_CACHE)
 def determinant(a):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:
@@ -404,9 +414,12 @@ class ImageSolver:
         return self._ut @ IntMatrix._trusted(tuple(y), b.cols)
 
 
+_solver = lru_cache(maxsize=_CACHE)(ImageSolver)
+
+
 def integer_solve(a, b):
     """Integer solution X of A X = B, or None."""
-    return ImageSolver(a).solve(b)
+    return _solver(a).solve(b)
 
 
 def rational_solve(a, b):
@@ -417,7 +430,7 @@ def rational_solve(a, b):
     pivot block), so A Y = d·B is solvable over Z exactly when A X = B is
     solvable over Q, and X = Y / d.
     """
-    solver = ImageSolver(a)
+    solver = _solver(a)
     d = 1
     for _, pivot, _ in solver._steps:
         d *= pivot
@@ -514,6 +527,7 @@ def _hermite_transform(a):
     return rows, _hnf_rows(rows, a.rows)
 
 
+@lru_cache(maxsize=_CACHE)
 def column_lattice_basis(a):
     """Canonical basis (as matrix columns) of the lattice spanned by A's columns.
 
@@ -525,6 +539,7 @@ def column_lattice_basis(a):
     return IntMatrix._trusted(tuple(map(tuple, rows[:r])), a.rows).transpose()
 
 
+@lru_cache(maxsize=_CACHE)
 def lattice_index(sub, sup):
     """Index [L_sup : L_sub] of one lattice in another, given by basis columns.
 

@@ -5,12 +5,12 @@ from typing import NamedTuple
 
 from .exactla import (
     ExactLinAlgError,
-    ImageSolver,
     IntMatrix,
     determinant,
     is_positive_definite,
     lattice_index,
     _preimage,
+    _solver,
 )
 from .grp import all_subgroups
 from .burnside import BrauerRelationBasis, RelationError, brauer_relation_basis, is_brauer_relation
@@ -181,7 +181,7 @@ def _validate_equivariant(m, n, t, rel_m, rel_n):
         raise ModuleError("modules live over different groups")
     if t.rows != rel_n.rows or t.cols != rel_m.rows:
         raise ModuleError("map matrix has wrong shape")
-    solver = ImageSolver(rel_n)
+    solver = _solver(rel_n)
     if solver.solve(t @ rel_m) is None:
         raise ModuleError("map does not send relations into relations")
     # One solve: the solver treats each column of the stacked defects on its own.

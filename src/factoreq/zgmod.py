@@ -18,7 +18,6 @@ from itertools import islice
 from operator import index
 
 from .exactla import (
-    ImageSolver,
     IntMatrix,
     column_lattice_basis,
     determinant,
@@ -27,6 +26,7 @@ from .exactla import (
     invert_unimodular,
     lattice_index,
     _preimage,
+    _solver,
 )
 from .grp import GroupError, Subgroup, _generated
 from .burnside import PermAction, coset_action, regular_action
@@ -66,7 +66,7 @@ class _Module:
         exact equality.
         """
         group, action, rel = self.group, self.action, self.relations
-        solver = ImageSolver(rel)
+        solver = _solver(rel)
 
         def differ(a, b):
             # Equal matrices need no solve.
@@ -262,7 +262,7 @@ def sublattice_action(m, basis):
 
     Errors if the columns are linearly dependent or their span is not G-stable.
     """
-    solver = ImageSolver(basis)
+    solver = _solver(basis)
     if solver.rank < basis.cols:
         raise ModuleError("basis columns are linearly dependent")
     mats = []

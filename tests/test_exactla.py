@@ -29,7 +29,9 @@ from factoreq import (
     lattice_index,
     rank,
     rational_solve,
+    run_suites,
 )
+from factoreq import exactla
 from factoreq.exactla import _bareiss_pivots, _hnf_rows, _snf_engine
 
 
@@ -717,3 +719,108 @@ def test_lazy_bareiss_matches_the_eager_loop(kind):
         sign = -1 if sum(s for _, s in want) % 2 else 1
         assert determinant(a) == (sign * want[-1][0] if want else 1)
         assert is_positive_definite(a) == all(p > 0 and not s for p, s in want)
+
+
+# --- content-keyed caches on the exact kernels ------------------------------------
+
+CACHED = (integer_kernel, column_lattice_basis, lattice_index, determinant, exactla._solver)
+
+
+def _twin(a):
+    """An equal matrix held in a different object, so a second call is a hit by content."""
+    return IntMatrix(a.tolist(), cols=a.cols)
+
+
+def _same_result(fn, *args):
+    """fn's answer, or its refusal, matches the uncached function's on a miss and a hit."""
+    try:
+        want = fn.__wrapped__(*args)
+    except ExactLinAlgError:
+        for call in (args, tuple(map(_twin, args))):
+            with pytest.raises(ExactLinAlgError):
+                fn(*call)
+        return
+    assert fn(*args) == want
+    assert fn(*map(_twin, args)) == want
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_cached_kernels_match_the_uncached_functions(n):
+    rng = random.Random(f"cache-{n}")
+    for _ in range(4):
+        m = rng.randint(0, 8)
+        a = _from_rows(_random_rows(rng, m, n), n)
+        _same_result(integer_kernel, a)
+        _same_result(column_lattice_basis, a)
+        _same_result(determinant, _from_rows(_random_rows(rng, n, n), n))
+        _same_result(determinant, a)  # non-square unless m == n: a refusal
+        sup = _from_rows(_random_rows(rng, m, n), n)
+        _same_result(lattice_index, sup @ _from_rows(_random_rows(rng, n, n), n), sup)
+        _same_result(lattice_index, a, sup)
+        b = _from_rows(_random_rows(rng, m, 2), 2)
+        assert exactla._solver(a).solve(b) == ImageSolver(a).solve(b)
+        assert exactla._solver(_twin(a)).solve(a @ _from_rows(_random_rows(rng, n, 2), 2)) is not None
+    for fn in CACHED:
+        assert fn.cache_info().hits
+
+
+@pytest.mark.parametrize("first,second", [((0, 5), (0, 3)), ((3, 0), (2, 0))])
+def test_cache_keys_separate_empty_shapes(first, second):
+    integer_kernel(IntMatrix.zeros(*first))
+    ker = integer_kernel(IntMatrix.zeros(*second))
+    assert (ker.rows, ker.cols) == (second[1], second[1])
+    assert ker == IntMatrix.identity(second[1])
+    basis = column_lattice_basis(IntMatrix.zeros(*second))
+    assert (basis.rows, basis.cols) == (second[0], 0)
+
+
+def test_refusals_are_not_cached():
+    sup, outside = IntMatrix([[2, 0], [0, 1]]), IntMatrix([[1, 0], [0, 1]])
+    for _ in range(2):
+        with pytest.raises(ExactLinAlgError, match="not a sublattice"):
+            lattice_index(outside, sup)
+        with pytest.raises(ExactLinAlgError, match="non-square"):
+            determinant(IntMatrix.zeros(2, 3))
+    assert lattice_index.cache_info().currsize == 0
+    assert determinant.cache_info().currsize == 0
+
+
+def test_every_exact_cache_is_listed():
+    # The autouse fixture in conftest.py clears what this scan finds.
+    assert {fn for fn in vars(exactla).values() if hasattr(fn, "cache_clear")} == set(CACHED)
+
+
+def test_caches_stay_bounded_over_verify_all():
+    run_suites("all", seed=1)
+    for fn in CACHED:
+        info = fn.cache_info()
+        assert info.maxsize == 32 and info.currsize <= info.maxsize, fn
+        assert info.hits, fn
+
+
+def test_cached_solver_matches_a_fresh_solver():
+    rng = random.Random("solver")
+    for m, n, k in SOLVE_SHAPES:
+        a, x0 = _random_system(rng, m, n, k)
+        cached = exactla._solver(a)
+        assert exactla._solver(_twin(a)) is cached
+        fresh = ImageSolver(a)
+        assert cached.rank == fresh.rank
+        for b in (a @ x0, _from_rows(_random_rows(rng, m, k), k), a @ x0 * 3):
+            assert cached.solve(b) == fresh.solve(b)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (4, 5)])
+def test_scalar_product_matches_the_coercing_constructor(shape):
+    rng = random.Random(f"scalar-{shape}")
+    a = _from_rows(_random_rows(rng, *shape), shape[1])
+    for c in (0, 1, -1, 7, -(2**70), True):
+        want = _from_rows([[int(c) * x for x in row] for row in a.tolist()], a.cols)
+        for got in (a * c, c * a):
+            assert got == want and hash(got) == hash(want)
+            assert (got.rows, got.cols) == shape
+            assert all(type(x) is int for row in got.tolist() for x in row)
+    with pytest.raises(TypeError):
+        a * 1.5
+    with pytest.raises(TypeError):
+        1.5 * a
