@@ -1,14 +1,18 @@
 """Verification suites over the built-in corpus.
 
 Each suite runs a family of exact identities and returns one check record
-per (property, group). Randomized instances are drawn from fixed internal
-seeds so verdicts and regulator-constant tables never depend on the user
-seed; the user seed only steers the equivariant-embedding search inside
-factor-equivalence queries.
+per (property, group). A family takes a group, the label its records carry
+and the index of its random stream, so it runs on any group; a suite runs
+its families over a list of corpus groups, each with its corpus index. The
+frozen relation vectors and ranks apply by corpus label. Randomized
+instances are drawn from fixed internal seeds so verdicts and
+regulator-constant tables never depend on the user seed; the user seed only
+steers the equivariant-embedding search inside factor-equivalence queries.
 """
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, islice
 
 from .corpus import corpus_group, corpus_names
@@ -45,8 +49,6 @@ from .arith import (
     verify_sunit_closed_form,
     verify_sunit_index,
 )
-
-SUITE_NAMES = ("relations", "pairing", "lemma", "corollary", "sunit", "kgroups")
 
 # Internal seeds: one stream per (suite, group), independent of the user seed.
 _SEED_BASE = {"pairing": 101, "additivity": 211, "lemma": 307, "corollary": 401}
@@ -140,6 +142,8 @@ def _random_equivariant_endo(m, rng, tries=8):
 
 def _random_relation(basis, rng):
     """Nonzero small integer combination of the basis relations."""
+    if basis.rank == 0:
+        raise ValueError("K(G) = 0 has no nonzero relation")
     while True:
         theta = BurnsideElement.zero(basis.group)
         for b in basis:
@@ -182,11 +186,20 @@ def _index2_subgroups(group):
     ]
 
 
+def _over(names, *families):
+    """Each family on each named corpus group (all of them for None), group by group."""
+    checks = []
+    for name in names or corpus_names():
+        group, gi = corpus_group(name), corpus_names().index(name)
+        for family in families:
+            checks.extend(family(group, name, gi))
+    return checks
+
+
 # --- relations suite -------------------------------------------------------
 
 
-def _relations_checks(name):
-    group = corpus_group(name)
+def _relations_checks(group, label, gi):
     table = all_subgroups(group)
     basis = brauer_relation_basis(group)
     checks = []
@@ -194,12 +207,12 @@ def _relations_checks(name):
     oracle = len(table) - rank(fixed_point_matrix(group))
     formula = len(table) - table.cyclic_class_count()
     ok = basis.rank == formula == oracle
-    if name in _KNOWN_RANKS:
-        ok = ok and basis.rank == _KNOWN_RANKS[name]
+    if label in _KNOWN_RANKS:
+        ok = ok and basis.rank == _KNOWN_RANKS[label]
     checks.append(
         _check(
             "relations.rank",
-            name,
+            label,
             ok,
             rank=basis.rank,
             classes=len(table),
@@ -208,18 +221,18 @@ def _relations_checks(name):
         )
     )
 
-    if name in _KNOWN_RELATIONS:
-        want = _KNOWN_RELATIONS[name]
+    if label in _KNOWN_RELATIONS:
+        want = _KNOWN_RELATIONS[label]
         got = basis[0].coeffs
         ok = got == want or tuple(-x for x in got) == want
-        checks.append(_check("relations.vector", name, ok, coeffs=list(got)))
+        checks.append(_check("relations.vector", label, ok, coeffs=list(got)))
 
     degree_ok = all(
         sum(n * (group.order // table[ci].order) for ci, n in theta.support()) == 0
         for theta in basis
     )
-    checks.append(_check("relations.degree-zero", name, degree_ok))
-    checks.append(_check("relations.saturated", name, relation_is_saturated(basis)))
+    checks.append(_check("relations.degree-zero", label, degree_ok))
+    checks.append(_check("relations.saturated", label, relation_is_saturated(basis)))
 
     reg = regular_lattice(group)
     tables = [regulator_constants_table(basis, reg)]
@@ -232,23 +245,19 @@ def _relations_checks(name):
         for i in range(len(basis))
     )
     checks.append(
-        _check("relations.regular-trivial", name, ones and mult, powers=[1, 2, 3])
+        _check("relations.regular-trivial", label, ones and mult, powers=[1, 2, 3])
     )
     return checks
 
 
 def suite_relations(seed=0):
-    checks = []
-    for name in corpus_names():
-        checks.extend(_relations_checks(name))
-    return checks
+    return _over(None, _relations_checks)
 
 
 # --- pairing-independence / additivity / multiplicativity suite ------------
 
 
-def _pairing_checks(name, gi, count=50):
-    group = corpus_group(name)
+def _pairing_checks(group, label, gi, count=50):
     basis = brauer_relation_basis(group)
     rng = _rng("pairing", gi)
 
@@ -259,11 +268,10 @@ def _pairing_checks(name, gi, count=50):
         return len({regulator_constants_table(basis, m, p) for p in pairings}) == 1
 
     ok, instances = _until_failure(trial() for _ in range(count))
-    return [_check("pairing.independence", name, ok, instances=instances, relations=basis.rank)]
+    return [_check("pairing.independence", label, ok, instances=instances, relations=basis.rank)]
 
 
-def _linearity_checks(name, gi, count=16):
-    group = corpus_group(name)
+def _linearity_checks(group, label, gi, count=16):
     basis = brauer_relation_basis(group)
     if basis.rank == 0:
         return []
@@ -286,17 +294,13 @@ def _linearity_checks(name, gi, count=16):
     add_ok, add_runs = _until_failure(additive() for _ in range(count))
     mult_ok, mult_runs = _until_failure(multiplicative() for _ in range(count))
     return [
-        _check("pairing.additivity", name, add_ok, instances=add_runs),
-        _check("pairing.multiplicativity", name, mult_ok, instances=mult_runs),
+        _check("pairing.additivity", label, add_ok, instances=add_runs),
+        _check("pairing.multiplicativity", label, mult_ok, instances=mult_runs),
     ]
 
 
 def suite_pairing(seed=0):
-    checks = []
-    for gi, name in enumerate(corpus_names()):
-        checks.extend(_pairing_checks(name, gi))
-        checks.extend(_linearity_checks(name, gi))
-    return checks
+    return _over(None, _pairing_checks, _linearity_checks)
 
 
 # --- Lemma suite -----------------------------------------------------------
@@ -304,9 +308,10 @@ def suite_pairing(seed=0):
 _LEMMA_GROUPS = ("V4", "S3", "D4", "Q8")
 
 
-def _lemma_checks(name, gi, rounds=7):
-    group = corpus_group(name)
+def _lemma_checks(group, label, gi, rounds=7):
     basis = brauer_relation_basis(group)
+    if basis.rank == 0:
+        return []
     rng = _rng("lemma", gi)
     index2 = _index2_subgroups(group)
     torsion_orders = set()
@@ -343,7 +348,7 @@ def _lemma_checks(name, gi, rounds=7):
     return [
         _check(
             "lemma.identity",
-            name,
+            label,
             ok,
             instances=instances,
             torsion_orders=sorted(torsion_orders),
@@ -352,18 +357,13 @@ def _lemma_checks(name, gi, rounds=7):
 
 
 def suite_lemma(seed=0):
-    checks = []
-    for name in _LEMMA_GROUPS:
-        gi = corpus_names().index(name)
-        checks.extend(_lemma_checks(name, gi))
-    return checks
+    return _over(_LEMMA_GROUPS, _lemma_checks)
 
 
 # --- Corollary (factor-equivalence) suite ----------------------------------
 
 
-def _corollary_checks(name, gi, seed, pairs=14):
-    group = corpus_group(name)
+def _corollary_checks(group, label, gi, seed, pairs=14):
     basis = brauer_relation_basis(group)
     rng = _rng("corollary", gi)
 
@@ -380,7 +380,7 @@ def _corollary_checks(name, gi, seed, pairs=14):
         return routes == {report.verdict} and (report.verdict or not conjugate)
 
     ok, instances = _until_failure(trial() for _ in range(pairs))
-    return [_check("corollary.routes", name, ok, instances=instances)]
+    return [_check("corollary.routes", label, ok, instances=instances)]
 
 
 def _corollary_known_false(seed):
@@ -413,12 +413,7 @@ def _corollary_known_false(seed):
 
 
 def suite_corollary(seed=0):
-    checks = []
-    for name in _LEMMA_GROUPS:
-        gi = corpus_names().index(name)
-        checks.extend(_corollary_checks(name, gi, seed))
-    checks.extend(_corollary_known_false(seed))
-    return checks
+    return _over(_LEMMA_GROUPS, partial(_corollary_checks, seed=seed)) + _corollary_known_false(seed)
 
 
 # --- S-unit suite ----------------------------------------------------------
@@ -437,8 +432,7 @@ def _sunit_d_lists(group):
     return lists
 
 
-def _sunit_index_checks(name):
-    group = corpus_group(name)
+def _sunit_index_checks(group, label, gi):
     table = all_subgroups(group)
     lattices = (
         sunit_lattice(group, [table[ci].representative for ci in d_list])
@@ -447,11 +441,10 @@ def _sunit_index_checks(name):
     ok, cases = _until_failure(
         verify_sunit_index(su, cls.representative).ok for su in lattices for cls in table
     )
-    return [_check("sunit.index", name, ok, cases=cases)]
+    return [_check("sunit.index", label, ok, cases=cases)]
 
 
-def _sunit_closed_form_checks(name):
-    group = corpus_group(name)
+def _sunit_closed_form_checks(group, label, gi):
     table = all_subgroups(group)
     basis = brauer_relation_basis(group)
     if basis.rank == 0:
@@ -470,22 +463,17 @@ def _sunit_closed_form_checks(name):
                 yield res.ok and agree
 
     ok, cases = _until_failure(trials())
-    return [_check("sunit.closed-form", name, ok, d_lists=len(d_lists), cases=cases)]
+    return [_check("sunit.closed-form", label, ok, d_lists=len(d_lists), cases=cases)]
 
 
 def suite_sunit(seed=0):
-    checks = []
-    for name in corpus_names():
-        checks.extend(_sunit_index_checks(name))
-        checks.extend(_sunit_closed_form_checks(name))
-    return checks
+    return _over(None, _sunit_index_checks, _sunit_closed_form_checks)
 
 
 # --- K-group comparison suite ----------------------------------------------
 
 
-def _kgroup_checks(name, max_places=2):
-    group = corpus_group(name)
+def _kgroup_checks(group, label, gi, max_places=2):
     table = all_subgroups(group)
     basis = brauer_relation_basis(group)
     odd_classes = [ci for ci, c in enumerate(table) if c.order <= 2]
@@ -506,7 +494,7 @@ def _kgroup_checks(name, max_places=2):
         checks.append(
             _check(
                 f"kgroups.{parity}",
-                name,
+                label,
                 ok,
                 modules=modules,
                 d_choices=len(d_choices),
@@ -516,10 +504,7 @@ def _kgroup_checks(name, max_places=2):
 
 
 def suite_kgroups(seed=0):
-    checks = []
-    for name in ("V4", "D4", "Q8"):
-        checks.extend(_kgroup_checks(name))
-    return checks
+    return _over(("V4", "D4", "Q8"), _kgroup_checks)
 
 
 # --- assembly --------------------------------------------------------------
@@ -532,6 +517,7 @@ _SUITES = {
     "sunit": suite_sunit,
     "kgroups": suite_kgroups,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _regulator_constant_tables():

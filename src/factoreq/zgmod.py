@@ -384,9 +384,7 @@ def find_equivariant_embedding(m, n, seed=0, retry_budget=64):
     """
     if isinstance(m, FpModule) or isinstance(n, FpModule):
         raise ModuleError("embedding search requires Z-free lattices")
-    if m.group is not n.group:
-        raise ModuleError("modules live over different groups")
-    if character(m) != character(n):
+    if not rationally_isomorphic(m, n):
         raise ModuleError("not rationally isomorphic")
     r = m.rank
     if r == 0:

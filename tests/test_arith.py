@@ -369,10 +369,8 @@ def test_kgroup_comparison_modules_match_the_closed_form(monkeypatch):
         return module
 
     monkeypatch.setattr(factoreq.suites, "kgroup_comparison_module", recording)
-    names = ("V4", "D4", "Q8", "A4", "D8", "S4")
-    monkeypatch.setattr(factoreq.suites, "corpus_group", _group)
-    for name in names:
-        assert all(c["ok"] for c in factoreq.suites._kgroup_checks(name))
+    for gi, name in enumerate(("V4", "D4", "Q8", "A4", "D8", "S4")):
+        assert all(c["ok"] for c in factoreq.suites._kgroup_checks(_group(name), name, gi))
     assert len(built) == 218
     for group, d_real, s2_count, parity, module in built:
         basis = brauer_relation_basis(group)

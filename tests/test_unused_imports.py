@@ -62,7 +62,7 @@ def test_all_lists_exactly_the_reexported_names():
 
 # Public names that only tests call: candidates for deletion, pinned so that
 # a new one shows up here.
-TEST_ONLY_PUBLIC = {"gram_determinant", "invariant_factors", "rational_solve", "rationally_isomorphic"}
+TEST_ONLY_PUBLIC = {"gram_determinant", "invariant_factors", "rational_solve"}
 
 
 def test_public_names_used_only_by_tests_are_pinned():
