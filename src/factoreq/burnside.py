@@ -3,12 +3,14 @@
 K(G), the lattice of Brauer relations, is computed as the integer kernel of
 the fixed-point matrix: a virtual permutation representation vanishes exactly
 when all its fixed-point counts cancel, so no character theory is needed.
+The fixed-point matrix, the relation basis and each coset table are memoized
+on the group (`grp._memo`); `coset_action` checks ownership before its lookup.
 """
 
 from operator import index as _as_int
 
 from .exactla import IntMatrix, _snf_engine, integer_kernel, lattice_index
-from .grp import GroupError, Subgroup, all_subgroups, left_cosets
+from .grp import GroupError, Subgroup, _memo, all_subgroups, left_cosets
 
 
 class RelationError(ValueError):
@@ -86,24 +88,23 @@ class PermAction:
 
 def coset_action(group, subgroup):
     """Left-multiplication action of G on the cosets G/H, ordered by least element; cached."""
+    # Checked before the lookup: a foreign subgroup may have the same element tuple.
     if subgroup.group is not group:
         raise GroupError("subgroup belongs to a different group")
-    # Checked before the lookup: a foreign subgroup may have the same element tuple.
-    key = ("coset_action", subgroup.elements)
-    cached = group._cache.get(key)
-    if cached is not None:
-        return cached
-    cosets = left_cosets(group, subgroup)
+    return _coset_action(group, subgroup.elements)
+
+
+@_memo("coset_action")
+def _coset_action(group, elems):
+    cosets = left_cosets(group, Subgroup(group, elems))
     coset_of = [0] * group.order
     for i, coset in enumerate(cosets):
         for x in coset:
             coset_of[x] = i
-    images = tuple(
+    return PermAction(group, tuple(
         tuple(coset_of[group.table[g][coset[0]]] for coset in cosets)
         for g in range(group.order)
-    )
-    action = group._cache[key] = PermAction(group, images)
-    return action
+    ))
 
 
 def regular_action(group):
@@ -169,6 +170,7 @@ class BurnsideElement:
         return f"BurnsideElement{self.coeffs}"
 
 
+@_memo("fixed_point_matrix")
 def fixed_point_matrix(group):
     """Rows: element conjugacy classes; columns: subgroup classes.
 
@@ -177,9 +179,6 @@ def fixed_point_matrix(group):
     |G|·|c ∩ K| / (|c|·|K|), read off one pass over K's elements. Cached per
     group.
     """
-    cached = group._cache.get("fixed_point_matrix")
-    if cached is not None:
-        return cached
     n, classes = group.order, group.element_classes
     columns = []
     for cls in all_subgroups(group):
@@ -188,9 +187,7 @@ def fixed_point_matrix(group):
         for x in k:
             meet[group.class_of_element[x]] += 1
         columns.append(tuple(n * hits // (len(c) * len(k)) for hits, c in zip(meet, classes)))
-    m = IntMatrix._trusted(tuple(zip(*columns)), len(columns))
-    group._cache["fixed_point_matrix"] = m
-    return m
+    return IntMatrix._trusted(tuple(zip(*columns)), len(columns))
 
 
 class BrauerRelationBasis:
@@ -220,11 +217,9 @@ class BrauerRelationBasis:
         return len(self.relations)
 
 
+@_memo("brauer_basis")
 def brauer_relation_basis(group):
-    """Basis of K(G) = integer kernel of the fixed-point matrix."""
-    cached = group._cache.get("brauer_basis")
-    if cached is not None:
-        return cached
+    """Basis of K(G) = integer kernel of the fixed-point matrix; cached per group."""
     table = all_subgroups(group)
     # SNF, not HNF: this basis is the report until ROADMAP item 2 makes it canonical.
     d, v = _snf_engine(fixed_point_matrix(group))
@@ -236,9 +231,7 @@ def brauer_relation_basis(group):
         if lead < 0:
             vec = [-x for x in vec]
         relations.append(BurnsideElement(group, vec))
-    basis = BrauerRelationBasis(group, table, relations)
-    group._cache["brauer_basis"] = basis
-    return basis
+    return BrauerRelationBasis(group, table, relations)
 
 
 def is_brauer_relation(theta):

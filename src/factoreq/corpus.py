@@ -4,6 +4,8 @@ Element 0 is always the identity; the numbering is the BFS order produced by
 group_from_generators, so element indices are stable across runs.
 """
 
+from functools import lru_cache
+
 from .grp import FiniteGroup, group_from_generators
 
 _GENERATORS = {
@@ -19,21 +21,17 @@ _GENERATORS = {
 
 _EXPECTED_ORDERS = {"C2": 2, "C4": 4, "C6": 6, "V4": 4, "S3": 6, "D4": 8, "Q8": 8}
 
-_cache: dict = {}
-
 
 def corpus_names():
     """Canonical ordering of the built-in groups."""
     return ("C2", "C4", "C6", "V4", "S3", "D4", "Q8")
 
 
+@lru_cache(maxsize=None)
 def corpus_group(name) -> FiniteGroup:
     """A built-in group by name, constructed once and cached."""
     if name not in _GENERATORS:
         raise KeyError(f"unknown corpus group {name!r}")
-    g = _cache.get(name)
-    if g is None:
-        g = group_from_generators(_GENERATORS[name])
-        assert g.order == _EXPECTED_ORDERS[name]
-        _cache[name] = g
+    g = group_from_generators(_GENERATORS[name])
+    assert g.order == _EXPECTED_ORDERS[name]
     return g

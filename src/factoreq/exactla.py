@@ -289,17 +289,16 @@ def integer_kernel(a):
     return IntMatrix._trusted(tuple(tuple(row[a.rows:]) for row in rows[r:]), a.cols).transpose()
 
 
-def _preimage(al, l, rel):
-    """Basis (matrix columns) of {l·c : al·c ∈ im(rel)}.
+def _preimage(al, rel):
+    """Basis (matrix columns) of the coordinates {c : al·c ∈ im(rel)}.
 
-    Without relation columns that is l·ker(al). With them the top l.cols rows
-    of ker[al | −rel] are the coordinates c, and their image under l is
-    reduced to the canonical basis.
+    Without relation columns that is ker(al). With them it is the Hermite
+    basis of the top al.cols rows of ker[al | −rel].
     """
     if not rel.cols:
-        return l @ integer_kernel(al)
+        return integer_kernel(al)
     ker = integer_kernel(al.hstack(-rel))
-    return column_lattice_basis(l @ IntMatrix._trusted(ker._data[: l.cols], ker.cols))
+    return column_lattice_basis(IntMatrix._trusted(ker._data[: al.cols], ker.cols))
 
 
 def _bareiss_pivots(a):

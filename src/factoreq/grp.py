@@ -5,6 +5,7 @@ permutations under composition or from an explicit multiplication table.
 """
 
 import random
+from functools import wraps
 from operator import index as _as_int
 from typing import NamedTuple
 
@@ -14,6 +15,26 @@ class GroupError(ValueError):
 
 
 CLOSURE_BOUND = 2000
+
+
+def _memo(family):
+    """Cache `fn(owner, *args)` in `owner._cache` under `(family, *args)`.
+
+    The one cache policy of groups and modules. A miss is `key not in cache`,
+    so falsy results are cached too; a call that raises stores nothing.
+    """
+
+    def decorate(fn):
+        @wraps(fn)
+        def cached(owner, *args):
+            cache, key = owner._cache, (family, *args)
+            if key not in cache:
+                cache[key] = fn(owner, *args)
+            return cache[key]
+
+        return cached
+
+    return decorate
 
 
 class FiniteGroup:
@@ -252,6 +273,7 @@ class SubgroupClassTable:
         return sum(1 for cls in self.classes if cls.is_cyclic)
 
 
+@_memo("subgroup_table")
 def all_subgroups(group):
     """Enumerate all subgroups of `group` up to conjugacy.
 
@@ -260,11 +282,8 @@ def all_subgroups(group):
     member of each new class by one outside element per coset until nothing
     new appears. A subgroup's whole conjugacy class is recorded when it is
     first seen; extending one member suffices because
-    x<K, g>x^-1 = <xKx^-1, xgx^-1>.
+    x<K, g>x^-1 = <xKx^-1, xgx^-1>. Cached per group.
     """
-    cached = group._cache.get("subgroup_table")
-    if cached is not None:
-        return cached
     n = group.order
     t, inv = group.table, group.inverse
     found = set()
@@ -299,9 +318,7 @@ def all_subgroups(group):
         classes.append(
             SubgroupClass(representative=rep, members=tuple(ms), is_cyclic=rep.is_cyclic())
         )
-    table = SubgroupClassTable(group, classes)
-    group._cache["subgroup_table"] = table
-    return table
+    return SubgroupClassTable(group, classes)
 
 
 def group_from_generators(perms, bound=CLOSURE_BOUND):

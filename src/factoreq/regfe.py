@@ -12,7 +12,7 @@ from .exactla import (
     _preimage,
     _solver,
 )
-from .grp import all_subgroups
+from .grp import _memo, all_subgroups
 from .burnside import BrauerRelationBasis, RelationError, brauer_relation_basis, is_brauer_relation
 from .zgmod import (
     ModuleError,
@@ -92,18 +92,16 @@ def _check_pairing(module, pairing):
 def _class_determinants(module, pairing):
     """Per-subgroup-class det((1/|H|)·pairing on M^H/tors) from `_fixed_gram`, cached by gram."""
     _check_pairing(module, pairing)
-    gram = (averaged_pairing(module) if pairing is None else pairing).gram
-    key = ("class_dets", gram)
-    cached = module._cache.get(key)
-    if cached is not None:
-        return cached
+    return _class_dets(module, (averaged_pairing(module) if pairing is None else pairing).gram)
+
+
+@_memo("class_dets")
+def _class_dets(module, gram):
     dets = []
     for cls in all_subgroups(module.group):
         g = _fixed_gram(module, gram, cls.representative)
         dets.append(Fraction(determinant(g), cls.order ** g.rows))
-    dets = tuple(dets)
-    module._cache[key] = dets
-    return dets
+    return tuple(dets)
 
 
 def regulator_constant(theta, module, pairing=None):
@@ -207,7 +205,7 @@ def index_function(m, n, t):
         # ker(T on M^H) = V / im(R_M) for V the preimage in L_H(M) of im(R_N);
         # im(R_M) ⊆ V always, so a rank difference is exactly an infinite kernel.
         try:
-            korder = lattice_index(rel_m, _preimage(tl, lm, rel_n))
+            korder = lattice_index(rel_m, lm @ _preimage(tl, rel_n))
         except ExactLinAlgError as exc:
             raise ModuleError(f"infinite kernel at subgroup class {ci}") from exc
         values.append(Fraction(num, korder))

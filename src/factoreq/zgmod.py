@@ -9,7 +9,10 @@ factor-equivalence lemma needs. Both share one constructor and one action
 check, `_Module`, and fixed points of both go through one routine,
 `fixed_sublattice`. Both answer `lattice_quotient()` (a lattice is its own
 M/tors), and `_fixed_quotient` gives M^H/tors inside M/tors with |M^H_tors|,
-so no caller outside this module asks which kind of module it holds.
+so no caller outside this module asks which kind of module it holds. Every
+per-group and per-module cache here is `grp._memo`; public entry points run
+their checks first and call a memoized private builder. Only the averaged
+gram is seeded by hand, with |G|·I, on the lattices of signed G-sets.
 """
 
 import math
@@ -28,8 +31,8 @@ from .exactla import (
     _preimage,
     _solver,
 )
-from .grp import GroupError, Subgroup, _generated
-from .burnside import PermAction, coset_action, regular_action
+from .grp import GroupError, Subgroup, _generated, _memo
+from .burnside import PermAction, _coset_action, coset_action, regular_action
 
 
 class ModuleError(ValueError):
@@ -120,22 +123,18 @@ class FpModule(_Module):
     def gens(self):
         return self.relations.rows
 
+    @_memo("quotient")
     def lattice_quotient(self):
-        """(M/tors as a ZGLattice, projection matrix, integral section).
+        """(M/tors as a ZGLattice, projection matrix, integral section), cached.
 
         proj is a basis of the saturated left kernel of the relation matrix
         (as rows), so its kernel is the saturation of im(R), that is, the
         preimage of the torsion; proj @ sec = identity.
         """
-        cached = self._cache.get("quotient")
-        if cached is not None:
-            return cached
         proj = integer_kernel(self.relations.transpose()).transpose()
         sec = integer_solve(proj, IntMatrix.identity(proj.rows))
         quot = ZGLattice(self.group, proj.rows, (proj @ a @ sec for a in self.action), check=False)
-        out = (quot, proj, sec)
-        self._cache["quotient"] = out
-        return out
+        return quot, proj, sec
 
     def __repr__(self):
         return f"FpModule(gens={self.gens}, rels={self.relations.cols}, |G|={self.group.order})"
@@ -159,15 +158,18 @@ def permutation_lattice(group, gset):
     """
     if not isinstance(gset, PermAction) or gset.group is not group:
         raise ModuleError("gset must be a permutation action of the same group")
-    key = ("permutation_lattice", gset.images)
-    if key not in group._cache:
-        # ρ(g) sends e_j to e_{g·j}, so its row i is e_{g⁻¹·i}.
-        n, eye = gset.size, IntMatrix.identity(gset.size)._data
-        mats = (IntMatrix._trusted(tuple(eye[i] for i in gset.images[h]), n)
-                for h in group.inverse)
-        lattice = group._cache[key] = ZGLattice(group, n, mats, check=False)
-        lattice._cache["avg_gram"] = group.order * IntMatrix.identity(n)
-    return group._cache[key]
+    return _permutation_lattice(group, gset.images)
+
+
+@_memo("permutation_lattice")
+def _permutation_lattice(group, images):
+    # ρ(g) sends e_j to e_{g·j}, so its row i is e_{g⁻¹·i}.
+    n = len(images[0])
+    eye = IntMatrix.identity(n)
+    mats = (IntMatrix._trusted(tuple(eye._data[i] for i in images[h]), n) for h in group.inverse)
+    lattice = ZGLattice(group, n, mats, check=False)
+    lattice._cache["avg_gram"] = group.order * eye
+    return lattice
 
 
 def _averaged_gram(lattice):
@@ -201,24 +203,27 @@ def induced_lattice(group, d, kernel=None):
         return permutation_lattice(group, coset_action(group, d))
     if 2 * kernel.order != d.order:
         raise ModuleError("kernel must have index 1 or 2 in d")
-    key = ("induced_lattice", d.elements, kernel.elements)
-    if key not in group._cache:
-        # Coset i of G/D holds g iff g·D is coset i; its least such g is its representative.
-        images, mul, inv = coset_action(group, d).images, group.table, group.inverse
-        k = len(images[0])
-        reps = [next(g for g in range(group.order) if images[g][0] == i) for i in range(k)]
-        eye = IntMatrix.identity(k)
-        plus, minus = eye._data, (-eye)._data
-        mats = (
-            IntMatrix._trusted(tuple(
-                (plus if mul[inv[reps[j]]][mul[g][reps[i]]] in kernel else minus)[i]
-                for j, i in enumerate(images[inv[g]])
-            ), k)
-            for g in range(group.order)
-        )
-        lattice = group._cache[key] = ZGLattice(group, k, mats, check=False)
-        lattice._cache["avg_gram"] = group.order * eye
-    return group._cache[key]
+    return _induced_lattice(group, d.elements, kernel.elements)
+
+
+@_memo("induced_lattice")
+def _induced_lattice(group, d, kernel):
+    # Coset i of G/D holds g iff g·D is coset i; its least such g is its representative.
+    images, mul, inv = _coset_action(group, d).images, group.table, group.inverse
+    k, kernel = len(images[0]), frozenset(kernel)
+    reps = [next(g for g in range(group.order) if images[g][0] == i) for i in range(k)]
+    eye = IntMatrix.identity(k)
+    plus, minus = eye._data, (-eye)._data
+    mats = (
+        IntMatrix._trusted(tuple(
+            (plus if mul[inv[reps[j]]][mul[g][reps[i]]] in kernel else minus)[i]
+            for j, i in enumerate(images[inv[g]])
+        ), k)
+        for g in range(group.order)
+    )
+    lattice = ZGLattice(group, k, mats, check=False)
+    lattice._cache["avg_gram"] = group.order * eye
+    return lattice
 
 
 def _block_diagonal(blocks):
@@ -274,6 +279,7 @@ def sublattice_action(m, basis):
     return ZGLattice(m.group, basis.cols, mats, check=False)
 
 
+@_memo("generating_set")
 def _generating_set(group, elems):
     """Greedy generators of the subgroup `elems` and the chain parent <gens[:-1]>.
 
@@ -282,21 +288,16 @@ def _generating_set(group, elems):
     subgroup). Cached per group and element tuple, once the span of the
     generators is checked to be `elems` itself.
     """
-    key = ("generating_set", elems)
-    out = group._cache.get(key)
-    if out is None:
-        if not all(0 <= g < group.order for g in elems):
-            raise GroupError("subgroup element out of range")
-        gens, span, parent = [], (0,), None
-        for g in elems:
-            if g not in span:
-                gens.append(g)
-                parent, span = span, _generated(group.table, tuple(gens))
-        if span != elems:
-            raise GroupError("element set is not a subgroup")
-        out = (tuple(gens), parent)
-        group._cache[key] = out
-    return out
+    if not all(0 <= g < group.order for g in elems):
+        raise GroupError("subgroup element out of range")
+    gens, span, parent = [], (0,), None
+    for g in elems:
+        if g not in span:
+            gens.append(g)
+            parent, span = span, _generated(group.table, tuple(gens))
+    if span != elems:
+        raise GroupError("element set is not a subgroup")
+    return tuple(gens), parent
 
 
 def fixed_sublattice(module, h):
@@ -307,30 +308,25 @@ def fixed_sublattice(module, h):
     not be saturated (torsion). Down the subgroup chain: the trivial subgroup
     gives Z^n, and for H's generators s_1..s_k and K = <s_1..s_{k−1}>,
     L_H = {x ∈ L_K : (ρ(s_k) − I)x ∈ im(R)}, since the action preserves im(R)
-    and is a homomorphism modulo im(R). That is one preimage step,
-    `_preimage((ρ(s_k) − I)·L_K, L_K, R)`, and each L_K on the way is cached.
-    For a lattice that is L_H = L_K·C, with K and C cached beside L_H.
-    `h` is a Subgroup of the module's group or the element set of one; any
-    other Subgroup raises ModuleError, any other set GroupError.
+    and is a homomorphism modulo im(R). That is one preimage step: L_H = L_K·C
+    for C = `_preimage((ρ(s_k) − I)·L_K, R)`, and `_fixed_chain` caches
+    (L_H, K, C) for each L_K on the way. `h` is a Subgroup of the module's
+    group or the element set of one; any other Subgroup raises ModuleError,
+    any other set GroupError.
     """
-    elems = _elements(module, h)
-    key = ("fixed", elems)
-    cached = module._cache.get(key)
-    if cached is not None:
-        return cached[0]
-    rel = module.relations
+    return _fixed_chain(module, _elements(module, h))[0]
+
+
+@_memo("fixed")
+def _fixed_chain(module, elems):
+    """(L_H, K, C) with L_H = L_K·C, or (I, None, None) for the trivial subgroup."""
     gens, parent = _generating_set(module.group, elems)
-    c = None
     if not gens:
-        basis = IntMatrix.identity(rel.rows)
-    else:
-        # The greedy generating set of K is gens[:-1], so the chain reuses entries.
-        lk = fixed_sublattice(module, parent)
-        al = module.action[gens[-1]] @ lk - lk
-        c = None if rel.cols else integer_kernel(al)
-        basis = _preimage(al, lk, rel) if c is None else lk @ c
-    module._cache[key] = (basis, parent, c)
-    return basis
+        return IntMatrix.identity(module.relations.rows), None, None
+    # The greedy generating set of K is gens[:-1], so the chain reuses entries.
+    lk = fixed_sublattice(module, parent)
+    c = _preimage(module.action[gens[-1]] @ lk - lk, module.relations)
+    return lk @ c, parent, c
 
 
 def _elements(module, h):
@@ -412,51 +408,40 @@ def fp_fixed_lattice(module, h):
     return fixed_sublattice(module, h)
 
 
-def _fixed_quotient(module, h):
-    """(basis of M^H/tors inside M/tors, |M^H_tors|), cached per subgroup.
+@_memo("fixed_quotient")
+def _fixed_quotient(module, elems):
+    """(basis of M^H/tors inside M/tors, |M^H_tors|), cached per element tuple of H.
 
     Without relations that is (M^H, 1), as proj = I. Otherwise, with L_H the
     preimage of M^H and proj the projection of `lattice_quotient` (whose
     kernel is the saturation of im(R)), M^H/tors is spanned by proj·L_H, and
     the torsion of M^H is (L_H ∩ ker proj) / im(R), one lattice index.
     """
-    elems = _elements(module, h)
-    key = ("fixed_quotient", elems)
-    cached = module._cache.get(key)
-    if cached is not None:
-        return cached
     basis = fixed_sublattice(module, elems)
     if not module.relations.cols:
-        out = (basis, 1)
-    else:
-        image = module.lattice_quotient()[1] @ basis
-        tors = basis @ integer_kernel(image)
-        out = (column_lattice_basis(image), lattice_index(module.relations, tors))
-    module._cache[key] = out
-    return out
+        return basis, 1
+    image = module.lattice_quotient()[1] @ basis
+    tors = basis @ integer_kernel(image)
+    return column_lattice_basis(image), lattice_index(module.relations, tors)
 
 
 def _fixed_gram(module, gram, h):
     """Gram matrix under `gram` of `_fixed_quotient(module, h)[0]`: Bᵀ·gram·B, or down the chain."""
     elems = _elements(module, h)
-    basis = _fixed_quotient(module, elems)[0]  # also caches L_H's chain for a lattice
-    if module.relations.cols:
-        return basis.transpose() @ gram @ basis
-    return _chain_gram(module, gram, elems)
+    if not module.relations.cols:
+        return _chain_gram(module, gram, elems)
+    basis = _fixed_quotient(module, elems)[0]
+    return basis.transpose() @ gram @ basis
 
 
+@_memo("fixed_gram")
 def _chain_gram(lattice, gram, elems):
-    """Gram of a cached L_H: `gram` for H = 1, else Cᵀ·(Gram(L_K)·C) for L_H = L_K·C."""
-    key = ("fixed_gram", gram, elems)
-    out = lattice._cache.get(key)
-    if out is None:
-        _, parent, c = lattice._cache[("fixed", elems)]
-        out = gram if c is None else c.transpose() @ (_chain_gram(lattice, gram, parent) @ c)
-        lattice._cache[key] = out
-    return out
+    """Gram of L_H: `gram` for H = 1, else Cᵀ·(Gram(L_K)·C) for the chain record L_H = L_K·C."""
+    _, parent, c = _fixed_chain(lattice, elems)
+    return gram if c is None else c.transpose() @ (_chain_gram(lattice, gram, parent) @ c)
 
 
 def fp_fixed_data(module, h):
     """(free rank, torsion cardinality) of M^H, read off `_fixed_quotient`."""
-    basis, torsion = _fixed_quotient(module, h)
+    basis, torsion = _fixed_quotient(module, _elements(module, h))
     return basis.cols, torsion
