@@ -13,7 +13,7 @@ from fractions import Fraction
 from .exactla import IntMatrix
 from .grp import GroupError, _checked_labels, all_subgroups, group_from_generators, group_from_table
 from .burnside import BurnsideElement
-from .zgmod import FpModule, ZGLattice
+from .zgmod import FpModule, ModuleError, ZGLattice, _checked_action
 
 
 class InputError(ValueError):
@@ -51,9 +51,10 @@ def rational_to_json(x):
 
 
 def load_json(text):
+    """Parsed JSON; bad syntax, too deep nesting and too long integers are InputError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
 
 
@@ -93,36 +94,8 @@ def _int_matrix(obj, what, cols):
         raise InputError(f"malformed {what}: {exc}") from exc
 
 
-def _complete_action(group, given, rank):
-    """Extend an action given on a generating set to all of G.
-
-    ρ(ab) = ρ(a)ρ(b); redundant entries must agree with the completion.
-    """
-    known = {0: IntMatrix.identity(rank)}
-    if 0 in given and given[0] != known[0]:
-        raise InputError("identity must act as the identity matrix")
-    gens = dict(given)
-    known.update(gens)
-    frontier = list(known)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b, mb in gens.items():
-                ab = group.table[a][b]
-                mab = known[a] @ mb
-                seen = known.get(ab)
-                if seen is None:
-                    known[ab] = mab
-                    fresh.append(ab)
-                elif seen != mab:
-                    raise InputError("inconsistent action specification")
-        frontier = fresh
-    if len(known) != group.order:
-        raise InputError("action entries do not generate the whole group")
-    return tuple(known[g] for g in range(group.order))
-
-
 def _action_from_json(group, obj, rank):
+    """The given element matrices by element index, each of shape rank x rank."""
     if not isinstance(obj, dict) or not obj:
         raise InputError("action must be a non-empty object of element matrices")
     given = {}
@@ -134,11 +107,16 @@ def _action_from_json(group, obj, rank):
         if m.rows != rank or m.cols != rank:
             raise InputError(f"action matrix for element {g} has wrong shape")
         given[g] = m
-    return _complete_action(group, given, rank)
+    return given
 
 
 def module_from_json(group, obj):
-    """Load a lattice {"rank", "action"} or an FpModule {"presentation": ...}."""
+    """Load a lattice {"rank", "action"} or an FpModule {"presentation": ...}.
+
+    The action is read first, so its matrix shapes bound `rank` or `gens` by
+    the size of the input. `_checked_action` then checks it modulo the
+    relations and completes it from the given elements.
+    """
     if not isinstance(obj, dict):
         raise InputError("module input must be a JSON object")
     try:
@@ -147,23 +125,24 @@ def module_from_json(group, obj):
             gens = _json_int(pres["gens"], "presentation gens")
             if gens < 0:
                 raise InputError("presentation gens must be non-negative")
+            given = _action_from_json(group, pres["action"], gens)
             rel_rows = _int_rows(pres["relations"], "presentation relations")
             for vec in rel_rows:
                 if len(vec) != gens:
                     raise InputError("each relation must have one entry per generator")
             relations = IntMatrix.from_columns(rel_rows, rows=gens)
-            action = _action_from_json(group, pres["action"], gens)
-            return FpModule(group, gens, relations, action)
+            action = _checked_action(group, given, tuple(given), relations)
+            return FpModule(group, gens, relations, action, check=False)
         rank = _json_int(obj["rank"], "rank")
         if rank < 0:
             raise InputError("rank must be non-negative")
-        action = _action_from_json(group, obj["action"], rank)
-        # The completion checked ρ(a)ρ(s) = ρ(as) for every a and every given
-        # s, and the given elements generate G, so ρ is a homomorphism. An
-        # FpModule keeps its check: that also needs im(R) to be preserved.
+        given = _action_from_json(group, obj["action"], rank)
+        action = _checked_action(group, given, tuple(given), IntMatrix.zeros(rank, 0))
         return ZGLattice(group, rank, action, check=False)
     except InputError:
         raise
+    except ModuleError as exc:
+        raise InputError(f"inconsistent action specification: {exc}") from exc
     except KeyError as exc:
         raise InputError(f"missing module field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:

@@ -19,6 +19,7 @@ from .zgmod import (
     ZGLattice,
     _averaged_gram,
     _fixed_gram,
+    _generators,
     _vstack,
     find_equivariant_embedding,
     fixed_sublattice,
@@ -54,8 +55,9 @@ class InvariantPairing:
                 raise PairingError("pairing is not symmetric")
             if not is_positive_definite(gram):
                 raise PairingError("pairing is not positive definite")
-            for g in range(module.group.order):
-                a = module.action[g]
+            # A lattice acts exactly, so invariance under G's generators suffices.
+            for s in _generators(module.group):
+                a = module.action[s]
                 if a.transpose() @ gram @ a != gram:
                     raise PairingError("pairing is not G-invariant")
         object.__setattr__(self, "module", module)
@@ -182,8 +184,11 @@ def _validate_equivariant(m, n, t, rel_m, rel_n):
     solver = _solver(rel_n)
     if solver.solve(t @ rel_m) is None:
         raise ModuleError("map does not send relations into relations")
-    # One solve: the solver treats each column of the stacked defects on its own.
-    defects = t @ IntMatrix.hstack(*m.action) - IntMatrix.hstack(*(a @ t for a in n.action))
+    # T·ρ_M(s) ≡ ρ_N(s)·T on G's generators gives it for every g, by induction on
+    # word length; one solve, as the solver treats each stacked column on its own.
+    gens = _generators(m.group) or (0,)
+    left = IntMatrix.hstack(*(m.action[s] for s in gens))
+    defects = t @ left - IntMatrix.hstack(*(n.action[s] @ t for s in gens))
     if solver.solve(defects) is None:
         raise ModuleError("map is not equivariant")
 

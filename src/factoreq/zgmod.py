@@ -5,8 +5,9 @@ matrix per group element (columns are images of basis vectors). The action
 need only satisfy the module axioms modulo the relation columns, and must map
 im(R) into itself. A ZGLattice is the case with no relations (R is n x 0), so
 its axioms hold exactly; an FpModule carries the torsion information the
-factor-equivalence lemma needs. Both share one constructor and one action
-check, `_Module`, and fixed points of both go through one routine,
+factor-equivalence lemma needs. Both share one constructor, `_Module`, and
+one action check on G's generators, `_checked_action`, which also completes an
+action given on a generating set; fixed points of both go through one routine,
 `fixed_sublattice`. Both answer `lattice_quotient()` (a lattice is its own
 M/tors), and `_fixed_quotient` gives M^H/tors inside M/tors with |M^H_tors|,
 so no caller outside this module asks which kind of module it holds. Every
@@ -57,32 +58,45 @@ class _Module:
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "_cache", {})
         if check:
-            self._check_action()
+            _checked_action(group, dict(enumerate(action)), _generators(group), relations)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _check_action(self):
-        """ρ(1) = I, ρ(g)·im R ⊆ im R and ρ(g)ρ(h) = ρ(gh), each modulo im R.
 
-        Without relation columns the solver hits only zero, so each test is
-        exact equality.
-        """
-        group, action, rel = self.group, self.action, self.relations
-        solver = _solver(rel)
+def _checked_action(group, known, gens, rel):
+    """The full action tuple from `known` (element -> matrix, `gens` included), modulo im(R).
 
-        def differ(a, b):
-            # Equal matrices need no solve.
-            return a != b and solver.solve(a - b) is None
+    Checks ρ(1) ≡ I, ρ(s)·R ⊆ im R and ρ(a)ρ(s) ≡ ρ(as) for every a in G and
+    s in `gens`; by induction on word length these give ρ(g)·im R ⊆ im R and
+    ρ(a)ρ(b) ≡ ρ(ab) for all g, a and b. A missing element gets the first
+    product that reaches it, breadth first from 1. With R = n x 0 every test
+    is exact equality.
+    """
+    known, eye, solver = dict(known), IntMatrix.identity(rel.rows), _solver(rel)
 
-        if differ(action[0], IntMatrix.identity(rel.rows)):
-            raise ModuleError("identity must act trivially modulo relations")
-        for g in range(group.order):
-            if solver.solve(action[g] @ rel) is None:
-                raise ModuleError("action does not preserve the relation span")
-            for h in range(group.order):
-                if differ(action[g] @ action[h], action[group.table[g][h]]):
-                    raise ModuleError("action matrices are not a homomorphism modulo relations")
+    def differ(a, b):
+        # Equal matrices need no solve.
+        return a != b and solver.solve(a - b) is None
+
+    if differ(known.setdefault(0, eye), eye):
+        raise ModuleError("identity must act trivially modulo relations")
+    if gens and solver.solve(IntMatrix.hstack(*(known[s] @ rel for s in gens))) is None:
+        raise ModuleError("action does not preserve the relation span")
+    queue, seen = [0], {0}
+    for a in queue:
+        for s in gens:
+            b, product = group.table[a][s], known[a] @ known[s]
+            if b not in known:
+                known[b] = product
+            elif differ(product, known[b]):
+                raise ModuleError("action matrices are not a homomorphism modulo relations")
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+    if len(queue) != group.order:
+        raise ModuleError("action entries do not generate the whole group")
+    return tuple(known[g] for g in range(group.order))
 
 
 class ZGLattice(_Module):
@@ -298,6 +312,11 @@ def _generating_set(group, elems):
     if span != elems:
         raise GroupError("element set is not a subgroup")
     return tuple(gens), parent
+
+
+def _generators(group):
+    """Greedy generators of the whole group, cached by `_generating_set`."""
+    return _generating_set(group, tuple(range(group.order)))[0]
 
 
 def fixed_sublattice(module, h):

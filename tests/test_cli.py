@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from factoreq import (
     brauer_relation_basis,
     corpus_group,
     factor_equivalent,
+    fp_fixed_data,
     invariant_factors,
 )
 from factoreq.cli import main
@@ -547,3 +549,52 @@ def test_cli_rank_zero_module(v4_file, tmp_path, capsys):
     module = _write(tmp_path, "z.json", {"rank": 0, "action": {"1": [], "2": []}})
     assert main(["--format", "json", "regconst", v4_file, "--module", module]) == 0
     assert json.loads(capsys.readouterr().out)["constants"] == [{"num": "1", "den": "1"}]
+
+
+# --- CLI: bad input bytes and sizes -----------------------------------------------
+
+BAD_BYTES = {
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting.
+    "deep nesting": b"[" * 100_000 + b"]" * 100_000,
+    # Python refuses to convert integer literals of more than 4,300 digits.
+    "long integer": b'{"rank": ' + b"9" * 5_001 + b', "action": {"1": [[1]]}}',
+    "not UTF-8": b'{"rank": 1, "action": {"1": [[1]]}}\xff',
+}
+
+
+@pytest.mark.parametrize("source", ("file", "stdin"))
+@pytest.mark.parametrize("kind", BAD_BYTES)
+def test_cli_bad_input_bytes_exit_2(kind, source, tmp_path, monkeypatch, capsys):
+    data = BAD_BYTES[kind]
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    argv = ["regconst", "C2", "--module", str(path) if source == "file" else "-"]
+    assert _run_one_line_error(capsys, argv, 2).startswith("error: ")
+
+
+@pytest.mark.parametrize("gens", (2**62, 2**70))
+def test_cli_huge_gens_exit_2_before_allocating(gens, tmp_path, capsys):
+    """The action's shapes are read first, so a huge `gens` allocates nothing."""
+    pres = {"gens": gens, "relations": [], "action": {"1": [[1]]}}
+    module = _write(tmp_path, "m.json", {"presentation": pres})
+    tracemalloc.start()
+    try:
+        err = _run_one_line_error(capsys, ["regconst", "C2", "--module", module], 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err == "error: action matrix for element 1 has wrong shape\n"
+    assert peak < 2**20
+
+
+def test_cli_loads_an_action_that_holds_modulo_the_relations(tmp_path, capsys):
+    """Over C2, Z/2 with the generator acting by 3 ≡ 1: a module, though 3·3 ≠ 1."""
+    doc = {"presentation": {"gens": 1, "relations": [[2]], "action": {"1": [[3]]}}}
+    module = _write(tmp_path, "m.json", doc)
+    assert main(["--format", "json", "regconst", "C2", "--module", module]) == 0
+    assert json.loads(capsys.readouterr().out) == {"constants": [], "relations": []}
+    m = module_from_json(corpus_group("C2"), doc)
+    assert m.action == (IntMatrix([[1]]), IntMatrix([[3]]))
+    assert fp_fixed_data(m, range(2)) == (0, 2)
