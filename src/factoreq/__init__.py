@@ -16,7 +16,6 @@ from .exactla import (
     integer_kernel,
     integer_solve,
     invariant_factors,
-    invert_unimodular,
     is_positive_definite,
     lattice_index,
     rank,
@@ -104,8 +103,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ExactLinAlgError", "ImageSolver", "IntMatrix", "column_lattice_basis",
     "determinant", "gram_determinant", "integer_kernel", "integer_solve",
-    "invariant_factors", "invert_unimodular", "is_positive_definite",
-    "lattice_index", "rank", "rational_solve",
+    "invariant_factors", "is_positive_definite", "lattice_index", "rank",
+    "rational_solve",
     "DoubleCoset", "FiniteGroup", "GroupError", "Subgroup", "SubgroupClass",
     "SubgroupClassTable", "all_subgroups",
     "double_cosets", "group_from_generators", "group_from_table", "left_cosets",

@@ -17,6 +17,7 @@ from .zgmod import ModuleError
 from .regfe import InternalError, PairingError, factor_equivalent, regulator_constant
 from .jsonio import (
     InputError,
+    _decimal,
     _fe_report_fields,
     burnside_from_json,
     canonical_dumps,
@@ -47,7 +48,8 @@ def _load_group(source, bound):
 
 def _rat_text(x):
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = _decimal(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
 
 
 # --- command implementations -----------------------------------------------
@@ -125,7 +127,7 @@ def cmd_factor_equiv(args):
     group = _load_group(args.group, args.bound)
     m = module_from_json(group, load_json(_read_source(args.module_a)))
     n = module_from_json(group, load_json(_read_source(args.module_b)))
-    fe = factor_equivalent(m, n, seed=args.seed, retry_budget=args.retry_budget)
+    fe = factor_equivalent(m, n, seed=args.seed)
     report = _fe_report_fields(fe)
     lines = [f"factor equivalent: {'yes' if fe.verdict else 'no'}"]
     for i, d in enumerate(fe.defects):
@@ -172,7 +174,6 @@ def build_parser():
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--bound", type=int, default=64, help="group size bound")
-    parser.add_argument("--retry-budget", type=int, default=64)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--output", default=None, help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -226,8 +227,8 @@ def main(argv=None):
     try:
         if args.seed < 0:
             raise InputError("seed must be non-negative")
-        if args.bound <= 0 or args.retry_budget <= 0:
-            raise InputError("bounds must be positive")
+        if args.bound <= 0:
+            raise InputError("bound must be positive")
         report, lines = args.func(args)
         _emit(report, lines, args)
     except (InputError, GroupError) as exc:

@@ -1,8 +1,8 @@
 """Exact linear algebra over Z.
 
 Matrices hold arbitrary-precision Python ints and every elimination is
-integer-only: row Hermite form (kernels, lattice bases, ranks, solves,
-inverses and quotients, one loop for all; every finite index is read off its
+integer-only: row Hermite form (kernels, lattice bases, ranks, solves and
+quotients, one loop for all; every finite index is read off its
 pivots by `lattice_index`), Smith normal form (only for the kernel that is
 the Brauer relation basis, and the public `invariant_factors`) and Bareiss
 (determinants). Fractions appear only in results, such as a scaled Gram
@@ -435,16 +435,6 @@ def rational_solve(a, b):
         d *= pivot
     y = solver.solve(b * d)
     return None if y is None else [[Fraction(x, d) for x in row] for row in y.tolist()]
-
-
-def invert_unimodular(u):
-    """Inverse of a square matrix with determinant +-1, over Z."""
-    if u.rows != u.cols:
-        raise ExactLinAlgError("matrix is not square")
-    inv = integer_solve(u, IntMatrix.identity(u.rows))
-    if inv is None:
-        raise ExactLinAlgError("matrix is not unimodular")
-    return inv
 
 
 def _hnf_rows(rows, width):

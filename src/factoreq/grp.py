@@ -46,9 +46,9 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "table", "inverse", "element_classes",
-                 "class_of_element", "labels", "_cache")
+                 "class_of_element", "_cache")
 
-    def __init__(self, table, labels=None, check=True):
+    def __init__(self, table, check=True):
         table = tuple(tuple(_as_int(x) for x in row) for row in table)
         n = len(table)
         if n == 0:
@@ -71,9 +71,6 @@ class FiniteGroup:
         classes, class_of = _element_classes(table, inv)
         object.__setattr__(self, "element_classes", classes)
         object.__setattr__(self, "class_of_element", class_of)
-        if labels is not None:
-            labels = _checked_labels(labels, n)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -102,14 +99,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
-
-
-def _checked_labels(labels, n):
-    """`labels` as a tuple, if it is a list or tuple of exactly n strings."""
-    if not (isinstance(labels, (list, tuple)) and len(labels) == n
-            and all(isinstance(x, str) for x in labels)):
-        raise GroupError(f"labels must be a list of {n} strings")
-    return tuple(labels)
 
 
 def _generated(table, gens):
@@ -357,7 +346,7 @@ def group_from_generators(perms, bound=CLOSURE_BOUND):
     return FiniteGroup(table, check=False)
 
 
-def group_from_table(table, labels=None):
+def group_from_table(table):
     """Build a group from a raw Cayley table, renumbering so the identity is 0."""
     table = [list(_as_int(x) for x in row) for row in table]
     n = len(table)
@@ -377,10 +366,7 @@ def group_from_table(table, labels=None):
             [newpos[table[order[a]][order[b]]] for b in range(n)]
             for a in range(n)
         ]
-        if labels is not None:
-            labels = _checked_labels(labels, n)
-            labels = [labels[old] for old in order]
-    return FiniteGroup(table, labels=labels)
+    return FiniteGroup(table)
 
 
 class DoubleCoset(NamedTuple):

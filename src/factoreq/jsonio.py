@@ -8,10 +8,11 @@ are refused rather than truncated.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 from .exactla import IntMatrix
-from .grp import GroupError, _checked_labels, all_subgroups, group_from_generators, group_from_table
+from .grp import GroupError, all_subgroups, group_from_generators, group_from_table
 from .burnside import BurnsideElement
 from .zgmod import FpModule, ModuleError, ZGLattice, _checked_action
 
@@ -21,9 +22,10 @@ class InputError(ValueError):
 
 
 def _json_int(x, what):
-    """`x` itself if it is a JSON integer; bool, float and str are refused."""
+    """`x` itself if it is a JSON integer; others are named in at most 40 characters."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise InputError(f"{what} must be an integer, got {json.dumps(x)}")
+        got = {list: "an array", dict: "an object"}.get(type(x)) or json.dumps(x)[:40]
+        raise InputError(f"{what} must be an integer, got {got}")
     return x
 
 
@@ -45,9 +47,22 @@ def _int_rows(obj, what):
     return [[_json_int(x, f"{what} entry") for x in row] for row in obj]
 
 
+def _decimal(n):
+    """str(n) at any length: the int-to-str digit limit guards parsing, not answers."""
+    try:
+        return str(n)
+    except ValueError:  # only a Python with the limit raises, so it has the setter
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def rational_to_json(x):
     x = Fraction(x)
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    return {"num": _decimal(x.numerator), "den": _decimal(x.denominator)}
 
 
 def load_json(text):
@@ -61,22 +76,18 @@ def load_json(text):
 def group_from_json(obj, bound=64):
     """Group of order at most `bound` from {"generators": [...]} or {"cayley_table": [...]}.
 
-    Optional "labels", one string per element, come only with a Cayley table.
+    Any other key is ignored.
     """
     if not isinstance(obj, dict):
         raise InputError("group input must be a JSON object")
     try:
         if "generators" in obj:
-            if "labels" in obj:
-                raise InputError("labels need a cayley_table, not generators")
             return group_from_generators(_int_rows(obj["generators"], "generators"), bound=bound)
         if "cayley_table" in obj:
             table = _int_rows(obj["cayley_table"], "cayley_table")
             if len(table) > bound:
                 raise InputError(f"group order {len(table)} exceeds bound {bound}")
-            # Checked here too, so that "labels": null is refused: None means no labels.
-            labels = _checked_labels(obj["labels"], len(table)) if "labels" in obj else None
-            return group_from_table(table, labels=labels)
+            return group_from_table(table)
     except InputError:
         raise
     except GroupError as exc:

@@ -274,7 +274,7 @@ class FactorEquivalenceReport(NamedTuple):
     seed: int
 
 
-def factor_equivalent(m, n, seed=0, retry_budget=64):
+def factor_equivalent(m, n, seed=0):
     """Decide factor equivalence of two lattices by both available routes.
 
     Definitional route: a random equivariant embedding's index function must
@@ -283,7 +283,7 @@ def factor_equivalent(m, n, seed=0, retry_budget=64):
     is raised as InternalError. The embedding search refuses FpModules and
     pairs that are not rationally isomorphic.
     """
-    t = find_equivariant_embedding(m, n, seed=seed, retry_budget=retry_budget)
+    t = find_equivariant_embedding(m, n, seed=seed)
     basis = brauer_relation_basis(m.group)
     f = index_function(m, n, t)
     verdict, defects = is_factorisable(f, basis)

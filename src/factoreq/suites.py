@@ -541,7 +541,8 @@ def _regulator_constant_tables():
 def run_suites(suite, seed=0):
     """Run one suite (or 'all'); returns the full report structure.
 
-    `verdicts` and `regulator_constants` are seed-independent by construction;
+    `verdicts`, `regulator_constants` and `relations` (the basis per corpus
+    group that the tables use) are seed-independent by construction;
     everything else is deterministic given the seed.
     """
     if suite == "all":
@@ -562,5 +563,6 @@ def run_suites(suite, seed=0):
         "checks": checks,
         "verdicts": verdicts,
         "regulator_constants": _regulator_constant_tables(),
+        "relations": {n: brauer_relation_basis(corpus_group(n)).relations for n in corpus_names()},
         "summary": {"checks": len(checks), "passed": passed, "ok": passed == len(checks)},
     }

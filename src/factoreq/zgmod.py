@@ -22,12 +22,12 @@ from itertools import islice
 from operator import index
 
 from .exactla import (
+    ExactLinAlgError,
     IntMatrix,
     column_lattice_basis,
     determinant,
     integer_kernel,
     integer_solve,
-    invert_unimodular,
     lattice_index,
     _preimage,
     _solver,
@@ -272,8 +272,9 @@ def direct_sum(*modules):
 
 def conjugated_lattice(m, u):
     """Same module in a new basis: g acts by U^-1 ρ(g) U (U unimodular)."""
-    uinv = invert_unimodular(u)
-    return ZGLattice(m.group, m.rank, (uinv @ a @ u for a in m.action), check=False)
+    if abs(determinant(u)) != 1:  # determinant refuses a non-square U itself
+        raise ExactLinAlgError("matrix is not unimodular")
+    return sublattice_action(m, u)
 
 
 def sublattice_action(m, basis):
@@ -390,12 +391,15 @@ def _averaged_maps(m, n, rng, bound):
         yield _averaged_map(m, n, IntMatrix._trusted(rows, r))
 
 
-def find_equivariant_embedding(m, n, seed=0, retry_budget=64):
+_RETRIES = 64
+
+
+def find_equivariant_embedding(m, n, seed=0):
     """Random injective equivariant map T: M -> N with finite cokernel.
 
-    Averages a random small integer matrix over the group action, retries on
-    rank collapse, and normalizes the result to a primitive matrix with
-    positive leading entry so output depends only on the seed.
+    Averages a random small integer matrix over the group action, redraws on
+    rank collapse (`_RETRIES` draws in all), and normalizes the result to a
+    primitive matrix with positive leading entry so output depends on the seed.
     """
     if isinstance(m, FpModule) or isinstance(n, FpModule):
         raise ModuleError("embedding search requires Z-free lattices")
@@ -404,20 +408,14 @@ def find_equivariant_embedding(m, n, seed=0, retry_budget=64):
     r = m.rank
     if r == 0:
         return IntMatrix.zeros(0, 0)
-    for t in islice(_averaged_maps(m, n, random.Random(seed), 3), retry_budget):
+    for t in islice(_averaged_maps(m, n, random.Random(seed), 3), _RETRIES):
         if determinant(t) == 0:
             continue
-        g = 0
-        for row in range(r):
-            for col in range(r):
-                g = math.gcd(g, t[row, col])
-        if g > 1:
-            t = IntMatrix((tuple(x // g for x in rowv) for rowv in (t.row(i) for i in range(r))), cols=r)
-        lead = next(x for rowv in (t.row(i) for i in range(r)) for x in rowv if x)
-        if lead < 0:
-            t = -t
-        return t
-    raise ModuleError("equivariant embedding search exhausted retry budget")
+        entries = [x for row in t._data for x in row]
+        g = math.gcd(*entries)
+        unit = g if next(x for x in entries if x) > 0 else -g
+        return IntMatrix._trusted(tuple(tuple(x // unit for x in row) for row in t._data), r)
+    raise ModuleError(f"no injective equivariant map in {_RETRIES} draws")
 
 
 def fp_fixed_lattice(module, h):

@@ -9,7 +9,6 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
 import sympy
 
 from factoreq import (
@@ -21,7 +20,6 @@ from factoreq import (
     is_brauer_relation,
     regular_lattice,
     regulator_constants_table,
-    run_suites,
 )
 from factoreq.cli import main
 from factoreq.suites import _sunit_d_lists
@@ -34,11 +32,6 @@ KNOWN_RELATIONS = {
     "V4": (1, -1, -1, -1, 2),
     "S3": (1, -2, -1, 2),
 }
-
-
-@pytest.fixture(scope="module")
-def suite_report():
-    return run_suites("all", seed=0)
 
 
 def _emit(capfd, num, name, ok):

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from factoreq import (
     fp_fixed_data,
     invariant_factors,
 )
-from factoreq.cli import main
+from factoreq.cli import build_parser, main
 from factoreq.jsonio import (
     InputError,
     burnside_from_json,
@@ -80,7 +81,8 @@ def test_group_from_json_generators_and_table():
     table = [[0, 1], [1, 0]]
     g2 = group_from_json({"cayley_table": table})
     assert g2.order == 2
-    assert group_from_json({"cayley_table": table, "labels": ["e", "s"]}).labels == ("e", "s")
+    # A key group JSON does not read, such as "labels", is ignored.
+    assert group_from_json({"cayley_table": table, "labels": ["e", "s"]}).table == g2.table
     with pytest.raises(InputError):
         group_from_json({"generators": [[0, 0]]})
     with pytest.raises(InputError):
@@ -392,7 +394,13 @@ def test_cli_unknown_suite_exits_2():
 
 
 @pytest.mark.parametrize(
-    "argv", (["verify", "nosuch"], ["relations"], ["--seed", "x", "relations", "C2"])
+    "argv",
+    (
+        ["verify", "nosuch"],
+        ["relations"],
+        ["--seed", "x", "relations", "C2"],
+        ["--retry-budget", "0", "relations", "C2"],
+    ),
 )
 def test_cli_bad_flags_print_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -407,11 +415,16 @@ def test_cli_bad_flags_print_one_line(argv, capsys):
     (
         ["--seed", "-1", "relations", "C2"],
         ["--bound", "0", "relations", "C2"],
-        ["--retry-budget", "0", "relations", "C2"],
     ),
 )
 def test_cli_bad_config_prints_one_line(argv, capsys):
     assert _run_one_line_error(capsys, argv, 2).startswith("error: ")
+
+
+def test_cli_global_options_are_pinned():
+    """Every settable global value; a new one has to be added here and to README's synopsis."""
+    flags = {flag for action in build_parser()._actions for flag in action.option_strings}
+    assert flags == {"-h", "--help", "--seed", "--bound", "--format", "--output"}
 
 
 @pytest.mark.parametrize(
@@ -424,9 +437,13 @@ def test_cli_bad_config_prints_one_line(argv, capsys):
         {"cayley_table": [[0, 1], [1, 0]], "labels": None},
     ),
 )
-def test_cli_bad_labels_exit_2(group, tmp_path, capsys):
-    err = _run_one_line_error(capsys, ["group", _write(tmp_path, "g.json", group)], 2)
-    assert err.startswith("error: labels")
+def test_cli_ignores_a_labels_key(group, tmp_path, capsys):
+    """A "labels" key is read by nothing, so it is ignored like any other unknown key."""
+    plain = {k: v for k, v in group.items() if k != "labels"}
+    assert main(["group", _write(tmp_path, "plain.json", plain)]) == 0
+    want = capsys.readouterr().out
+    assert main(["group", _write(tmp_path, "g.json", group)]) == 0
+    assert capsys.readouterr() == (want, "")
 
 
 def test_cli_help_still_prints_usage(capsys):
@@ -543,6 +560,42 @@ def test_cli_index_keys_must_be_canonical(key, v4_file, trivial_module_file, tmp
     argv = ["regconst", v4_file, "--module", trivial_module_file, "--relation", rel]
     err = _run_one_line_error(capsys, argv, 2)
     assert err.startswith("error: bad subgroup class id")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    (
+        "[" + ",".join(["7"] * 100_000) + "]",  # an entry that is a list of 100,000 integers
+        "[" * 900 + "0" + "]" * 900,  # an entry nested 900 deep
+        json.dumps("x" * 100_000),  # a long string
+    ),
+    ids=("long list", "deep list", "long string"),
+)
+def test_cli_non_integer_entry_error_is_short(entry, tmp_path, capsys):
+    """The message names a container by its JSON type and cuts a scalar short."""
+    path = tmp_path / "m.json"
+    path.write_text('{"rank": 1, "action": {"1": [[' + entry + ']], "2": [[1]]}}')
+    err = _run_one_line_error(capsys, ["regconst", "V4", "--module", str(path)], 2)
+    assert "must be an integer, got " in err and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_cli_prints_an_exact_answer_over_4300_digits(fmt, trivial_module_file, tmp_path, capsys):
+    """C_Θ(Z) = 2^−100000 for Θ = 100,000·θ₀ over V4, written out in full."""
+    theta = {str(ci): n * 10**5 for ci, n in enumerate((1, -1, -1, -1, 2))}
+    rel = _write(tmp_path, "r.json", {"coeffs": theta})
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)  # absent before 3.10.7
+    before = limit()
+    argv = ["--format", fmt, "regconst", "V4", "--module", trivial_module_file, "--relation", rel]
+    assert main(argv) == 0
+    assert limit() == before  # lifted for the output only
+    out, err = capsys.readouterr()
+    den = str(Decimal(2**100_000))  # decimal digits by a route that has no digit limit
+    assert len(den) == 30_103 and err == ""
+    if fmt == "text":
+        assert out == f"regulator constants\n  theta_0: 1/{den}\n"
+    else:
+        assert json.loads(out)["constants"] == [{"num": "1", "den": den}]
 
 
 def test_cli_rank_zero_module(v4_file, tmp_path, capsys):

@@ -24,7 +24,6 @@ from factoreq import (
     integer_kernel,
     integer_solve,
     invariant_factors,
-    invert_unimodular,
     is_positive_definite,
     lattice_index,
     rank,
@@ -191,15 +190,6 @@ def test_image_solver_agrees_with_integer_solve():
         assert (got is None) == (direct is None)
         if got is not None:
             assert a @ got == bm
-
-
-def test_invert_unimodular():
-    u = IntMatrix([[1, 1], [1, 2]])
-    assert u @ invert_unimodular(u) == IntMatrix.identity(2)
-    with pytest.raises(ExactLinAlgError):
-        invert_unimodular(IntMatrix([[2, 0], [0, 1]]))
-    with pytest.raises(ExactLinAlgError):
-        invert_unimodular(IntMatrix([[1, 0]]))  # has a right inverse, but is not square
 
 
 # --- lattice indexes ----------------------------------------------------------

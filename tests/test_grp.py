@@ -83,10 +83,9 @@ def test_group_from_generators_respects_bound():
 
 def test_group_from_table_renumbers_identity():
     # C2 written with the identity in slot 1
-    g = group_from_table([[1, 0], [0, 1]], labels=["x", "e"])
+    g = group_from_table([[1, 0], [0, 1]])
     assert g.order == 2
-    assert g.table[0] == (0, 1)
-    assert g.labels == ("e", "x")
+    assert g.table == ((0, 1), (1, 0))
 
 
 def test_group_from_table_rejects_junk():
@@ -94,20 +93,6 @@ def test_group_from_table_rejects_junk():
         group_from_table([[1, 0], [1, 0]])
     with pytest.raises(GroupError):
         group_from_table([[0, 1]])
-
-
-def test_labels_must_be_a_list_of_n_strings():
-    # Labels are kept as given, never coerced with str().
-    c2 = [[0, 1], [1, 0]]
-    with pytest.raises(GroupError, match="labels must be a list of 2 strings"):
-        FiniteGroup(c2, labels="es")
-    with pytest.raises(GroupError, match="labels must be a list of 2 strings"):
-        group_from_table(c2, labels=[1, None])
-    # The identity in slot 1 makes group_from_table reorder: a short list is
-    # refused before that, not met with an IndexError.
-    with pytest.raises(GroupError, match="labels must be a list of 2 strings"):
-        group_from_table([[1, 0], [0, 1]], labels=["x"])
-    assert FiniteGroup(c2, labels=("e", "s")).labels == ("e", "s")
 
 
 def test_table_validation_catches_non_associative():

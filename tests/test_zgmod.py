@@ -12,6 +12,7 @@ import pytest
 import sympy
 
 from factoreq import (
+    ExactLinAlgError,
     FpModule,
     GroupError,
     IntMatrix,
@@ -35,7 +36,6 @@ from factoreq import (
     induced_lattice,
     integer_solve,
     invariant_factors,
-    invert_unimodular,
     left_cosets,
     permutation_lattice,
     random_invariant_pairing,
@@ -47,7 +47,7 @@ from factoreq import (
     zero_lattice,
 )
 from factoreq.exactla import _snf_engine
-from factoreq.suites import _random_module, _torsion_twist
+from factoreq.suites import _random_module, _random_unimodular, _torsion_twist
 from factoreq.grp import _generated
 from factoreq.zgmod import _Module, _averaged_gram, _averaged_map, _fixed_gram, _fixed_quotient, _generating_set
 
@@ -346,6 +346,31 @@ def test_conjugated_lattice_preserves_character():
     m = regular_lattice(v4)
     u = IntMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
     assert character(conjugated_lattice(m, u)) == character(m)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_conjugated_lattice_is_u_inverse_rho_u(name):
+    """g acts on the new basis by U⁻¹·ρ(g)·U, with the inverse taken by sympy."""
+    group = corpus_group(name)
+    rng = random.Random(name)
+    modules = [regular_lattice(group)] + [_random_module(group, rng) for _ in range(4)]
+    for m in modules:
+        for u in (_unitriangular(m.rank), _random_unimodular(m.rank, rng)):
+            uinv = sympy.Matrix(u.tolist()).inv()
+            got = conjugated_lattice(m, u)
+            assert got.rank == m.rank
+            for g in range(group.order):
+                want = uinv * sympy.Matrix(m.action[g].tolist()) * sympy.Matrix(u.tolist())
+                assert got.action[g].tolist() == want.tolist()
+
+
+def test_conjugated_lattice_refuses_a_matrix_that_is_not_unimodular():
+    m = regular_lattice(corpus_group("C2"))
+    for u in (IntMatrix([[2, 0], [0, 1]]), IntMatrix([[1, 1], [1, 1]])):
+        with pytest.raises(ExactLinAlgError, match="not unimodular"):
+            conjugated_lattice(m, u)
+    with pytest.raises(ExactLinAlgError, match="non-square"):
+        conjugated_lattice(m, IntMatrix([[1, 0]]))  # has a right inverse, but is not square
 
 
 def test_zero_lattice():
@@ -790,7 +815,7 @@ def _fp_modules_with_relations(group, table, name):
     both = direct_sum(twist, _torsion_twist(trivial_lattice(group), 5, rng))
     # New generators x' = U x: relations U·R, action U ρ(g) U⁻¹.
     u = _unitriangular(both.gens)
-    uinv = invert_unimodular(u)
+    uinv = integer_solve(u, IntMatrix.identity(u.rows))
     mixed = FpModule(group, both.gens, u @ both.relations, [u @ a @ uinv for a in both.action])
     return [_z5_plus_trivial(group), twist, both, mixed]
 
