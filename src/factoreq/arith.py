@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exactla import IntMatrix, integer_solve, lattice_index
-from .grp import Subgroup, all_subgroups
+from .grp import _subgroup, all_subgroups
 from .burnside import PermAction, coset_action
 from .regfe import InvariantPairing, regulator_constant, regulator_constants_table
 from .zgmod import (
@@ -42,15 +42,6 @@ class PlaceModel(NamedTuple):
     @property
     def size(self):
         return self.action.size
-
-
-def _subgroup(group, h):
-    """`h` as a Subgroup of `group`; a Subgroup of another group is refused."""
-    if not isinstance(h, Subgroup):
-        return Subgroup(group, h)
-    if h.group is not group:
-        raise ArithmeticModelError("subgroup belongs to a different group")
-    return h
 
 
 def place_model(group, d_list):

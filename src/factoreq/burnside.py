@@ -4,13 +4,13 @@ K(G), the lattice of Brauer relations, is computed as the integer kernel of
 the fixed-point matrix: a virtual permutation representation vanishes exactly
 when all its fixed-point counts cancel, so no character theory is needed.
 The fixed-point matrix, the relation basis and each coset table are memoized
-on the group (`grp._memo`); `coset_action` checks ownership before its lookup.
+on the group (`grp._memo`); `coset_action` checks its subgroup before its lookup.
 """
 
 from operator import index as _as_int
 
 from .exactla import IntMatrix, _snf_engine, integer_kernel, lattice_index
-from .grp import GroupError, Subgroup, _memo, all_subgroups, left_cosets
+from .grp import GroupError, _memo, _subgroup, all_subgroups, left_cosets
 
 
 class RelationError(ValueError):
@@ -45,16 +45,12 @@ class PermAction:
         return sum(1 for x in range(self.size) if img[x] == x)
 
     def orbits(self, elements=None):
-        """Orbits under the listed group elements (default: all of G).
+        """Orbits under a subgroup of G or the element set of one (default: all of G).
 
         Returned as sorted tuples, ordered by least point.
         """
-        if elements is None:
-            elements = range(self.group.order)
-        elif isinstance(elements, Subgroup):
-            if elements.group is not self.group:
-                raise GroupError("subgroup belongs to a different group")
-            elements = elements.elements
+        group = self.group
+        elements = range(group.order) if elements is None else _subgroup(group, elements)
         gens = [self.images[g] for g in elements]
         seen = [False] * self.size
         out = []
@@ -89,14 +85,12 @@ class PermAction:
 def coset_action(group, subgroup):
     """Left-multiplication action of G on the cosets G/H, ordered by least element; cached."""
     # Checked before the lookup: a foreign subgroup may have the same element tuple.
-    if subgroup.group is not group:
-        raise GroupError("subgroup belongs to a different group")
-    return _coset_action(group, subgroup.elements)
+    return _coset_action(group, _subgroup(group, subgroup).elements)
 
 
 @_memo("coset_action")
 def _coset_action(group, elems):
-    cosets = left_cosets(group, Subgroup(group, elems))
+    cosets = left_cosets(group, elems)
     coset_of = [0] * group.order
     for i, coset in enumerate(cosets):
         for x in coset:

@@ -169,9 +169,9 @@ class Subgroup:
         eset = frozenset(elements)
         if 0 not in eset:
             raise GroupError("subgroup does not contain the identity")
+        if elements[0] < 0 or elements[-1] >= group.order:  # before any table lookup
+            raise GroupError("subgroup element out of range")
         for a in elements:
-            if not 0 <= a < group.order:
-                raise GroupError("subgroup element out of range")
             for b in elements:
                 if group.table[a][b] not in eset:
                     raise GroupError("element set is not closed under multiplication")
@@ -377,10 +377,18 @@ class DoubleCoset(NamedTuple):
     stabilizer_order: int  # |H ∩ gKg^-1| for the representative g
 
 
+def _subgroup(group, h):
+    """The one subgroup check: `h` itself, `Subgroup(group, h)` for an element set, or GroupError."""
+    if not isinstance(h, Subgroup):
+        return Subgroup(group, h)
+    if h.group is not group:
+        raise GroupError("subgroup belongs to a different group")
+    return h
+
+
 def left_cosets(group, subgroup):
     """Left cosets gH as sorted tuples, ordered by least element."""
-    if subgroup.group is not group:
-        raise GroupError("subgroup belongs to a different group")
+    subgroup = _subgroup(group, subgroup)
     seen = [False] * group.order
     cosets = []
     for g in range(group.order):
@@ -395,8 +403,7 @@ def left_cosets(group, subgroup):
 
 def double_cosets(group, h, k):
     """H-orbits on G/K with sizes and stabilizer-intersection orders."""
-    if h.group is not group:
-        raise GroupError("subgroup belongs to a different group")
+    h, k = _subgroup(group, h), _subgroup(group, k)
     # Its own coset lookup, so bench/oracle.py has a route that bypasses coset_action.
     cosets = left_cosets(group, k)
     coset_of = [0] * group.order

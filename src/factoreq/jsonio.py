@@ -33,10 +33,13 @@ def _index_key(key, what):
     """An object key naming an index, in canonical decimal form only.
 
     " 1", "01", "1_0" and non-ASCII digits would otherwise parse, and two keys
-    could then name one index with the later silently winning.
+    could then name one index with the later silently winning. No index has
+    40 digits, so a longer key is out of range before `int`'s digit limit.
     """
-    if not (key.isascii() and key.isdigit()) or str(int(key)) != key:
-        raise InputError(f"bad {what} {key!r}")
+    if not (key.isascii() and key.isdigit()) or key != "0" and key.startswith("0"):
+        raise InputError(f"bad {what} {key[:40]!r}")
+    if len(key) > 40:
+        raise InputError(f"{what} {key[:40]}... out of range")
     return int(key)
 
 

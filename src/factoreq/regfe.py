@@ -122,9 +122,11 @@ def regulator_constant(theta, module, pairing=None):
 def regulator_constants_table(basis, module, pairing=None):
     """Componentwise regulator constants for a whole relation basis.
 
-    An empty basis (K(G) = 0, as for cyclic G) gives () once the pairing is
-    checked, with no class determinants computed.
+    An empty basis (K(G) = 0, as for cyclic G) gives () once the groups and
+    the pairing are checked, with no class determinants computed.
     """
+    if basis.group is not module.group:
+        raise RelationError("relation and module live over different groups")
     if not basis:
         _check_pairing(module, pairing)
         return ()

@@ -32,7 +32,7 @@ from .exactla import (
     _preimage,
     _solver,
 )
-from .grp import GroupError, Subgroup, _generated, _memo
+from .grp import _generated, _memo, _subgroup
 from .burnside import PermAction, _coset_action, coset_action, regular_action
 
 
@@ -201,16 +201,15 @@ def regular_lattice(group):
 def induced_lattice(group, d, kernel=None):
     """Ind_D^G of the ±1 character of D that is +1 exactly on `kernel`.
 
-    `kernel` (None means D) has index 1 or 2 in D. Index 1 gives Z[G/D], the
+    `d` and `kernel` (None means D) are Subgroups of G or element sets of
+    them, and `kernel` has index 1 or 2 in D. Index 1 gives Z[G/D], the
     cached permutation lattice. Index 2 gives signed permutation matrices:
     row j of ρ(g) is ±e_i, where g·(coset i) = coset j, with + iff
     reps[j]⁻¹·g·reps[i] ∈ kernel. They are built once per group and pair;
     ρ(g) is orthogonal, so the averaged gram is |G|·I.
     """
-    kernel = d if kernel is None else kernel
-    for name, sub in (("d", d), ("kernel", kernel)):
-        if not isinstance(sub, Subgroup) or sub.group is not group:
-            raise ModuleError(f"{name} must be a subgroup of the group")
+    d = _subgroup(group, d)
+    kernel = d if kernel is None else _subgroup(group, kernel)
     if not set(kernel) <= set(d):
         raise ModuleError("kernel must lie in d")
     if kernel.order == d.order:
@@ -300,18 +299,14 @@ def _generating_set(group, elems):
 
     Each generator leaves the span so far, so there are at most log2 |H|; the
     parent is the sorted span before the last one (None for the trivial
-    subgroup). Cached per group and element tuple, once the span of the
-    generators is checked to be `elems` itself.
+    subgroup). `elems` is the element tuple of a checked Subgroup; cached per
+    group and element tuple.
     """
-    if not all(0 <= g < group.order for g in elems):
-        raise GroupError("subgroup element out of range")
     gens, span, parent = [], (0,), None
     for g in elems:
         if g not in span:
             gens.append(g)
             parent, span = span, _generated(group.table, tuple(gens))
-    if span != elems:
-        raise GroupError("element set is not a subgroup")
     return tuple(gens), parent
 
 
@@ -331,10 +326,9 @@ def fixed_sublattice(module, h):
     and is a homomorphism modulo im(R). That is one preimage step: L_H = L_K·C
     for C = `_preimage((ρ(s_k) − I)·L_K, R)`, and `_fixed_chain` caches
     (L_H, K, C) for each L_K on the way. `h` is a Subgroup of the module's
-    group or the element set of one; any other Subgroup raises ModuleError,
-    any other set GroupError.
+    group or the element set of one, else `grp._subgroup` raises GroupError.
     """
-    return _fixed_chain(module, _elements(module, h))[0]
+    return _fixed_chain(module, _subgroup(module.group, h).elements)[0]
 
 
 @_memo("fixed")
@@ -344,18 +338,9 @@ def _fixed_chain(module, elems):
     if not gens:
         return IntMatrix.identity(module.relations.rows), None, None
     # The greedy generating set of K is gens[:-1], so the chain reuses entries.
-    lk = fixed_sublattice(module, parent)
+    lk = _fixed_chain(module, parent)[0]
     c = _preimage(module.action[gens[-1]] @ lk - lk, module.relations)
     return lk @ c, parent, c
-
-
-def _elements(module, h):
-    """Sorted element tuple of `h`, a Subgroup of the module's group or an element set."""
-    if not isinstance(h, Subgroup):
-        return tuple(sorted(set(h)))
-    if h.group is not module.group:
-        raise ModuleError("h must be a subgroup of the module's group")
-    return h.elements
 
 
 def character(m):
@@ -434,7 +419,7 @@ def _fixed_quotient(module, elems):
     kernel is the saturation of im(R)), M^H/tors is spanned by proj·L_H, and
     the torsion of M^H is (L_H ∩ ker proj) / im(R), one lattice index.
     """
-    basis = fixed_sublattice(module, elems)
+    basis = _fixed_chain(module, elems)[0]
     if not module.relations.cols:
         return basis, 1
     image = module.lattice_quotient()[1] @ basis
@@ -444,7 +429,7 @@ def _fixed_quotient(module, elems):
 
 def _fixed_gram(module, gram, h):
     """Gram matrix under `gram` of `_fixed_quotient(module, h)[0]`: Bᵀ·gram·B, or down the chain."""
-    elems = _elements(module, h)
+    elems = _subgroup(module.group, h).elements
     if not module.relations.cols:
         return _chain_gram(module, gram, elems)
     basis = _fixed_quotient(module, elems)[0]
@@ -460,5 +445,5 @@ def _chain_gram(lattice, gram, elems):
 
 def fp_fixed_data(module, h):
     """(free rank, torsion cardinality) of M^H, read off `_fixed_quotient`."""
-    basis, torsion = _fixed_quotient(module, _elements(module, h))
+    basis, torsion = _fixed_quotient(module, _subgroup(module.group, h).elements)
     return basis.cols, torsion

@@ -562,6 +562,29 @@ def test_cli_index_keys_must_be_canonical(key, v4_file, trivial_module_file, tmp
     assert err.startswith("error: bad subgroup class id")
 
 
+@pytest.mark.parametrize("digits", (41, 5_001))
+def test_cli_a_long_index_key_is_out_of_range(digits, v4_file, trivial_module_file, tmp_path, capsys):
+    """Past 40 digits a key is refused before `int`, whose 4,300-digit limit would raise."""
+    key, cut = "9" * digits, "9" * 40
+    rel = _write(tmp_path, "r.json", {"coeffs": {key: 1}})
+    argv = ["regconst", v4_file, "--module", trivial_module_file, "--relation", rel]
+    assert _run_one_line_error(capsys, argv, 2) == f"error: subgroup class id {cut}... out of range\n"
+    module = _write(tmp_path, "m.json", {"rank": 1, "action": {key: [[1]], "1": [[1]], "2": [[1]]}})
+    err = _run_one_line_error(capsys, ["regconst", v4_file, "--module", module], 2)
+    assert err == f"error: element index {cut}... out of range\n"
+
+
+def test_cli_bad_index_key_error_is_short(v4_file, trivial_module_file, tmp_path, capsys):
+    """A refused key is echoed cut to 40 characters, as `_json_int` cuts a scalar."""
+    key = " " + "1" * 100_000
+    module = _write(tmp_path, "m.json", {"rank": 1, "action": {key: [[1]], "1": [[1]], "2": [[1]]}})
+    err = _run_one_line_error(capsys, ["regconst", v4_file, "--module", module], 2)
+    assert err == f"error: bad element index {key[:40]!r}\n"
+    rel = _write(tmp_path, "r.json", {"coeffs": {"0": 1, key: 0}})
+    argv = ["regconst", v4_file, "--module", trivial_module_file, "--relation", rel]
+    assert _run_one_line_error(capsys, argv, 2) == f"error: bad subgroup class id {key[:40]!r}\n"
+
+
 @pytest.mark.parametrize(
     "entry",
     (

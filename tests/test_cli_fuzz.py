@@ -1,13 +1,15 @@
-"""A seeded fuzz slice of the CLI's exit-code contract for module input.
+"""Seeded fuzz slices of the CLI's exit-code contract for module and relation input.
 
-Starts from README's lattice and presentation documents and replaces one or
-two subtrees (or object keys) with values from a fixed pool: wrong types,
-negative numbers, 0, integers of 10^30, floats, booleans, strings, and empty
-and nested containers. `regconst` and `factor-equiv` then read the result
-in-process. Each call must exit 0, 2 or 3; a non-zero exit prints exactly one
-stderr line, and nothing escapes as an exception. Every pool value is small,
-so no case allocates more than a few MB: a huge `rank` or `gens` meets the
-action's matrix shapes first.
+Starts from README's lattice, presentation and relation documents and
+replaces one or two subtrees (or object keys) with values from a fixed pool:
+wrong types, negative numbers, 0, integers of 10^30, floats, booleans,
+strings, and empty and nested containers; relation keys include one of 5,001
+digits, past Python's int-string limit. `regconst` and `factor-equiv` then
+read the result in-process. Each call must exit 0, 2 or 3; a non-zero exit
+prints exactly one stderr line, and nothing escapes as an exception. Every
+pool value is small, so no case allocates more than a few MB: a huge `rank`
+or `gens` meets the action's matrix shapes first, and a coefficient of 10^30
+breaks the relation, as K(V4) has rank 1 and full support.
 """
 
 import copy
@@ -34,6 +36,9 @@ POOL = (
 )
 KEYS = ("0", "1", "3", "4", "01", " 1", "-1", "rank", "gens", "action", "relations", "presentation")
 CASES = 800
+RELATION = {"coeffs": {"0": 1, "1": -1, "2": -1, "3": -1, "4": 2}}
+RELATION_KEYS = ("0", "4", "5", "01", " 1", "-1", "coeffs", "9" * 5_001)
+RELATION_CASES = 500
 
 
 def _paths(obj, path=()):
@@ -44,8 +49,8 @@ def _paths(obj, path=()):
         yield from _paths(value, path + (key,))
 
 
-def _mutated(doc, rng):
-    """`doc` with one or two subtrees replaced, keys renamed or entries dropped."""
+def _mutated(doc, rng, keys=KEYS):
+    """`doc` with one or two subtrees replaced, keys renamed (to one of `keys`) or entries dropped."""
     doc = copy.deepcopy(doc)
     for _ in range(rng.randint(1, 2)):
         path = rng.choice(list(_paths(doc)))
@@ -56,7 +61,7 @@ def _mutated(doc, rng):
             parent = parent[key]
         key, how = path[-1], rng.randrange(4)
         if how == 0 and isinstance(parent, dict):
-            parent[rng.choice(KEYS)] = parent.pop(key)
+            parent[rng.choice(keys)] = parent.pop(key)
         elif how == 1:
             del parent[key]
         else:
@@ -89,3 +94,13 @@ def test_module_input_fuzz_slice(tmp_path, monkeypatch, capsys):
             argv = ["factor-equiv", "V4", "--module-a", "-", "--module-b", str(other)]
         codes.add(_run(argv, text, monkeypatch, capsys))
     assert codes == {0, 2, 3}
+
+
+def test_relation_input_fuzz_slice(tmp_path, monkeypatch, capsys):
+    rng = random.Random(20122)
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps(LATTICE))
+    argv = ["regconst", "V4", "--module", str(module), "--relation", "-"]
+    texts = [json.dumps(_mutated(RELATION, rng, RELATION_KEYS)) for _ in range(RELATION_CASES)]
+    assert any(RELATION_KEYS[-1] in text for text in texts)
+    assert {_run(argv, text, monkeypatch, capsys) for text in texts} == {0, 2, 3}

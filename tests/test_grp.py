@@ -18,11 +18,23 @@ from factoreq import (
     brauer_relation_basis,
     corpus_group,
     corpus_names,
+    coset_action,
     double_cosets,
+    fixed_sublattice,
+    fp_fixed_data,
     group_from_generators,
     group_from_table,
+    induced_lattice,
+    kgroup_comparison_module,
     left_cosets,
+    place_model,
+    regular_action,
+    regular_lattice,
+    residue_degrees,
+    sunit_lattice,
+    verify_sunit_index,
 )
+from factoreq.zgmod import _averaged_gram, _fixed_gram
 
 CORPUS_ORDERS = {"C2": 2, "C4": 4, "C6": 6, "V4": 4, "S3": 6, "D4": 8, "Q8": 8}
 # class counts verified by the brute-force oracle below
@@ -222,6 +234,49 @@ def test_coset_entry_points_refuse_a_subgroup_of_another_group():
         with pytest.raises(GroupError, match="subgroup belongs to a different group"):
             call()
     assert left_cosets(s3, own) == [(0, 1, 3), (2, 4, 5)]
+
+
+def test_subgroup_elements_are_range_checked_before_any_table_lookup():
+    s3 = corpus_group("S3")
+    for elems in ((0, 6), (0, 1, 7), (-1, 0), (0, 5, 2**70)):
+        with pytest.raises(GroupError, match="subgroup element out of range"):
+            Subgroup(s3, elems)
+
+
+_S3, _C6 = corpus_group("S3"), corpus_group("C6")
+_OWN = Subgroup(_S3, (0, 2))
+_MODEL = place_model(_S3, [_OWN])
+SUBGROUP_ENTRY_POINTS = {
+    "left_cosets": lambda h: left_cosets(_S3, h),
+    "double_cosets.h": lambda h: double_cosets(_S3, h, _OWN),
+    "double_cosets.k": lambda h: double_cosets(_S3, _OWN, h),
+    "coset_action": lambda h: coset_action(_S3, h),
+    "PermAction.orbits": lambda h: regular_action(_S3).orbits(h),
+    "induced_lattice.d": lambda h: induced_lattice(_S3, h),
+    "induced_lattice.kernel": lambda h: induced_lattice(_S3, _OWN, h),
+    "fixed_sublattice": lambda h: fixed_sublattice(regular_lattice(_S3), h),
+    "fp_fixed_data": lambda h: fp_fixed_data(regular_lattice(_S3), h),
+    "_fixed_gram": lambda h: _fixed_gram(
+        regular_lattice(_S3), _averaged_gram(regular_lattice(_S3)), h
+    ),
+    "place_model": lambda h: place_model(_S3, [h]),
+    "residue_degrees": lambda h: residue_degrees(_MODEL, h),
+    "verify_sunit_index": lambda h: verify_sunit_index(sunit_lattice(_S3, _MODEL), h),
+    "kgroup_comparison_module": lambda h: kgroup_comparison_module(_S3, [h], 0, "odd").action,
+}
+
+
+@pytest.mark.parametrize("name", SUBGROUP_ENTRY_POINTS)
+def test_every_subgroup_argument_is_checked_by_one_rule(name):
+    """A Subgroup of G or its element set is taken; a foreign one is refused alike."""
+    call = SUBGROUP_ENTRY_POINTS[name]
+    with pytest.raises(GroupError, match="^subgroup belongs to a different group$"):
+        call(Subgroup(_C6, (0, 3)))
+    with pytest.raises(GroupError, match="^subgroup element out of range$"):
+        call((0, 6))
+    with pytest.raises(GroupError, match="^element set is not closed under multiplication$"):
+        call((0, 1))
+    assert call(_OWN) == call([2, 0])
 
 
 def test_double_cosets_v4():

@@ -55,6 +55,7 @@ from factoreq import (
     regulator_constants_table,
     sublattice_action,
     trivial_lattice,
+    verify_kgroup_triviality,
     verify_lemma,
     zero_lattice,
 )
@@ -207,6 +208,20 @@ def test_group_mismatch_is_rejected():
     theta = brauer_relation_basis(corpus_group("V4"))[0]
     with pytest.raises(RelationError):
         regulator_constant(theta, trivial_lattice(corpus_group("S3")))
+
+
+def test_constants_table_refuses_a_basis_of_another_group():
+    """Refused whether the basis has fewer classes (V4 on D4), more (D4 on S3) or is empty (C6)."""
+    d4, s3, v4 = corpus_group("D4"), corpus_group("S3"), corpus_group("V4")
+    for basis, module in (
+        (brauer_relation_basis(v4), regular_lattice(d4)),
+        (brauer_relation_basis(d4), trivial_lattice(s3)),
+        (brauer_relation_basis(corpus_group("C6")), regular_lattice(v4)),
+    ):
+        with pytest.raises(RelationError, match="relation and module live over different groups"):
+            regulator_constants_table(basis, module)
+        with pytest.raises(RelationError, match="relation and module live over different groups"):
+            verify_kgroup_triviality(module, basis)
 
 
 def test_constants_table():

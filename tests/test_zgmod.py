@@ -101,17 +101,17 @@ def test_sign_lattice_requires_index_two_kernel():
 def test_sign_lattice_refuses_a_subgroup_of_another_group():
     c4 = corpus_group("C4")
     v4 = corpus_group("V4")
-    with pytest.raises(ModuleError, match="kernel must be a subgroup of the group"):
+    with pytest.raises(GroupError, match="subgroup belongs to a different group"):
         induced_lattice(v4, v4.full_subgroup(), Subgroup(c4, (0, 2)))
     # Same elements, another group: refused before any cache lookup.
     induced_lattice(c4, c4.full_subgroup(), Subgroup(c4, (0, 2)))
-    with pytest.raises(ModuleError, match="kernel must be a subgroup of the group"):
+    with pytest.raises(GroupError, match="subgroup belongs to a different group"):
         induced_lattice(c4, c4.full_subgroup(), Subgroup(group_from_table(c4.table), (0, 2)))
 
 
 def test_induced_lattice_refuses_a_foreign_d():
     c4, v4 = corpus_group("C4"), corpus_group("V4")
-    with pytest.raises(ModuleError, match="d must be a subgroup of the group"):
+    with pytest.raises(GroupError, match="subgroup belongs to a different group"):
         induced_lattice(v4, Subgroup(c4, (0, 2)))
 
 
@@ -122,9 +122,13 @@ def test_induced_lattice_refuses_a_kernel_outside_d():
 
 
 def test_induced_lattice_refuses_a_kernel_that_is_no_subgroup():
+    # An element set of a subgroup is a kernel, as for d: (0,) is the trivial subgroup.
     v4 = corpus_group("V4")
-    with pytest.raises(ModuleError, match="kernel must be a subgroup of the group"):
-        induced_lattice(v4, Subgroup(v4, (0, 1)), (0,))
+    d = Subgroup(v4, (0, 1))
+    assert induced_lattice(v4, d, (0,)) is induced_lattice(v4, d, v4.trivial_subgroup())
+    for bad, message in (((1,), "identity"), ((0, 1, 2), "not closed"), ((0, 4), "out of range")):
+        with pytest.raises(GroupError, match=message):
+            induced_lattice(v4, d, bad)
 
 
 def test_induced_sign_character_v4():
@@ -425,12 +429,12 @@ def test_lattice_relations_have_no_columns():
 def test_fixed_points_refuse_a_subgroup_of_another_group():
     s3, c4 = corpus_group("S3"), corpus_group("C4")
     m = regular_lattice(s3)
-    with pytest.raises(ModuleError, match="subgroup of the module's group"):
+    with pytest.raises(GroupError, match="subgroup belongs to a different group"):
         fixed_sublattice(m, Subgroup(c4, (0, 2)))
-    with pytest.raises(ModuleError, match="subgroup of the module's group"):
+    with pytest.raises(GroupError, match="subgroup belongs to a different group"):
         fp_fixed_data(m, Subgroup(c4, (0, 2)))
     fp = _z5_plus_trivial(s3)
-    with pytest.raises(ModuleError, match="subgroup of the module's group"):
+    with pytest.raises(GroupError, match="subgroup belongs to a different group"):
         fp_fixed_data(fp, Subgroup(c4, (0, 2)))
 
 
