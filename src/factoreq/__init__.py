@@ -70,7 +70,6 @@ from .regfe import (
     InvariantPairing,
     LemmaCheck,
     PairingError,
-    SubgroupFunction,
     averaged_pairing,
     factor_equivalent,
     index_function,
@@ -117,7 +116,7 @@ __all__ = [
     "permutation_lattice", "rationally_isomorphic", "regular_lattice",
     "sublattice_action", "trivial_lattice", "zero_lattice",
     "FactorEquivalenceReport", "InternalError", "InvariantPairing", "LemmaCheck",
-    "PairingError", "SubgroupFunction", "averaged_pairing", "factor_equivalent",
+    "PairingError", "averaged_pairing", "factor_equivalent",
     "index_function", "is_factorisable", "pullback_pairing",
     "random_invariant_pairing", "regulator_constant",
     "regulator_constants_table", "verify_lemma",

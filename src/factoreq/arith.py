@@ -37,7 +37,6 @@ class PlaceModel(NamedTuple):
     group: object
     decomposition_groups: tuple
     action: PermAction
-    block_of_point: tuple  # which D_i each point of S came from
 
     @property
     def size(self):
@@ -48,25 +47,16 @@ def place_model(group, d_list):
     """Disjoint union of the coset actions G/D_i."""
     if not d_list:
         raise ArithmeticModelError("at least one decomposition group is required")
-    ds = [_subgroup(group, d) for d in d_list]
-    action = None
-    blocks = []
-    for i, d in enumerate(ds):
-        act = coset_action(group, d)
-        blocks.extend([i] * act.size)
-        action = act if action is None else action.disjoint_union(act)
-    return PlaceModel(
-        group=group,
-        decomposition_groups=tuple(ds),
-        action=action,
-        block_of_point=tuple(blocks),
-    )
+    ds = tuple(_subgroup(group, d) for d in d_list)
+    action = coset_action(group, ds[0])
+    for d in ds[1:]:
+        action = action.disjoint_union(coset_action(group, d))
+    return PlaceModel(group=group, decomposition_groups=ds, action=action)
 
 
 class ResidueData(NamedTuple):
-    orbit_representatives: tuple
     orbits: tuple
-    degrees: tuple  # f per orbit, |H ∩ Stab(representative)|
+    degrees: tuple  # f per orbit, |H ∩ Stab(q)| for q its least point
     n: int          # product of the degrees
     l: int          # lcm of the degrees
 
@@ -75,19 +65,17 @@ def residue_degrees(model, h):
     """Orbit/degree data of H acting on S, with the orbit-stabilizer identity asserted."""
     h = _subgroup(model.group, h)
     orbits = model.action.orbits(h)
-    reps, degs = [], []
+    degs = []
     for orbit in orbits:
         q = orbit[0]
         f = sum(1 for x in h.elements if model.action.images[x][q] == q)
         if f * len(orbit) != h.order:
             raise ArithmeticModelError("orbit-stabilizer identity failed on the place model")
-        reps.append(q)
         degs.append(f)
     n = 1
     for f in degs:
         n *= f
     return ResidueData(
-        orbit_representatives=tuple(reps),
         orbits=tuple(orbits),
         degrees=tuple(degs),
         n=n,
@@ -99,7 +87,6 @@ class SUnitLattice(NamedTuple):
     """The augmentation kernel I_S with its difference basis and restricted pairing."""
 
     model: PlaceModel
-    ambient: ZGLattice     # Z[S]
     lattice: ZGLattice     # I_S in the basis e_0 - e_i
     basis: IntMatrix       # |S| x (|S|-1), column i-1 = e_0 - e_i
     pairing: InvariantPairing  # orthonormal-on-Z[S] pairing restricted to I_S
@@ -111,7 +98,7 @@ class SUnitLattice(NamedTuple):
 
 def sunit_lattice(group, d_list):
     """I_S = ker(Z[S] -> Z) for S the disjoint union of G/D_i."""
-    model = d_list if isinstance(d_list, PlaceModel) else place_model(group, d_list)
+    model = place_model(group, d_list)
     ambient = permutation_lattice(group, model.action)
     s = model.size
     cols = []
@@ -124,9 +111,7 @@ def sunit_lattice(group, d_list):
     lattice = sublattice_action(ambient, basis)
     gram = basis.transpose() @ basis
     pairing = InvariantPairing(lattice, gram, check=False)
-    return SUnitLattice(
-        model=model, ambient=ambient, lattice=lattice, basis=basis, pairing=pairing
-    )
+    return SUnitLattice(model=model, lattice=lattice, basis=basis, pairing=pairing)
 
 
 def subfield_lattice_embedding(sunit, h):
@@ -136,7 +121,7 @@ def subfield_lattice_embedding(sunit, h):
     maps to f_1·(sum of O_1) - f_j·(sum of O_j), which has augmentation zero
     by the orbit-stabilizer identity.
     """
-    model = sunit.model if isinstance(sunit, SUnitLattice) else sunit
+    model = sunit.model
     rd = residue_degrees(model, h)
     s = model.size
     t = len(rd.orbits)

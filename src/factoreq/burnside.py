@@ -187,11 +187,10 @@ def fixed_point_matrix(group):
 class BrauerRelationBasis:
     """A Z-basis of K(G), each element verified and sign-normalized."""
 
-    __slots__ = ("group", "table", "relations")
+    __slots__ = ("group", "relations")
 
-    def __init__(self, group, table, relations):
+    def __init__(self, group, relations):
         self.group = group
-        self.table = table
         self.relations = tuple(relations)
         for theta in self.relations:
             if not is_brauer_relation(theta):
@@ -214,7 +213,6 @@ class BrauerRelationBasis:
 @_memo("brauer_basis")
 def brauer_relation_basis(group):
     """Basis of K(G) = integer kernel of the fixed-point matrix; cached per group."""
-    table = all_subgroups(group)
     # SNF, not HNF: this basis is the report until ROADMAP item 2 makes it canonical.
     d, v = _snf_engine(fixed_point_matrix(group))
     r = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
@@ -225,7 +223,7 @@ def brauer_relation_basis(group):
         if lead < 0:
             vec = [-x for x in vec]
         relations.append(BurnsideElement(group, vec))
-    return BrauerRelationBasis(group, table, relations)
+    return BrauerRelationBasis(group, relations)
 
 
 def is_brauer_relation(theta):
@@ -242,6 +240,6 @@ def relation_is_saturated(basis):
     """
     m = IntMatrix.from_columns(
         [theta.coeffs for theta in basis.relations],
-        rows=len(basis.table),
+        rows=len(all_subgroups(basis.group)),
     )
     return lattice_index(m, integer_kernel(integer_kernel(m.transpose()).transpose())) == 1

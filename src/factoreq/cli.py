@@ -135,7 +135,7 @@ def cmd_factor_equiv(args):
             f"  theta_{i}: defect {_rat_text(d)}, "
             f"C(M) = {_rat_text(fe.constants_m[i])}, C(N) = {_rat_text(fe.constants_n[i])}"
         )
-    lines.append(f"  index function: {[_rat_text(v) for v in fe.index_values.values]}")
+    lines.append(f"  index function: {[_rat_text(v) for v in fe.index_values]}")
     return report, lines
 
 

@@ -186,10 +186,6 @@ class Subgroup:
     def order(self):
         return len(self.elements)
 
-    @property
-    def index(self):
-        return self.group.order // len(self.elements)
-
     def __contains__(self, g):
         return g in self._set
 

@@ -202,7 +202,7 @@ def _fe_report_fields(report):
         "relations": report.relations.relations,
         "regulator_constants": {"M": report.constants_m, "N": report.constants_n},
         "defects": report.defects,
-        "index_values": report.index_values.values,
+        "index_values": report.index_values,
         "embedding": report.embedding,
         "seed": report.seed,
     }

@@ -66,9 +66,6 @@ class InvariantPairing:
     def __setattr__(self, name, value):
         raise AttributeError("InvariantPairing is immutable")
 
-    def compatible_with(self, lattice):
-        return self.module.rank == lattice.rank and self.module.action == lattice.action
-
 
 def averaged_pairing(module):
     """P = Σ_g ρ(g)ᵀ ρ(g) on M/tors, cached on it by zgmod; symmetric, PD and invariant."""
@@ -86,8 +83,8 @@ def random_invariant_pairing(module, rng):
 
 
 def _check_pairing(module, pairing):
-    """Refuse a pairing that does not live on M/tors."""
-    if pairing is not None and not pairing.compatible_with(module.lattice_quotient()[0]):
+    """Refuse a pairing that does not live on M/tors (equal n x n action matrices, so equal rank)."""
+    if pairing is not None and pairing.module.action != module.lattice_quotient()[0].action:
         raise PairingError("pairing does not live on this module's lattice")
 
 
@@ -134,48 +131,32 @@ def regulator_constants_table(basis, module, pairing=None):
     return tuple(_evaluate(theta, dets) for theta in basis)
 
 
+# Σ |n_H|·(bits of the numerator and denominator of values[H]) that `_evaluate`
+# multiplies out, a value of 1 costing nothing: README's 100,000·θ₀ on V4 needs 1.3M bits.
+_PRODUCT_BITS = 1 << 22
+
+
 def _evaluate(theta, values):
     """Π values[H] ** n_H over the support of Θ, one value per subgroup class.
 
     Numerators and denominators are multiplied as ints (swapped for n_H < 0)
-    and reduced once, in the one Fraction built at the end.
+    and reduced once, in the one Fraction built at the end. Once the terms so
+    far come to more than `_PRODUCT_BITS` bits, the product is refused before
+    the next power is taken; a value of 1 is skipped, whatever its n_H.
     """
     num = den = 1
+    bits = 0
     for idx, coeff in theta.support():
-        v = values[idx]
-        if coeff > 0:
-            num *= v.numerator ** coeff
-            den *= v.denominator ** coeff
-        else:
-            num *= v.denominator ** -coeff
-            den *= v.numerator ** -coeff
+        v, e = values[idx], abs(coeff)
+        if v == 1:
+            continue
+        top, bottom = (v.numerator, v.denominator) if coeff > 0 else (v.denominator, v.numerator)
+        bits += e * (top.bit_length() + bottom.bit_length())
+        if bits > _PRODUCT_BITS:
+            raise RelationError(f"coefficients too large: the product exceeds {_PRODUCT_BITS} bits")
+        num *= top ** e
+        den *= bottom ** e
     return Fraction(num, den)
-
-
-class SubgroupFunction:
-    """Positive rational function on subgroup conjugacy classes."""
-
-    __slots__ = ("table", "values")
-
-    def __init__(self, table, values):
-        if len(values) != len(table):
-            raise ValueError("one value per subgroup class required")
-        self.table = table
-        self.values = values
-
-    def __eq__(self, other):
-        if type(other) is not SubgroupFunction:
-            return NotImplemented
-        return (self.table, self.values) == (other.table, other.values)
-
-    def __hash__(self):
-        return hash((self.table, self.values))
-
-    def __getitem__(self, class_index):
-        return self.values[class_index]
-
-    def __len__(self):
-        return len(self.values)
 
 
 def _validate_equivariant(m, n, t, rel_m, rel_n):
@@ -196,12 +177,11 @@ def _validate_equivariant(m, n, t, rel_m, rel_n):
 
 
 def index_function(m, n, t):
-    """f(H) = [N^H : T(M^H)] / |ker(T restricted to M^H)| per subgroup class."""
+    """f(H) = [N^H : T(M^H)] / |ker(T on M^H)|: a tuple of Fractions in `all_subgroups` order."""
     rel_m, rel_n = m.relations, n.relations
     _validate_equivariant(m, n, t, rel_m, rel_n)
-    table = all_subgroups(m.group)
     values = []
-    for ci, cls in enumerate(table):
+    for ci, cls in enumerate(all_subgroups(m.group)):
         h = cls.representative
         lm = fixed_sublattice(m, h)
         tl = t @ lm
@@ -216,11 +196,13 @@ def index_function(m, n, t):
         except ExactLinAlgError as exc:
             raise ModuleError(f"infinite kernel at subgroup class {ci}") from exc
         values.append(Fraction(num, korder))
-    return SubgroupFunction(table, tuple(values))
+    return tuple(values)
 
 
 def is_factorisable(f, basis):
-    """Defect of f on each basis relation; factorisable iff all defects are 1."""
+    """Defect of f (one value per subgroup class) on each basis relation; all 1 iff factorisable."""
+    if len(f) != len(all_subgroups(basis.group)):
+        raise ValueError("one value per subgroup class required")
     defects = tuple(_evaluate(theta, f) for theta in basis)
     return all(d == 1 for d in defects), defects
 
@@ -249,11 +231,11 @@ def verify_lemma(m, n, t, theta, pairing=None):
     _check_pairing(n, pairing)
     f = index_function(m, n, t)
     factors = []
-    for ci, cls in enumerate(f.table):
+    for value, cls in zip(f, all_subgroups(m.group)):
         h = cls.representative
         _, tors_m = fp_fixed_data(m, h)
         _, tors_n = fp_fixed_data(n, h)
-        factors.append(f[ci] * Fraction(tors_m, tors_n))
+        factors.append(value * Fraction(tors_m, tors_n))
     pairing_n = pairing if pairing is not None else averaged_pairing(n)
     pairing_m = pullback_pairing(m, n, t, pairing_n)
     lhs = regulator_constant(theta, m, pairing_m)
@@ -269,7 +251,7 @@ class FactorEquivalenceReport(NamedTuple):
     verdict: bool
     relations: BrauerRelationBasis
     defects: tuple
-    index_values: SubgroupFunction
+    index_values: tuple
     embedding: IntMatrix
     constants_m: tuple
     constants_n: tuple

@@ -81,11 +81,11 @@ def _until_failure(trials):
     return True, runs
 
 
-def _random_unimodular(n, rng, steps=6):
+def _random_unimodular(n, rng):
     m = IntMatrix.identity(n)
     if n < 2:
         return m
-    for _ in range(steps):
+    for _ in range(6):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
@@ -123,8 +123,8 @@ def _random_module(group, rng, max_rank=12):
     return coset(rng.randrange(len(table)))
 
 
-def _random_equivariant_endo(m, rng, tries=8):
-    """Injective equivariant T: M -> M, found by averaging; never fails.
+def _random_equivariant_endo(m, rng):
+    """Injective equivariant T: M -> M, found by averaging (eight draws); never fails.
 
     Falls back to a diagonally dominant shift c·I + T, which is equivariant
     and nonsingular regardless of the random draw.
@@ -133,7 +133,7 @@ def _random_equivariant_endo(m, rng, tries=8):
     if r == 0:
         return IntMatrix.zeros(0, 0)
     t = None
-    for t in islice(_averaged_maps(m, m, rng, 2), tries):
+    for t in islice(_averaged_maps(m, m, rng, 2), 8):
         if determinant(t) != 0:
             return t
     c = 1 + max(sum(abs(x) for x in t.row(i)) for i in range(r))

@@ -279,8 +279,11 @@ def conjugated_lattice(m, u):
 def sublattice_action(m, basis):
     """Action of G on the sublattice spanned by `basis` columns, in basis coordinates.
 
-    Errors if the columns are linearly dependent or their span is not G-stable.
+    Errors if `m` is an FpModule, if the columns are linearly dependent or if
+    their span is not G-stable.
     """
+    if isinstance(m, FpModule):
+        raise ModuleError("sublattice action requires a Z-free lattice")
     solver = _solver(basis)
     if solver.rank < basis.cols:
         raise ModuleError("basis columns are linearly dependent")

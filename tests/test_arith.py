@@ -55,7 +55,7 @@ def test_place_model_sizes():
     v4 = corpus_group("V4")
     model = place_model(v4, [v4.trivial_subgroup(), v4.full_subgroup()])
     assert model.size == 5
-    assert model.block_of_point == (0, 0, 0, 0, 1)
+    assert model.action.orbits() == [(0, 1, 2, 3), (4,)]
     assert len(model.decomposition_groups) == 2
 
 
@@ -115,7 +115,7 @@ def test_place_functions_refuse_a_subgroup_of_another_group():
     with pytest.raises(GroupError, match="subgroup belongs to a different group"):
         residue_degrees(model, foreign)
     with pytest.raises(GroupError, match="subgroup belongs to a different group"):
-        verify_sunit_index(sunit_lattice(s3, model), foreign)
+        verify_sunit_index(sunit_lattice(s3, [s3.trivial_subgroup()]), foreign)
     with pytest.raises(GroupError, match="subgroup belongs to a different group"):
         place_model(s3, [foreign])
     with pytest.raises(GroupError, match="subgroup belongs to a different group"):
@@ -131,7 +131,7 @@ def test_sunit_lattice_single_point_is_zero():
     v4 = corpus_group("V4")
     su = sunit_lattice(v4, [v4.full_subgroup()])
     assert su.lattice.rank == 0
-    assert su.ambient.rank == 1
+    assert su.basis.rows == 1
 
 
 def test_sunit_lattice_c2_regular_is_sign():
@@ -305,11 +305,10 @@ def test_kgroup_triviality_frozen_cases():
     assert res.ok and len(res.constants) == 3
 
 
-def test_sunit_lattice_accepts_prebuilt_model():
+def test_sunit_lattice_builds_its_place_model():
     v4 = corpus_group("V4")
-    model = place_model(v4, [v4.trivial_subgroup()])
-    su = sunit_lattice(v4, model)
-    assert su.model is model
+    su = sunit_lattice(v4, [v4.trivial_subgroup()])
+    assert su.model == place_model(v4, [v4.trivial_subgroup()])
     assert su.lattice.rank == 3
 
 

@@ -172,10 +172,10 @@ def test_basis_is_saturated(name):
     assert relation_is_saturated(basis)
     if basis.rank:
         doubled = [2 * basis[0]] + list(basis)[1:]
-        assert not relation_is_saturated(BrauerRelationBasis(basis.group, basis.table, doubled))
+        assert not relation_is_saturated(BrauerRelationBasis(basis.group, doubled))
         summed = list(basis)
         summed[0] = summed[0] + summed[-1] * 3 if len(summed) > 1 else -summed[0]
-        assert relation_is_saturated(BrauerRelationBasis(basis.group, basis.table, summed))
+        assert relation_is_saturated(BrauerRelationBasis(basis.group, summed))
         m = sympy.Matrix([list(theta.coeffs) for theta in basis]).T
         sm = sympy_snf(m)
         diag = [abs(sm[i, i]) for i in range(min(sm.rows, sm.cols)) if sm[i, i]]

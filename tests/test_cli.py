@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -621,9 +622,27 @@ def test_cli_prints_an_exact_answer_over_4300_digits(fmt, trivial_module_file, t
         assert json.loads(out)["constants"] == [{"num": "1", "den": den}]
 
 
+@pytest.mark.parametrize("scale", (10**7, 10**12))
+def test_cli_refuses_a_product_too_large_to_compute(scale, trivial_module_file, tmp_path, capsys):
+    """10^7·θ₀ spent minutes writing 3M digits, 10^12·θ₀ ran out of memory; now both exit 3 at once."""
+    theta = {str(ci): n * scale for ci, n in enumerate((1, -1, -1, -1, 2))}
+    rel = _write(tmp_path, "r.json", {"coeffs": theta})
+    start = time.perf_counter()
+    err = _run_one_line_error(
+        capsys, ["regconst", "V4", "--module", trivial_module_file, "--relation", rel], 3
+    )
+    assert time.perf_counter() - start < 1
+    assert err == "precondition violated: coefficients too large: the product exceeds 4194304 bits\n"
+
+
 def test_cli_rank_zero_module(v4_file, tmp_path, capsys):
     module = _write(tmp_path, "z.json", {"rank": 0, "action": {"1": [], "2": []}})
     assert main(["--format", "json", "regconst", v4_file, "--module", module]) == 0
+    assert json.loads(capsys.readouterr().out)["constants"] == [{"num": "1", "den": "1"}]
+    # Every class value is 1, which costs no bits: 10^7·θ₀ answers 1 at once.
+    theta = {str(ci): n * 10**7 for ci, n in enumerate((1, -1, -1, -1, 2))}
+    rel = _write(tmp_path, "r.json", {"coeffs": theta})
+    assert main(["--format", "json", "regconst", v4_file, "--module", module, "--relation", rel]) == 0
     assert json.loads(capsys.readouterr().out)["constants"] == [{"num": "1", "den": "1"}]
 
 

@@ -23,7 +23,6 @@ from factoreq import (
     PairingError,
     RelationError,
     Subgroup,
-    SubgroupFunction,
     all_subgroups,
     averaged_pairing,
     brauer_relation_basis,
@@ -60,7 +59,7 @@ from factoreq import (
     zero_lattice,
 )
 from factoreq.jsonio import canonical_dumps, fe_report_to_json
-from factoreq.regfe import _evaluate
+from factoreq.regfe import _PRODUCT_BITS, _evaluate
 from factoreq.suites import (
     _index2_subgroups,
     _random_equivariant_endo,
@@ -202,6 +201,21 @@ def test_non_relation_is_rejected():
     bad = BurnsideElement(v4, (1, 0, 0, 0, 0))
     with pytest.raises(RelationError, match="not a Brauer relation"):
         regulator_constant(bad, trivial_lattice(v4))
+
+
+def test_regulator_constant_refuses_a_product_over_the_bit_limit():
+    """On V4's trivial lattice each unit of θ₀ costs 13 bits: class values 4, 2, 2, 2 and a free 1.
+
+    A rank-0 module's class values are all 1, so any multiple of θ₀ gives 1.
+    """
+    v4 = corpus_group("V4")
+    theta, triv = brauer_relation_basis(v4)[0], trivial_lattice(v4)
+    admitted = _PRODUCT_BITS // 13
+    assert regulator_constant(admitted * theta, triv) == Fraction(1, 2**admitted)
+    for k in (admitted + 1, -(admitted + 1), 10**12):
+        with pytest.raises(RelationError, match="^coefficients too large: the product exceeds 4194304 bits$"):
+            regulator_constant(k * theta, triv)
+        assert regulator_constant(k * theta, zero_lattice(v4)) == 1
 
 
 def test_group_mismatch_is_rejected():
@@ -363,7 +377,7 @@ def test_index_function_scaling_map():
     c2 = corpus_group("C2")
     triv = trivial_lattice(c2)
     f = index_function(triv, triv, IntMatrix([[3]]))
-    assert f.values == (Fraction(3), Fraction(3))
+    assert f == (Fraction(3), Fraction(3))
     assert f[1] == 3  # the class of C2 itself
 
 
@@ -371,7 +385,7 @@ def test_index_function_unimodular_is_one():
     s3 = corpus_group("S3")
     m = regular_lattice(s3)
     f = index_function(m, m, IntMatrix.identity(6))
-    assert all(v == 1 for v in f.values)
+    assert len(f) == len(all_subgroups(s3)) and all(v == 1 for v in f)
 
 
 def test_index_function_doubling():
@@ -381,7 +395,7 @@ def test_index_function_doubling():
     two = IntMatrix.identity(2) * 2
     m = sublattice_action(n, two)
     f = index_function(m, n, two)
-    assert f.values == (Fraction(4), Fraction(2))
+    assert f == (Fraction(4), Fraction(2))
 
 
 def test_index_function_with_kernel():
@@ -391,7 +405,7 @@ def test_index_function_with_kernel():
     minus = IntMatrix([[1, 0], [0, -1]])
     m = FpModule(v4, 2, IntMatrix.from_columns([(0, 3)], rows=2), (plus, minus, plus, minus))
     f = index_function(m, trivial_lattice(v4), IntMatrix([[1, 0]]))
-    assert f.values == (THIRD, Fraction(1), THIRD, Fraction(1), Fraction(1))
+    assert f == (THIRD, Fraction(1), THIRD, Fraction(1), Fraction(1))
 
 
 def test_index_function_rejects_rank_drop():
@@ -456,7 +470,7 @@ def test_index_function_kernel_order_matches_reference_route(name):
     orders = set()
     for m, n, t in _lemma_shaped_instances(group, rng):
         f = index_function(m, n, t)
-        for ci, cls in enumerate(f.table):
+        for ci, cls in enumerate(all_subgroups(group)):
             h = cls.representative
             korder = _reference_kernel_order(m, n, t, h)
             lm, ln = fixed_sublattice(m, h), fixed_sublattice(n, h)
@@ -479,37 +493,32 @@ def test_index_function_rejects_non_equivariant():
     )
     with pytest.raises(ModuleError, match="not equivariant"):
         index_function(fp, fp, IntMatrix([[1, 0], [1, 1]]))
-    assert set(index_function(fp, fp, IntMatrix([[1, 0], [3, 1]])).values) == {1}
+    assert set(index_function(fp, fp, IntMatrix([[1, 0], [3, 1]]))) == {1}
 
 
 def test_factorisable_frozen():
     v4 = corpus_group("V4")
     table = all_subgroups(v4)
     basis = brauer_relation_basis(v4)
-    ok, defects = is_factorisable(
-        SubgroupFunction(table, tuple(Fraction(1) for _ in table)), basis
-    )
+    ok, defects = is_factorisable(tuple(Fraction(1) for _ in table), basis)
     assert ok and defects == (Fraction(1),)
-    sizes = SubgroupFunction(table, tuple(Fraction(cls.order) for cls in table))
+    sizes = tuple(Fraction(cls.order) for cls in table)
     ok, defects = is_factorisable(sizes, basis)
     assert not ok and defects == (Fraction(2),)
 
 
-def test_subgroup_function_record():
+def test_factorisable_refuses_a_function_of_the_wrong_length():
     v4 = corpus_group("V4")
-    table = all_subgroups(v4)
-    with pytest.raises(ValueError):
-        SubgroupFunction(table, (Fraction(1),))
-    f = SubgroupFunction(table, tuple(Fraction(cls.order) for cls in table))
-    assert len(f) == len(table) and f[4] == 4
-    assert f[1] == 2
-    assert f == SubgroupFunction(table, f.values) and hash(f) == hash(SubgroupFunction(table, f.values))
+    basis = brauer_relation_basis(v4)
+    for values in ((Fraction(1),), (Fraction(1),) * 6):
+        with pytest.raises(ValueError, match="^one value per subgroup class required$"):
+            is_factorisable(values, basis)
 
 
 def test_factorisable_vacuous_on_cyclic():
     c6 = corpus_group("C6")
     table = all_subgroups(c6)
-    f = SubgroupFunction(table, tuple(Fraction(7) for _ in table))
+    f = tuple(Fraction(7) for _ in table)
     ok, defects = is_factorisable(f, brauer_relation_basis(c6))
     assert ok and defects == ()
 

@@ -345,6 +345,18 @@ def test_sublattice_action_rejects_unstable_span():
         sublattice_action(c2, IntMatrix.from_columns([(1, 1), (1, 1)]))
 
 
+def test_sublattice_action_and_conjugated_lattice_refuse_an_fp_module():
+    """Z/2 over C2 with 3 ≡ 1: in new coordinates its action holds only modulo 2."""
+    c2 = corpus_group("C2")
+    fp = FpModule(c2, 1, [[2]], [[[1]], [[3]]])
+    for call in (sublattice_action, conjugated_lattice):
+        with pytest.raises(ModuleError, match="^sublattice action requires a Z-free lattice$"):
+            call(fp, IntMatrix.identity(1))
+    # The lattice these calls used to return, refused by the constructor itself.
+    with pytest.raises(ModuleError, match="not a homomorphism modulo relations"):
+        ZGLattice(c2, 1, [[[1]], [[3]]])
+
+
 def test_conjugated_lattice_preserves_character():
     v4 = corpus_group("V4")
     m = regular_lattice(v4)
