@@ -12,7 +12,7 @@ from typing import NamedTuple
 from .exactla import IntMatrix, integer_solve, lattice_index
 from .grp import _subgroup, all_subgroups
 from .burnside import PermAction, coset_action
-from .regfe import InvariantPairing, regulator_constant, regulator_constants_table
+from .regfe import InvariantPairing, _evaluate, regulator_constant, regulator_constants_table
 from .zgmod import (
     ModuleError,
     ZGLattice,
@@ -175,9 +175,8 @@ def verify_sunit_closed_form(sunit, theta):
     for d in sunit.model.decomposition_groups:
         rhs /= regulator_constant(theta, induced_lattice(group, d))
     table = all_subgroups(group)
-    for ci, coeff in theta.support():
-        rd = residue_degrees(sunit.model, table[ci].representative)
-        rhs *= Fraction(rd.l, rd.n) ** (2 * coeff)
+    rds = {ci: residue_degrees(sunit.model, table[ci].representative) for ci, _ in theta.support()}
+    rhs *= _evaluate(theta, {ci: Fraction(rd.l, rd.n) for ci, rd in rds.items()}) ** 2
     return ClosedFormCheck(lhs=lhs, rhs=rhs, ok=lhs == rhs)
 
 

@@ -184,36 +184,30 @@ def fixed_point_matrix(group):
     return IntMatrix._trusted(tuple(zip(*columns)), len(columns))
 
 
-class BrauerRelationBasis:
-    """A Z-basis of K(G), each element verified and sign-normalized."""
+class BrauerRelationBasis(tuple):
+    """A Z-basis of K(G): a tuple of verified, sign-normalized relations.
 
-    __slots__ = ("group", "relations")
+    It carries `group` too, since an empty basis has no relation to read it from.
+    """
 
-    def __init__(self, group, relations):
-        self.group = group
-        self.relations = tuple(relations)
-        for theta in self.relations:
-            if not is_brauer_relation(theta):
-                raise RelationError("basis vector is not a Brauer relation")
-
-    def __len__(self):
-        return len(self.relations)
-
-    def __iter__(self):
-        return iter(self.relations)
-
-    def __getitem__(self, i):
-        return self.relations[i]
+    def __new__(cls, group, relations):
+        basis = super().__new__(cls, relations)
+        for theta in basis:
+            if theta.group is not group or not is_brauer_relation(theta):
+                raise RelationError("basis vector is not a Brauer relation of this group")
+        basis.group = group
+        return basis
 
     @property
     def rank(self):
-        return len(self.relations)
+        return len(self)
 
 
 @_memo("brauer_basis")
 def brauer_relation_basis(group):
     """Basis of K(G) = integer kernel of the fixed-point matrix; cached per group."""
-    # SNF, not HNF: this basis is the report until ROADMAP item 2 makes it canonical.
+    # SNF, not HNF: the report carries these vectors (ROADMAP item 2, step 1, done) and
+    # corpus-verify pins them until item 2's benchmark step; item 3 then makes them canonical.
     d, v = _snf_engine(fixed_point_matrix(group))
     r = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
     relations = []
@@ -239,7 +233,7 @@ def relation_is_saturated(basis):
     its rational span.
     """
     m = IntMatrix.from_columns(
-        [theta.coeffs for theta in basis.relations],
+        [theta.coeffs for theta in basis],
         rows=len(all_subgroups(basis.group)),
     )
     return lattice_index(m, integer_kernel(integer_kernel(m.transpose()).transpose())) == 1

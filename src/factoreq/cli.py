@@ -92,7 +92,7 @@ def cmd_relations(args):
     basis = brauer_relation_basis(group)
     report = {
         "rank": basis.rank,
-        "relations": basis.relations,
+        "relations": basis,
     }
     lines = [f"Brauer relation space of rank {basis.rank}"]
     for i, theta in enumerate(basis):
@@ -104,12 +104,10 @@ def cmd_relations(args):
 def cmd_regconst(args):
     group = _load_group(args.group, args.bound)
     module = module_from_json(group, load_json(_read_source(args.module)))
-    basis = brauer_relation_basis(group)
     if args.relation is not None:
-        theta = burnside_from_json(group, load_json(_read_source(args.relation)))
-        relations = [theta]
+        relations = [burnside_from_json(group, load_json(_read_source(args.relation)))]
     else:
-        relations = list(basis)
+        relations = list(brauer_relation_basis(group))
     constants = [regulator_constant(theta, module) for theta in relations]
     report = {
         "relations": relations,

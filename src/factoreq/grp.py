@@ -232,30 +232,20 @@ class SubgroupClass(NamedTuple):
         return self.representative.order
 
 
-class SubgroupClassTable:
-    """All subgroups of a group, organized into conjugacy classes.
+class SubgroupClassTable(tuple):
+    """All subgroups of `group`: a tuple of its `SubgroupClass` records.
 
     Classes are ordered by (subgroup order, lexicographically least member),
     so class indices are canonical and stable.
     """
 
-    __slots__ = ("group", "classes")
-
-    def __init__(self, group, classes):
-        self.group = group
-        self.classes = tuple(classes)
-
-    def __len__(self):
-        return len(self.classes)
-
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __getitem__(self, i):
-        return self.classes[i]
+    def __new__(cls, group, classes):
+        table = super().__new__(cls, classes)
+        table.group = group
+        return table
 
     def cyclic_class_count(self):
-        return sum(1 for cls in self.classes if cls.is_cyclic)
+        return sum(1 for cls in self if cls.is_cyclic)
 
 
 @_memo("subgroup_table")

@@ -199,7 +199,7 @@ def _fe_report_fields(report):
     """A factor-equivalence report's library values under their JSON keys."""
     return {
         "verdict": report.verdict,
-        "relations": report.relations.relations,
+        "relations": report.relations,
         "regulator_constants": {"M": report.constants_m, "N": report.constants_n},
         "defects": report.defects,
         "index_values": report.index_values,

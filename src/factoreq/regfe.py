@@ -137,7 +137,7 @@ _PRODUCT_BITS = 1 << 22
 
 
 def _evaluate(theta, values):
-    """Π values[H] ** n_H over the support of Θ, one value per subgroup class.
+    """Π values[H] ** n_H over the support of Θ, `values` indexed by class number.
 
     Numerators and denominators are multiplied as ints (swapped for n_H < 0)
     and reduced once, in the one Fraction built at the end. Once the terms so
@@ -239,9 +239,7 @@ def verify_lemma(m, n, t, theta, pairing=None):
     pairing_n = pairing if pairing is not None else averaged_pairing(n)
     pairing_m = pullback_pairing(m, n, t, pairing_n)
     lhs = regulator_constant(theta, m, pairing_m)
-    rhs = regulator_constant(theta, n, pairing_n)
-    for ci, coeff in theta.support():
-        rhs *= factors[ci] ** (2 * coeff)
+    rhs = regulator_constant(theta, n, pairing_n) * _evaluate(theta, factors) ** 2
     return LemmaCheck(lhs, rhs, lhs == rhs, tuple(factors))
 
 

@@ -29,8 +29,11 @@ from factoreq import (
     group_from_table,
     is_brauer_relation,
     regular_action,
+    regulator_constants_table,
     relation_is_saturated,
+    trivial_lattice,
 )
+from factoreq.jsonio import jsonable
 
 # sign-normalized basis vectors over the canonical subgroup-class order
 KNOWN_RELATIONS = {
@@ -180,6 +183,39 @@ def test_basis_is_saturated(name):
         sm = sympy_snf(m)
         diag = [abs(sm[i, i]) for i in range(min(sm.rows, sm.cols)) if sm[i, i]]
         assert diag == [1] * basis.rank
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_basis_is_a_tuple_of_relations_that_carries_its_group(name):
+    group = corpus_group(name)
+    basis = brauer_relation_basis(group)
+    assert isinstance(basis, tuple) and basis.group is group
+    assert basis.rank == len(basis) == KNOWN_RANKS[name]
+    assert all(isinstance(theta, BurnsideElement) and theta.group is group for theta in basis)
+    assert not hasattr(basis, "relations")
+    # Reports write the basis as the list of its relations.
+    assert jsonable(basis) == [jsonable(theta) for theta in basis]
+    if name in KNOWN_RELATIONS:
+        coeffs = {str(ci): n for ci, n in enumerate(KNOWN_RELATIONS[name]) if n}
+        assert jsonable(basis) == [{"coeffs": coeffs}]
+
+
+def test_basis_refuses_a_non_relation_and_a_relation_of_another_group():
+    """A V4 relation in an S3 basis would end in an IndexError or a shape mismatch downstream."""
+    v4, s3 = corpus_group("V4"), corpus_group("S3")
+    with pytest.raises(RelationError, match="basis vector is not a Brauer relation of this group"):
+        BrauerRelationBasis(v4, [BurnsideElement(v4, (1, 0, 0, 0, 0))])
+    with pytest.raises(RelationError, match="basis vector is not a Brauer relation of this group"):
+        BrauerRelationBasis(s3, list(brauer_relation_basis(v4)))
+
+
+def test_empty_basis_keeps_its_group():
+    """C2 has no relations, so only `group` tells its basis from another group's."""
+    c2 = corpus_group("C2")
+    basis = brauer_relation_basis(c2)
+    assert basis == () and basis.group is c2 and jsonable(basis) == []
+    with pytest.raises(RelationError, match="relation and module live over different groups"):
+        regulator_constants_table(basis, trivial_lattice(corpus_group("S3")))
 
 
 def test_basis_is_cached():

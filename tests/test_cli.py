@@ -223,6 +223,24 @@ def test_cli_regconst_json(v4_file, trivial_module_file, capsys):
     assert report["constants"] == [{"num": "1", "den": "2"}]
 
 
+def test_cli_regconst_with_a_relation_builds_no_basis(v4_file, trivial_module_file, tmp_path, monkeypatch, capsys):
+    """Only the fixed-point check of the given relation is needed, not the Smith-form basis."""
+
+    def refuse(group):
+        raise AssertionError("the relation basis was built")
+
+    monkeypatch.setattr("factoreq.cli.brauer_relation_basis", refuse)
+    rel = _write(tmp_path, "r.json", {"coeffs": {str(ci): 3 * n for ci, n in enumerate((1, -1, -1, -1, 2))}})
+    argv = ["regconst", v4_file, "--module", trivial_module_file, "--relation", rel]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "regulator constants\n  theta_0: 1/8\n"
+    assert main(["--format", "json", *argv]) == 0
+    assert capsys.readouterr().out == (
+        '{"constants":[{"den":"8","num":"1"}],'
+        '"relations":[{"coeffs":{"0":3,"1":-3,"2":-3,"3":-3,"4":6}}]}\n'
+    )
+
+
 def test_cli_factor_equiv_isomorphic(v4_file, trivial_module_file, capsys):
     assert (
         main(

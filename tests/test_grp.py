@@ -202,6 +202,16 @@ def test_cyclic_class_counts():
     assert all_subgroups(corpus_group("Q8")).cyclic_class_count() == 5
 
 
+@pytest.mark.parametrize("name", corpus_names())
+def test_class_table_is_a_tuple_that_carries_its_group(name):
+    g = corpus_group(name)
+    table = all_subgroups(g)
+    assert isinstance(table, tuple) and table.group is g
+    assert len(table) == SUBGROUP_CLASS_COUNTS[name]
+    assert all(isinstance(cls, SubgroupClass) for cls in table)
+    assert not hasattr(table, "classes")
+
+
 def test_subgroup_invariants():
     g = corpus_group("D4")
     for cls in all_subgroups(g):
