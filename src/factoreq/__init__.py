@@ -43,7 +43,6 @@ from .burnside import (
     coset_action,
     fixed_point_matrix,
     is_brauer_relation,
-    regular_action,
     relation_is_saturated,
 )
 from .zgmod import (
@@ -109,7 +108,7 @@ __all__ = [
     "double_cosets", "group_from_generators", "group_from_table", "left_cosets",
     "BrauerRelationBasis", "BurnsideElement", "PermAction", "RelationError",
     "brauer_relation_basis", "coset_action", "fixed_point_matrix",
-    "is_brauer_relation", "regular_action", "relation_is_saturated",
+    "is_brauer_relation", "relation_is_saturated",
     "FpModule", "ModuleError", "ZGLattice", "character",
     "conjugated_lattice", "direct_sum", "find_equivariant_embedding",
     "fixed_sublattice", "fp_fixed_data", "induced_lattice",

@@ -38,10 +38,6 @@ class PlaceModel(NamedTuple):
     decomposition_groups: tuple
     action: PermAction
 
-    @property
-    def size(self):
-        return self.action.size
-
 
 def place_model(group, d_list):
     """Disjoint union of the coset actions G/D_i."""
@@ -91,16 +87,12 @@ class SUnitLattice(NamedTuple):
     basis: IntMatrix       # |S| x (|S|-1), column i-1 = e_0 - e_i
     pairing: InvariantPairing  # orthonormal-on-Z[S] pairing restricted to I_S
 
-    @property
-    def group(self):
-        return self.model.group
-
 
 def sunit_lattice(group, d_list):
     """I_S = ker(Z[S] -> Z) for S the disjoint union of G/D_i."""
     model = place_model(group, d_list)
     ambient = permutation_lattice(group, model.action)
-    s = model.size
+    s = model.action.size
     cols = []
     for i in range(1, s):
         col = [0] * s
@@ -123,7 +115,7 @@ def subfield_lattice_embedding(sunit, h):
     """
     model = sunit.model
     rd = residue_degrees(model, h)
-    s = model.size
+    s = model.action.size
     t = len(rd.orbits)
     cols = []
     for j in range(1, t):
@@ -144,7 +136,7 @@ class SUnitIndexCheck(NamedTuple):
 
 def verify_sunit_index(sunit, h):
     """Compare [(I_S)^H : image of subfield lattice] with n(H)/l(H)."""
-    h = _subgroup(sunit.group, h)
+    h = _subgroup(sunit.model.group, h)
     rd = residue_degrees(sunit.model, h)
     ambient_vectors = subfield_lattice_embedding(sunit, h)
     coords = integer_solve(sunit.basis, ambient_vectors)
@@ -169,7 +161,7 @@ def verify_sunit_closed_form(sunit, theta):
     orthonormal, restricted to I_S; the right side is
     C_Θ(triv) / ∏_i C_Θ(Z[G/D_i]) · ∏_H (l(H)/n(H))^{2 n_H}.
     """
-    group = sunit.group
+    group = sunit.model.group
     lhs = regulator_constant(theta, sunit.lattice, sunit.pairing)
     rhs = regulator_constant(theta, trivial_lattice(group))
     for d in sunit.model.decomposition_groups:

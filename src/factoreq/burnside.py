@@ -9,7 +9,7 @@ on the group (`grp._memo`); `coset_action` checks its subgroup before its lookup
 
 from operator import index as _as_int
 
-from .exactla import IntMatrix, _snf_engine, integer_kernel, lattice_index
+from .exactla import IntMatrix, _snf_engine, column_lattice_basis, integer_kernel
 from .grp import GroupError, _memo, _subgroup, all_subgroups, left_cosets
 
 
@@ -99,10 +99,6 @@ def _coset_action(group, elems):
         tuple(coset_of[group.table[g][coset[0]]] for coset in cosets)
         for g in range(group.order)
     ))
-
-
-def regular_action(group):
-    return coset_action(group, group.trivial_subgroup())
 
 
 class BurnsideElement:
@@ -227,13 +223,14 @@ def is_brauer_relation(theta):
 
 
 def relation_is_saturated(basis):
-    """True if the basis spans a saturated sublattice: index 1 in its saturation.
+    """True iff the basis spans K(G) itself, so a rank-deficient basis is False.
 
-    The saturation of B's column span is ker(ker(Bᵀ)ᵀ), the integer points of
-    its rational span.
+    A second route to the Smith form's kernel: the Hermite bases of the
+    basis's span and of `integer_kernel(F)` must be equal.
     """
     m = IntMatrix.from_columns(
         [theta.coeffs for theta in basis],
         rows=len(all_subgroups(basis.group)),
     )
-    return lattice_index(m, integer_kernel(integer_kernel(m.transpose()).transpose())) == 1
+    kernel = integer_kernel(fixed_point_matrix(basis.group))
+    return column_lattice_basis(m) == column_lattice_basis(kernel)

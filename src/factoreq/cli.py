@@ -18,7 +18,6 @@ from .regfe import InternalError, PairingError, factor_equivalent, regulator_con
 from .jsonio import (
     InputError,
     _decimal,
-    _fe_report_fields,
     burnside_from_json,
     canonical_dumps,
     group_from_json,
@@ -126,7 +125,15 @@ def cmd_factor_equiv(args):
     m = module_from_json(group, load_json(_read_source(args.module_a)))
     n = module_from_json(group, load_json(_read_source(args.module_b)))
     fe = factor_equivalent(m, n, seed=args.seed)
-    report = _fe_report_fields(fe)
+    report = {
+        "verdict": fe.verdict,
+        "relations": fe.relations,
+        "regulator_constants": {"M": fe.constants_m, "N": fe.constants_n},
+        "defects": fe.defects,
+        "index_values": fe.index_values,
+        "embedding": fe.embedding,
+        "seed": fe.seed,
+    }
     lines = [f"factor equivalent: {'yes' if fe.verdict else 'no'}"]
     for i, d in enumerate(fe.defects):
         lines.append(
@@ -248,9 +255,5 @@ def main(argv=None):
     return 0
 
 
-def run():
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    run()
+    raise SystemExit(main())

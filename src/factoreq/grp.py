@@ -59,15 +59,8 @@ class FiniteGroup:
             _validate_table(table)
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", table)
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] == 0:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
-                raise GroupError(f"element {a} has no inverse")
-        object.__setattr__(self, "inverse", tuple(inv))
+        inv = tuple(row.index(0) for row in table)
+        object.__setattr__(self, "inverse", inv)
         classes, class_of = _element_classes(table, inv)
         object.__setattr__(self, "element_classes", classes)
         object.__setattr__(self, "class_of_element", class_of)

@@ -195,24 +195,6 @@ def jsonable(x):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def _fe_report_fields(report):
-    """A factor-equivalence report's library values under their JSON keys."""
-    return {
-        "verdict": report.verdict,
-        "relations": report.relations,
-        "regulator_constants": {"M": report.constants_m, "N": report.constants_n},
-        "defects": report.defects,
-        "index_values": report.index_values,
-        "embedding": report.embedding,
-        "seed": report.seed,
-    }
-
-
-def fe_report_to_json(report):
-    """Shape: relations, regulator_constants {M, N}, defects, verdict, embedding."""
-    return jsonable(_fe_report_fields(report))
-
-
 def canonical_dumps(obj):
     """Deterministic JSON text: sorted keys, no whitespace, trailing newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

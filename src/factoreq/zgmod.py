@@ -33,7 +33,7 @@ from .exactla import (
     _solver,
 )
 from .grp import _generated, _memo, _subgroup
-from .burnside import PermAction, _coset_action, coset_action, regular_action
+from .burnside import PermAction, _coset_action, coset_action
 
 
 class ModuleError(ValueError):
@@ -195,7 +195,7 @@ def _averaged_gram(lattice):
 
 
 def regular_lattice(group):
-    return permutation_lattice(group, regular_action(group))
+    return permutation_lattice(group, coset_action(group, group.trivial_subgroup()))
 
 
 def induced_lattice(group, d, kernel=None):

@@ -16,6 +16,7 @@ import pytest
 
 from factoreq import all_subgroups, brauer_relation_basis, regulator_constants_table
 from factoreq.jsonio import module_from_json
+from test_grp import LADDER
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -28,6 +29,12 @@ def bench(monkeypatch):
     import workloads
 
     return oracle, workloads
+
+
+def test_ladder_catalogue_is_the_benchmark_s(bench):
+    import ladder
+
+    assert LADDER == ladder.LADDER
 
 
 @pytest.mark.parametrize("name", ("A4", "D4"))

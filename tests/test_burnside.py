@@ -25,15 +25,15 @@ from factoreq import (
     corpus_names,
     coset_action,
     fixed_point_matrix,
-    group_from_generators,
     group_from_table,
     is_brauer_relation,
-    regular_action,
     regulator_constants_table,
     relation_is_saturated,
     trivial_lattice,
 )
+from factoreq import burnside
 from factoreq.jsonio import jsonable
+from test_grp import LADDER, _group
 
 # sign-normalized basis vectors over the canonical subgroup-class order
 KNOWN_RELATIONS = {
@@ -86,25 +86,10 @@ def test_identity_row_lists_all_indexes():
         )
 
 
-# Permutation generators of the benchmark ladder's groups (one-line images).
-LADDER_GENERATORS = {
-    "A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
-    "D8": [[1, 2, 3, 4, 5, 6, 7, 0], [0, 7, 6, 5, 4, 3, 2, 1]],
-    "C2_4": [[1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
-             [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]],
-    "S4": [[1, 0, 2, 3], [1, 2, 3, 0]],
-    "C2xS4": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]],
-}
-
-
-@pytest.mark.parametrize(
-    "group",
-    [corpus_group(name) for name in corpus_names()]
-    + [group_from_generators(gens) for gens in LADDER_GENERATORS.values()],
-    ids=list(corpus_names()) + list(LADDER_GENERATORS),
-)
-def test_fixed_point_matrix_matches_coset_actions(group):
+@pytest.mark.parametrize("name", corpus_names() + tuple(LADDER))
+def test_fixed_point_matrix_matches_coset_actions(name):
     # Second route: count the fixed cosets of each class representative directly.
+    group = _group(name)
     table = all_subgroups(group)
     want = IntMatrix.from_columns(
         [
@@ -183,6 +168,19 @@ def test_basis_is_saturated(name):
         sm = sympy_snf(m)
         diag = [abs(sm[i, i]) for i in range(min(sm.rows, sm.cols)) if sm[i, i]]
         assert diag == [1] * basis.rank
+
+
+def test_saturation_is_checked_against_the_hermite_kernel(monkeypatch):
+    # D4's first relation spans a saturated line, but not K(D4), which has rank 3.
+    group = corpus_group("D4")
+    basis = brauer_relation_basis(group)
+
+    def no_smith_form(a):
+        raise AssertionError("the saturation check computed a Smith form")
+
+    monkeypatch.setattr(burnside, "_snf_engine", no_smith_form)
+    assert relation_is_saturated(basis)
+    assert not relation_is_saturated(BrauerRelationBasis(group, basis[:1]))
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -291,7 +289,7 @@ def test_coset_action_refuses_a_foreign_subgroup_with_cached_elements():
 
 def test_orbits_refuse_a_subgroup_of_another_group():
     s3, c6 = corpus_group("S3"), corpus_group("C6")
-    act = regular_action(s3)
+    act = coset_action(s3, s3.trivial_subgroup())
     with pytest.raises(GroupError, match="different group"):
         act.orbits(Subgroup(c6, (0, 2, 4)))
     h = Subgroup(s3, (0, 1, 3))
@@ -324,7 +322,8 @@ def test_only_grp_and_burnside_form_left_cosets():
 
 
 def test_perm_action_refuses_non_integer_images():
-    act = regular_action(corpus_group("C2"))
+    c2 = corpus_group("C2")
+    act = coset_action(c2, c2.trivial_subgroup())
     assert PermAction(act.group, act.images).images == act.images
     with pytest.raises(TypeError):
         PermAction(act.group, [(0, 1), (1.0, 0)])
@@ -334,7 +333,7 @@ def test_perm_action_refuses_non_integer_images():
 
 def test_regular_action_fixed_points():
     group = corpus_group("Q8")
-    act = regular_action(group)
+    act = coset_action(group, group.trivial_subgroup())
     assert act.fixed_point_count(0) == 8
     assert all(act.fixed_point_count(g) == 0 for g in range(1, 8))
 

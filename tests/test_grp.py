@@ -28,7 +28,6 @@ from factoreq import (
     kgroup_comparison_module,
     left_cosets,
     place_model,
-    regular_action,
     regular_lattice,
     residue_degrees,
     sunit_lattice,
@@ -261,7 +260,7 @@ SUBGROUP_ENTRY_POINTS = {
     "double_cosets.h": lambda h: double_cosets(_S3, h, _OWN),
     "double_cosets.k": lambda h: double_cosets(_S3, _OWN, h),
     "coset_action": lambda h: coset_action(_S3, h),
-    "PermAction.orbits": lambda h: regular_action(_S3).orbits(h),
+    "PermAction.orbits": lambda h: coset_action(_S3, _S3.trivial_subgroup()).orbits(h),
     "induced_lattice.d": lambda h: induced_lattice(_S3, h),
     "induced_lattice.kernel": lambda h: induced_lattice(_S3, _OWN, h),
     "fixed_sublattice": lambda h: fixed_sublattice(regular_lattice(_S3), h),
@@ -331,10 +330,14 @@ def test_subgroup_requires_actual_subgroup():
 
 # --- larger groups from inline generators ------------------------------------------
 
+# The benchmark ladder's groups, as permutation generators in one-line image
+# notation under bench/ladder.py's keys (tests/test_bench_oracle.py pins the
+# copy). Every test module reads them here, and each parametrization names
+# the rungs it runs on.
 LADDER = {
     "A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
     "D8": [[1, 2, 3, 4, 5, 6, 7, 0], [0, 7, 6, 5, 4, 3, 2, 1]],
-    "C2^4": [
+    "C2_4": [
         [1, 0, 2, 3, 4, 5, 6, 7],
         [0, 1, 3, 2, 4, 5, 6, 7],
         [0, 1, 2, 3, 5, 4, 6, 7],
@@ -345,10 +348,41 @@ LADDER = {
 }
 # (order, subgroup classes); C2^4 is abelian, so its 67 classes are its 67 subgroups.
 LADDER_CLASS_COUNTS = {
-    "A4": (12, 5), "D8": (16, 11), "C2^4": (16, 67), "S4": (24, 11), "C2xS4": (48, 33),
+    "A4": (12, 5), "D8": (16, 11), "C2_4": (16, 67), "S4": (24, 11), "C2xS4": (48, 33),
 }
 # Subgroup totals: A4 and S4 are classical; D8 has tau(8) + sigma(8) = 19.
-LADDER_TOTAL_COUNTS = {"A4": 10, "D8": 19, "C2^4": 67, "S4": 30}
+LADDER_TOTAL_COUNTS = {"A4": 10, "D8": 19, "C2_4": 67, "S4": 30}
+
+
+def _group(name):
+    """A ladder group by its key, else a corpus group."""
+    gens = LADDER.get(name)
+    return group_from_generators(gens) if gens else corpus_group(name)
+
+
+def _s3_with_identity_in_slot_3():
+    swap = (3, 1, 2, 0, 4, 5)  # relabel S3's elements by the transposition (0 3)
+    s3 = corpus_group("S3").table
+    table = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            table[swap[a]][swap[b]] = swap[s3[a][b]]
+    assert table[3] == list(range(6))
+    return group_from_table(table)
+
+
+@pytest.mark.parametrize("name", corpus_names() + tuple(LADDER) + ("S3-relabelled",))
+def test_inverse_is_two_sided(name):
+    # `inverse` is the column of the one 0 in each row of the Latin square.
+    group = _s3_with_identity_in_slot_3() if name == "S3-relabelled" else _group(name)
+    for a, b in enumerate(group.inverse):
+        assert group.table[a][b] == group.table[b][a] == 0
+
+
+def test_a_non_latin_table_is_refused_before_inverses_are_read():
+    # Row 1 holds no 0: the table check refuses it, so element 1 never lacks an inverse.
+    with pytest.raises(GroupError, match="row is not a permutation"):
+        FiniteGroup([[0, 1], [1, 1]])
 
 
 def _every_pair_subgroups(group):

@@ -6,6 +6,7 @@ cancel because each basis relation has coefficient sum zero.
 """
 
 import gc
+import json
 import math
 import random
 from fractions import Fraction
@@ -38,7 +39,6 @@ from factoreq import (
     fixed_sublattice,
     fp_fixed_data,
     gram_determinant,
-    group_from_generators,
     index_function,
     induced_lattice,
     integer_kernel,
@@ -58,7 +58,7 @@ from factoreq import (
     verify_lemma,
     zero_lattice,
 )
-from factoreq.jsonio import canonical_dumps, fe_report_to_json
+from factoreq.cli import main
 from factoreq.regfe import _PRODUCT_BITS, _evaluate
 from factoreq.suites import (
     _index2_subgroups,
@@ -66,6 +66,7 @@ from factoreq.suites import (
     _random_module,
     _torsion_twist,
 )
+from test_grp import _group
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -564,10 +565,17 @@ def test_factor_equivalent_known_false_pair():
     assert reverse.defects == (Fraction(2),)
 
 
-def test_factor_equivalence_report_json_is_pinned():
-    _, m, n = _v4_false_pair()
-    text = canonical_dumps(fe_report_to_json(factor_equivalent(m, n, seed=0)))
-    assert text == (
+def test_factor_equivalence_report_json_is_pinned(tmp_path, capsys):
+    # The CLI shapes the report; the pair goes in as the module documents it reads.
+    v4, m, n = _v4_false_pair()
+    paths = []
+    for name, module in (("m", m), ("n", n)):
+        action = {str(g): module.action[g].tolist() for g in range(v4.order)}
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"rank": module.rank, "action": action}))
+    args = ["--format", "json", "--seed", "0", "factor-equiv", "V4"]
+    assert main(args + ["--module-a", str(paths[0]), "--module-b", str(paths[1])]) == 0
+    assert capsys.readouterr().out == (
         '{"defects":[{"den":"2","num":"1"}],'
         '"embedding":[[6,6,0,0,-4,2],[0,0,6,6,-4,2],[1,0,1,0,4,12],[0,1,0,1,4,12],'
         '[-11,0,0,-11,0,-6],[0,-11,-11,0,0,-6]],'
@@ -732,7 +740,7 @@ def test_permutation_lattice_constants_match_closed_form(name):
     Regulator constants and the parity conjecture, Invent. Math. 2009).
     Nothing on this side goes through fixed sublattices or determinants.
     """
-    group = group_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]]) if name == "S4" else corpus_group(name)
+    group = _group(name)
     table = all_subgroups(group)
     basis = brauer_relation_basis(group)
     for k_cls in table:

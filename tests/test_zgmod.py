@@ -31,7 +31,6 @@ from factoreq import (
     find_equivariant_embedding,
     fixed_sublattice,
     fp_fixed_data,
-    group_from_generators,
     group_from_table,
     induced_lattice,
     integer_solve,
@@ -50,6 +49,7 @@ from factoreq.exactla import _snf_engine
 from factoreq.suites import _random_module, _random_unimodular, _torsion_twist
 from factoreq.grp import _generated
 from factoreq.zgmod import _Module, _averaged_gram, _averaged_map, _fixed_gram, _fixed_quotient, _generating_set
+from test_grp import _group
 
 
 def _char_by_element_order(m):
@@ -193,26 +193,13 @@ def _reference_induced_action(group, d, sub_action):
     return tuple(mats)
 
 
-# Permutation generators of three larger groups, as in bench/ladder.py.
-LADDER_GENERATORS = {
-    "A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
-    "D8": [[1, 2, 3, 4, 5, 6, 7, 0], [0, 7, 6, 5, 4, 3, 2, 1]],
-    "S4": [[1, 0, 2, 3], [1, 2, 3, 0]],
-}
-
-
-def _group(name):
-    gens = LADDER_GENERATORS.get(name)
-    return group_from_generators(gens) if gens else corpus_group(name)
-
-
 def _index2_kernels(group, d):
     """Every subgroup of index 2 in the subgroup `d`."""
     members = (e for cls in all_subgroups(group) for e in cls.members)
     return [Subgroup(group, e) for e in members if 2 * len(e) == d.order and set(e) <= set(d.elements)]
 
 
-@pytest.mark.parametrize("name", corpus_names() + tuple(LADDER_GENERATORS))
+@pytest.mark.parametrize("name", corpus_names() + ("A4", "D8", "S4"))
 def test_induced_lattice_matches_the_coset_table_route(name):
     group = _group(name)
     for d in (Subgroup(group, e) for cls in all_subgroups(group) for e in cls.members):
@@ -510,6 +497,13 @@ def test_permutation_lattice_is_built_once_per_group():
     other = permutation_lattice(twin, coset_action(twin, all_subgroups(twin)[1].representative))
     assert other is not lattice
     assert other.group is twin and other.action == lattice.action
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_regular_lattice_is_the_lattice_of_the_regular_action(name):
+    group = corpus_group(name)
+    regular = coset_action(group, group.trivial_subgroup())
+    assert regular_lattice(group) is permutation_lattice(group, regular)
 
 
 def test_embedding_on_trivial_lattice_is_identity():
