@@ -57,8 +57,7 @@ def _own_lines(stmt):
 
 
 def _is_docstring(stmt, i):
-    return i == 0 and isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant) \
-        and isinstance(stmt.value.value, str)
+    return i == 0 and isinstance(stmt, ast.Expr) and isinstance(getattr(stmt.value, "value", None), str)
 
 
 def _statements(body):
