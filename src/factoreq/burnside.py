@@ -10,7 +10,7 @@ on the group (`grp._memo`); `coset_action` checks its subgroup before its lookup
 from operator import index as _as_int
 
 from .exactla import IntMatrix, _snf_engine, column_lattice_basis, integer_kernel
-from .grp import GroupError, _memo, _subgroup, all_subgroups, left_cosets
+from .grp import GroupError, _generators, _memo, _subgroup, all_subgroups, left_cosets
 
 
 class RelationError(ValueError):
@@ -20,7 +20,8 @@ class RelationError(ValueError):
 class PermAction:
     """A G-action on {0..size-1}: one permutation (tuple of images) per element.
 
-    The images must define a left action; only their shapes are checked.
+    `images[g][x]` is g·x. Checked: the identity fixes every point, and
+    images[a·s] = images[a]∘images[s] for every a in G and s in `grp._generators`.
     """
 
     __slots__ = ("group", "size", "images")
@@ -33,6 +34,11 @@ class PermAction:
         for p in images:
             if len(p) != size or sorted(p) != list(range(size)):
                 raise GroupError("not a permutation")
+        if images[0] != tuple(range(size)) or any(
+            images[group.table[a][s]] != tuple(map(images[a].__getitem__, images[s]))
+            for s in _generators(group) for a in range(group.order)
+        ):
+            raise GroupError("permutations are not a left action")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "images", images)

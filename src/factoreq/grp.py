@@ -4,7 +4,6 @@ Element 0 is always the identity. Groups are built either by closing a set of
 permutations under composition or from an explicit multiplication table.
 """
 
-import random
 from functools import wraps
 from operator import index as _as_int
 from typing import NamedTuple
@@ -40,9 +39,8 @@ def _memo(family):
 class FiniteGroup:
     """Immutable group given by its multiplication table.
 
-    `table[a][b]` is the product a*b. Construction validates the axioms;
-    associativity is checked exhaustively up to order 64 and on a fixed
-    deterministic sample beyond that.
+    `table[a][b]` is the product a*b. Construction validates the axioms
+    exactly, associativity by Light's test on generators (`_validate_table`).
     """
 
     __slots__ = ("order", "table", "inverse", "element_classes",
@@ -112,13 +110,39 @@ def _generated(table, gens):
     return tuple(sorted(elems))
 
 
+def _greedy_generators(table, elems):
+    """Greedy generators of `elems`, the chain parent <gens[:-1]> and the span <gens>.
+
+    Each generator is the first element outside the span so far; in a group it
+    at least doubles the span, so a subgroup needs at most log2 |elems| and they
+    span it. The loop stops before one more: a span other than `elems` refuses.
+    """
+    gens, span, parent = [], (0,), None
+    for g in elems:
+        if g not in span:
+            if 2 << len(gens) > len(elems):
+                break
+            gens.append(g)
+            parent, span = span, _generated(table, tuple(gens))
+    return tuple(gens), parent, span
+
+
+@_memo("generating_set")
+def _generating_set(group, elems):
+    """Greedy generators of the checked subgroup `elems` and the chain parent (None if trivial)."""
+    return _greedy_generators(group.table, elems)[:2]
+
+
+def _generators(group):
+    """Greedy generators of the whole group, cached by `_generating_set`."""
+    return _generating_set(group, tuple(range(group.order)))[0]
+
+
 def _validate_table(table):
     n = len(table)
-    rng = range(n)
-    for row in table:
-        for x in row:
-            if not 0 <= x < n:
-                raise GroupError("table entry out of range")
+    rng = tuple(range(n))
+    if any(not 0 <= x < n for row in table for x in row):
+        raise GroupError("table entry out of range")
     for a in rng:
         if table[0][a] != a or table[a][0] != a:
             raise GroupError("element 0 is not an identity")
@@ -126,15 +150,12 @@ def _validate_table(table):
             raise GroupError("table row is not a permutation")
         if len({table[b][a] for b in rng}) != n:
             raise GroupError("table column is not a permutation")
-    if n <= 64:
-        triples = ((a, b, c) for a in rng for b in rng for c in rng)
-    else:
-        # Too large for the cubic check; fixed-seed sample keeps it deterministic.
-        r = random.Random(0xA55)
-        triples = ((r.randrange(n), r.randrange(n), r.randrange(n)) for _ in range(40000))
-    for a, b, c in triples:
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise GroupError("multiplication table is not associative")
+    # Light's test: the s with row(a·s) = row(a)∘row(s) for every a are closed
+    # under products, so generators whose products reach every element suffice.
+    gens, _, span = _greedy_generators(table, rng)
+    if span != rng or any(table[table[a][s]] != tuple(map(table[a].__getitem__, table[s]))
+                          for s in gens for a in rng):
+        raise GroupError("multiplication table is not associative")
 
 
 def _element_classes(table, inv):
@@ -164,10 +185,8 @@ class Subgroup:
             raise GroupError("subgroup does not contain the identity")
         if elements[0] < 0 or elements[-1] >= group.order:  # before any table lookup
             raise GroupError("subgroup element out of range")
-        for a in elements:
-            for b in elements:
-                if group.table[a][b] not in eset:
-                    raise GroupError("element set is not closed under multiplication")
+        if _greedy_generators(group.table, elements)[2] != elements:
+            raise GroupError("element set is not closed under multiplication")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_set", eset)
@@ -321,7 +340,7 @@ def group_from_generators(perms, bound=CLOSURE_BOUND):
         [index[tuple(a[b[i]] for i in range(deg))] for b in elements]
         for a in elements
     ]
-    # Composition of permutations is associative; skip the cubic re-check.
+    # Composition of permutations is associative; skip the table check.
     return FiniteGroup(table, check=False)
 
 
@@ -331,21 +350,18 @@ def group_from_table(table):
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
         raise GroupError("multiplication table is not square")
+    if any(not 0 <= x < n for row in table for x in row):  # before renumbering
+        raise GroupError("table entry out of range")
     ident = next(
         (e for e in range(n) if all(table[e][j] == j and table[j][e] == j for j in range(n))),
         None,
     )
     if ident is None:
         raise GroupError("table has no identity element")
-    if ident != 0:
-        # Swap the identity into slot 0, keeping all other elements in order.
-        order = [ident] + [x for x in range(n) if x != ident]
-        newpos = {old: new for new, old in enumerate(order)}
-        table = [
-            [newpos[table[order[a]][order[b]]] for b in range(n)]
-            for a in range(n)
-        ]
-    return FiniteGroup(table)
+    # Move the identity into slot 0, keeping all other elements in order.
+    order = [ident] + [x for x in range(n) if x != ident]
+    newpos = {old: new for new, old in enumerate(order)}
+    return FiniteGroup([[newpos[table[a][b]] for b in order] for a in order])
 
 
 class DoubleCoset(NamedTuple):

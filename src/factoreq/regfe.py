@@ -12,14 +12,13 @@ from .exactla import (
     _preimage,
     _solver,
 )
-from .grp import _memo, all_subgroups
+from .grp import _generators, _memo, all_subgroups
 from .burnside import BrauerRelationBasis, RelationError, brauer_relation_basis, is_brauer_relation
 from .zgmod import (
     ModuleError,
     ZGLattice,
     _averaged_gram,
     _fixed_gram,
-    _generators,
     _vstack,
     find_equivariant_embedding,
     fixed_sublattice,

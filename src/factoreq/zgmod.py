@@ -32,7 +32,7 @@ from .exactla import (
     _preimage,
     _solver,
 )
-from .grp import _generated, _memo, _subgroup
+from .grp import _generating_set, _generators, _memo, _subgroup
 from .burnside import PermAction, _coset_action, coset_action
 
 
@@ -294,28 +294,6 @@ def sublattice_action(m, basis):
             raise ModuleError("basis does not span a G-stable sublattice")
         mats.append(coords)
     return ZGLattice(m.group, basis.cols, mats, check=False)
-
-
-@_memo("generating_set")
-def _generating_set(group, elems):
-    """Greedy generators of the subgroup `elems` and the chain parent <gens[:-1]>.
-
-    Each generator leaves the span so far, so there are at most log2 |H|; the
-    parent is the sorted span before the last one (None for the trivial
-    subgroup). `elems` is the element tuple of a checked Subgroup; cached per
-    group and element tuple.
-    """
-    gens, span, parent = [], (0,), None
-    for g in elems:
-        if g not in span:
-            gens.append(g)
-            parent, span = span, _generated(group.table, tuple(gens))
-    return tuple(gens), parent
-
-
-def _generators(group):
-    """Greedy generators of the whole group, cached by `_generating_set`."""
-    return _generating_set(group, tuple(range(group.order)))[0]
 
 
 def fixed_sublattice(module, h):

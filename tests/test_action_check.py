@@ -28,9 +28,10 @@ from factoreq import (
     is_positive_definite,
     trivial_lattice,
 )
+from factoreq.grp import _generators
 from factoreq.regfe import _validate_equivariant
 from factoreq.suites import _index2_subgroups, _random_equivariant_endo, _random_module, _torsion_twist
-from factoreq.zgmod import _checked_action, _generators
+from factoreq.zgmod import _checked_action
 from test_zgmod import _group
 
 GROUPS = corpus_names() + ("A4", "S4")

@@ -5,6 +5,7 @@ kernel rank is cross-checked against sympy's rank as an independent oracle.
 """
 
 import ast
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from factoreq import (
     BrauerRelationBasis,
     BurnsideElement,
+    FiniteGroup,
     GroupError,
     IntMatrix,
     PermAction,
@@ -329,6 +331,44 @@ def test_perm_action_refuses_non_integer_images():
         PermAction(act.group, [(0, 1), (1.0, 0)])
     with pytest.raises(GroupError, match="not a permutation"):
         PermAction(act.group, [(0, 1), (1, 1)])
+
+
+def test_perm_action_refuses_images_that_are_not_an_action():
+    # Permutations of the right shape: the identity moves both points in the
+    # first, and the second fixes both points under 3 = 1·2 but swaps them under 1.
+    # The trivial group has no generators, so its identity is checked on its own.
+    v4 = corpus_group("V4")
+    for group, images in (
+        (v4, [(1, 0), (0, 1), (0, 1), (0, 1)]),
+        (v4, [(0, 1), (1, 0), (0, 1), (0, 1)]),
+        (FiniteGroup([[0]]), [(1, 0)]),
+    ):
+        with pytest.raises(GroupError, match="^permutations are not a left action$"):
+            PermAction(group, images)
+
+
+def _is_left_action(group, images):
+    t, n = group.table, group.order
+    return images[0] == tuple(range(len(images[0]))) and all(
+        images[t[a][b]] == tuple(images[a][x] for x in images[b]) for a in range(n) for b in range(n)
+    )
+
+
+@pytest.mark.parametrize("name", ("C4", "V4"))
+def test_perm_action_accepts_exactly_the_left_actions(name):
+    # Every assignment of permutations of 3 points to the 4 elements, against all pairs.
+    group = corpus_group(name)
+    perms = list(permutations(range(3)))
+    accepted = 0
+    for images in product(perms, repeat=group.order):
+        if _is_left_action(group, images):
+            assert PermAction(group, images).images == images
+            accepted += 1
+        else:
+            with pytest.raises(GroupError, match="^permutations are not a left action$"):
+                PermAction(group, images)
+    # Homomorphisms into S3: 4 from C4 (its generator to 1 or a transposition), 10 from V4.
+    assert accepted == {"C4": 4, "V4": 10}[name]
 
 
 def test_regular_action_fixed_points():

@@ -370,6 +370,13 @@ def test_cli_bound_applies_to_cayley_tables(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("table", ([[99, 0], [0, 1]], [[-1, 0], [0, 1]]))
+def test_cli_cayley_table_entries_are_range_checked_before_renumbering(table, capsys, monkeypatch):
+    # Element 1 is the identity, so the table is renumbered after the range check.
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"cayley_table": table})))
+    assert _run_one_line_error(capsys, ["group", "-"], 2) == "error: table entry out of range\n"
+
+
 def test_cli_closed_stdout_prints_one_line():
     root = Path(__file__).resolve().parent.parent
     path = [str(root / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])

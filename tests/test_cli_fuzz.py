@@ -41,7 +41,12 @@ CASES = 800
 RELATION = {"coeffs": {"0": 1, "1": -1, "2": -1, "3": -1, "4": 2}}
 RELATION_KEYS = ("0", "4", "5", "01", " 1", "-1", "coeffs", "9" * 5_001)
 RELATION_CASES = 500
-GROUPS = ({"generators": [[1, 0, 3, 2], [2, 3, 0, 1]]}, {"cayley_table": [[0, 1], [1, 0]]})
+# The second table puts the identity in slot 1, so mutated entries reach the renumbering.
+GROUPS = (
+    {"generators": [[1, 0, 3, 2], [2, 3, 0, 1]]},
+    {"cayley_table": [[0, 1], [1, 0]]},
+    {"cayley_table": [[1, 0], [0, 1]]},
+)
 GROUP_KEYS = ("0", "1", "generators", "cayley_table", "labels")
 GROUP_CASES = 450
 KINDS = ("group", "module", "relation")

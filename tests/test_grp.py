@@ -4,6 +4,7 @@ The subgroup enumeration is cross-checked against a brute-force oracle that
 walks every subset of the group (fine for the small corpus orders).
 """
 
+import time
 from itertools import combinations
 
 import pytest
@@ -118,6 +119,62 @@ def test_table_validation_catches_non_associative():
                 [4, 3, 1, 2, 0],
             ]
         )
+
+
+def _associative(table):
+    """The cubic oracle: (ab)c = a(bc) for every triple."""
+    rng = range(len(table))
+    return all(table[table[a][b]][c] == table[a][table[b][c]] for a in rng for b in rng for c in rng)
+
+
+def _swapped_c2(k):
+    """C2^k as a XOR b with the intercalate of rows 2, 3 and columns 4, 5 (2, 3 for k = 2) swapped."""
+    n = 1 << k
+    c, d = (4, 5) if k > 2 else (2, 3)
+    table = [[a ^ b for b in range(n)] for a in range(n)]
+    for row in table[2:4]:
+        row[c], row[d] = row[d], row[c]
+    return table
+
+
+def _intercalate_swaps(table):
+    """Each Latin square with identity 0 one intercalate swap away from `table`."""
+    n = len(table)
+    for a, b in combinations(range(1, n), 2):
+        for c, d in combinations(range(1, n), 2):
+            if table[a][c] == table[b][d] and table[a][d] == table[b][c]:
+                swapped = [list(row) for row in table]
+                swapped[a][c], swapped[a][d] = table[a][d], table[a][c]
+                swapped[b][c], swapped[b][d] = table[b][d], table[b][c]
+                yield swapped
+
+
+def _checked_against_the_oracle(table):
+    """The cubic oracle's verdict on `table`, after FiniteGroup has accepted or refused it to match."""
+    if _associative(table):
+        assert FiniteGroup(table).table == tuple(map(tuple, table))
+        return True
+    with pytest.raises(GroupError, match="^multiplication table is not associative$"):
+        FiniteGroup(table)
+    return False
+
+
+def test_light_test_agrees_with_the_cubic_check():
+    assert all(_checked_against_the_oracle(_group(name).table) for name in corpus_names() + tuple(LADDER))
+    # Swapped C2^2 is C4 again; the larger swapped C2^k are not groups.
+    assert [_checked_against_the_oracle(_swapped_c2(k)) for k in range(2, 7)] == [True] + [False] * 4
+    swaps = (t for name in corpus_names() for t in _intercalate_swaps(corpus_group(name).table))
+    assert {_checked_against_the_oracle(t) for t in swaps} == {True, False}
+
+
+def test_a_swapped_intercalate_is_refused_at_order_1024():
+    # Too large for the cubic oracle, and so few triples break associativity
+    # that a sample of them can miss every one.
+    table = _swapped_c2(10)
+    start = time.perf_counter()
+    with pytest.raises(GroupError, match="^multiplication table is not associative$"):
+        group_from_table(table)
+    assert time.perf_counter() - start < 2
 
 
 # --- element-level API ---------------------------------------------------------
@@ -326,6 +383,20 @@ def test_subgroup_requires_actual_subgroup():
     g = corpus_group("S3")
     with pytest.raises(GroupError):
         Subgroup(g, (0, 1, 2))  # arbitrary subset, not closed
+
+
+@pytest.mark.parametrize("name", ("V4", "S3", "D4", "Q8"))
+def test_subgroup_check_is_closure_under_every_product(name):
+    group = corpus_group(name)
+    subgroups = _brute_subgroups(group)
+    for k in range(group.order):
+        for extra in combinations(range(1, group.order), k):
+            elems = (0,) + extra
+            if frozenset(elems) in subgroups:
+                assert Subgroup(group, elems).elements == elems
+            else:
+                with pytest.raises(GroupError, match="^element set is not closed under multiplication$"):
+                    Subgroup(group, elems)
 
 
 # --- larger groups from inline generators ------------------------------------------

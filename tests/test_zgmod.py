@@ -47,8 +47,8 @@ from factoreq import (
 )
 from factoreq.exactla import _snf_engine
 from factoreq.suites import _random_module, _random_unimodular, _torsion_twist
-from factoreq.grp import _generated
-from factoreq.zgmod import _Module, _averaged_gram, _averaged_map, _fixed_gram, _fixed_quotient, _generating_set
+from factoreq.grp import _generated, _generating_set
+from factoreq.zgmod import _Module, _averaged_gram, _averaged_map, _fixed_gram, _fixed_quotient
 from test_grp import _group
 
 
@@ -810,10 +810,12 @@ def test_generating_set_caches_the_chain_parent(monkeypatch):
         for k, g in enumerate(gens):
             assert g not in _generated(group.table, gens[:k])
     # Once the generating sets are cached, a new module's fixed points need no closure.
-    monkeypatch.setattr("factoreq.zgmod._generated", None)
+    # The Subgroup check of an element tuple runs a closure, so it runs first.
+    subgroups = [Subgroup(group, elems) for elems in members]
+    monkeypatch.setattr("factoreq.grp._generated", None)
     m = direct_sum(regular_lattice(group), trivial_lattice(group))
-    for elems in members:
-        assert fixed_sublattice(m, elems).rows == m.rank
+    for h in subgroups:
+        assert fixed_sublattice(m, h).rows == m.rank
 
 
 def _fp_modules_with_relations(group, table, name):
