@@ -7,7 +7,7 @@ The fixed-point matrix, the relation basis and each coset table are memoized
 on the group (`grp._memo`); `coset_action` checks its subgroup before its lookup.
 """
 
-from operator import index as _as_int
+from operator import index as _as_int, mul
 
 from .exactla import IntMatrix, _snf_engine, column_lattice_basis, integer_kernel
 from .grp import GroupError, _generators, _memo, _subgroup, all_subgroups, left_cosets
@@ -224,8 +224,7 @@ def brauer_relation_basis(group):
 
 def is_brauer_relation(theta):
     """True iff all fixed-point counts of the virtual G-set cancel."""
-    f = fixed_point_matrix(theta.group)
-    return all(x == 0 for x in f.apply(theta.coeffs))
+    return all(sum(map(mul, row, theta.coeffs)) == 0 for row in fixed_point_matrix(theta.group)._data)
 
 
 def relation_is_saturated(basis):

@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from .corpus import corpus_group, corpus_names
 from .grp import GroupError, all_subgroups
-from .burnside import RelationError, brauer_relation_basis
+from .burnside import BrauerRelationBasis, RelationError, brauer_relation_basis
 from .zgmod import ModuleError
-from .regfe import InternalError, PairingError, factor_equivalent, regulator_constant
+from .regfe import InternalError, PairingError, factor_equivalent, regulator_constants_table
 from .jsonio import (
     InputError,
     _decimal,
@@ -104,10 +104,11 @@ def cmd_regconst(args):
     group = _load_group(args.group, args.bound)
     module = module_from_json(group, load_json(_read_source(args.module)))
     if args.relation is not None:
-        relations = [burnside_from_json(group, load_json(_read_source(args.relation)))]
+        theta = burnside_from_json(group, load_json(_read_source(args.relation)))
+        relations = BrauerRelationBasis(group, (theta,))
     else:
-        relations = list(brauer_relation_basis(group))
-    constants = [regulator_constant(theta, module) for theta in relations]
+        relations = brauer_relation_basis(group)
+    constants = regulator_constants_table(relations, module)
     report = {
         "relations": relations,
         "constants": constants,

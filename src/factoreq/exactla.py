@@ -171,13 +171,6 @@ class IntMatrix:
             out.append(acc)
         return IntMatrix._trusted(tuple(out), other.cols)
 
-    def apply(self, vector):
-        """Matrix-vector product; `vector` is a length-`cols` sequence."""
-        vector = tuple(vector)
-        if len(vector) != self.cols:
-            raise ExactLinAlgError("vector length mismatch")
-        return tuple(sum(x * y for x, y in zip(row, vector)) for row in self._data)
-
     def __repr__(self):
         return f"IntMatrix({self.tolist()!r})"
 

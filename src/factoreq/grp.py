@@ -5,7 +5,7 @@ permutations under composition or from an explicit multiplication table.
 """
 
 from functools import wraps
-from operator import index as _as_int
+from operator import index as _as_int, itemgetter
 from typing import NamedTuple
 
 
@@ -152,9 +152,10 @@ def _validate_table(table):
             raise GroupError("table column is not a permutation")
     # Light's test: the s with row(a·s) = row(a)∘row(s) for every a are closed
     # under products, so generators whose products reach every element suffice.
+    # itemgetter composes in C; a generator means n ≥ 2 indices, so it gives a tuple.
     gens, _, span = _greedy_generators(table, rng)
-    if span != rng or any(table[table[a][s]] != tuple(map(table[a].__getitem__, table[s]))
-                          for s in gens for a in rng):
+    if span != rng or any(table[table[a][s]] != compose(table[a])
+                          for s in gens for compose in (itemgetter(*table[s]),) for a in rng):
         raise GroupError("multiplication table is not associative")
 
 

@@ -13,7 +13,7 @@ from .exactla import (
     _solver,
 )
 from .grp import _generators, _memo, all_subgroups
-from .burnside import BrauerRelationBasis, RelationError, brauer_relation_basis, is_brauer_relation
+from .burnside import BrauerRelationBasis, RelationError, brauer_relation_basis
 from .zgmod import (
     ModuleError,
     ZGLattice,
@@ -87,14 +87,9 @@ def _check_pairing(module, pairing):
         raise PairingError("pairing does not live on this module's lattice")
 
 
-def _class_determinants(module, pairing):
-    """Per-subgroup-class det((1/|H|)·pairing on M^H/tors) from `_fixed_gram`, cached by gram."""
-    _check_pairing(module, pairing)
-    return _class_dets(module, (averaged_pairing(module) if pairing is None else pairing).gram)
-
-
 @_memo("class_dets")
 def _class_dets(module, gram):
+    """Per-subgroup-class det((1/|H|)·gram on M^H/tors) from `_fixed_gram`, cached by gram."""
     dets = []
     for cls in all_subgroups(module.group):
         g = _fixed_gram(module, gram, cls.representative)
@@ -103,30 +98,27 @@ def _class_dets(module, gram):
 
 
 def regulator_constant(theta, module, pairing=None):
-    """C_Θ(M) = product over subgroup classes of the fixed-point Gram determinants.
+    """C_Θ(M): the table of the one-relation basis (Θ), which refuses Θ outside K(G).
 
-    Θ must lie in K(G); outside the kernel the product depends on the pairing
-    and is rejected.
+    Outside the kernel the product would depend on the pairing.
     """
-    if theta.group is not module.group:
-        raise RelationError("relation and module live over different groups")
-    if not is_brauer_relation(theta):
-        raise RelationError("not a Brauer relation")
-    return _evaluate(theta, _class_determinants(module, pairing))
+    return regulator_constants_table(BrauerRelationBasis(theta.group, (theta,)), module, pairing)[0]
 
 
 def regulator_constants_table(basis, module, pairing=None):
     """Componentwise regulator constants for a whole relation basis.
 
+    C_Θ(M) is the product over subgroup classes of the fixed-point Gram
+    determinants under the pairing (averaged by default), raised to n_H.
     An empty basis (K(G) = 0, as for cyclic G) gives () once the groups and
     the pairing are checked, with no class determinants computed.
     """
     if basis.group is not module.group:
         raise RelationError("relation and module live over different groups")
+    _check_pairing(module, pairing)
     if not basis:
-        _check_pairing(module, pairing)
         return ()
-    dets = _class_determinants(module, pairing)
+    dets = _class_dets(module, (averaged_pairing(module) if pairing is None else pairing).gram)
     return tuple(_evaluate(theta, dets) for theta in basis)
 
 

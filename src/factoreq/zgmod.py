@@ -13,7 +13,8 @@ M/tors), and `_fixed_quotient` gives M^H/tors inside M/tors with |M^H_tors|,
 so no caller outside this module asks which kind of module it holds. Every
 per-group and per-module cache here is `grp._memo`; public entry points run
 their checks first and call a memoized private builder. Only the averaged
-gram is seeded by hand, with |G|·I, on the lattices of signed G-sets.
+gram is seeded by hand, with |G|·I, by `_gset_lattice`, the one builder of
+the lattices of signed G-sets.
 """
 
 import math
@@ -167,21 +168,37 @@ def zero_lattice(group):
 def permutation_lattice(group, gset):
     """Free lattice on the points of a PermAction, G permuting the basis.
 
-    Built once per group and action, so repeated Z[G/H] share one immutable
-    lattice and its caches; its averaged gram is |G|·I (ρ(g) is orthogonal).
+    Built once per group and action by `_gset_lattice`, so repeated Z[G/H]
+    share one immutable lattice and its caches.
     """
     if not isinstance(gset, PermAction) or gset.group is not group:
         raise ModuleError("gset must be a permutation action of the same group")
-    return _permutation_lattice(group, gset.images)
+    return _gset_lattice(group, gset.images)
 
 
-@_memo("permutation_lattice")
-def _permutation_lattice(group, images):
-    # ρ(g) sends e_j to e_{g·j}, so its row i is e_{g⁻¹·i}.
-    n = len(images[0])
-    eye = IntMatrix.identity(n)
-    mats = (IntMatrix._trusted(tuple(eye._data[i] for i in images[h]), n) for h in group.inverse)
-    lattice = ZGLattice(group, n, mats, check=False)
+@_memo("gset_lattice")
+def _gset_lattice(group, images, kernel=None):
+    """The lattice of a signed G-set: row j of ρ(g) is ±e_{g⁻¹·j}.
+
+    The sign is − exactly when `kernel` is given and reps[j]⁻¹·g·reps[i] ∉
+    kernel, for i = g⁻¹·j; `images` is then the action of G on G/D, and
+    reps[i] is the least element of coset i. Each ρ(g) is a signed
+    permutation matrix, so orthogonal: this seeds the averaged gram |G|·I.
+    """
+    mul, inv, k = group.table, group.inverse, len(images[0])
+    if kernel is not None:
+        kernel = frozenset(kernel)
+        reps = [next(g for g in range(group.order) if images[g][0] == i) for i in range(k)]
+    eye = IntMatrix.identity(k)
+    plus, minus = eye._data, (-eye)._data
+    mats = (
+        IntMatrix._trusted(tuple(
+            (plus if kernel is None or mul[inv[reps[j]]][mul[g][reps[i]]] in kernel else minus)[i]
+            for j, i in enumerate(images[inv[g]])
+        ), k)
+        for g in range(group.order)
+    )
+    lattice = ZGLattice(group, k, mats, check=False)
     lattice._cache["avg_gram"] = group.order * eye
     return lattice
 
@@ -203,10 +220,8 @@ def induced_lattice(group, d, kernel=None):
 
     `d` and `kernel` (None means D) are Subgroups of G or element sets of
     them, and `kernel` has index 1 or 2 in D. Index 1 gives Z[G/D], the
-    cached permutation lattice. Index 2 gives signed permutation matrices:
-    row j of ρ(g) is ±e_i, where g·(coset i) = coset j, with + iff
-    reps[j]⁻¹·g·reps[i] ∈ kernel. They are built once per group and pair;
-    ρ(g) is orthogonal, so the averaged gram is |G|·I.
+    cached permutation lattice. Index 2 gives the signed coset lattice of
+    `_gset_lattice`, built once per group and pair.
     """
     d = _subgroup(group, d)
     kernel = d if kernel is None else _subgroup(group, kernel)
@@ -216,27 +231,7 @@ def induced_lattice(group, d, kernel=None):
         return permutation_lattice(group, coset_action(group, d))
     if 2 * kernel.order != d.order:
         raise ModuleError("kernel must have index 1 or 2 in d")
-    return _induced_lattice(group, d.elements, kernel.elements)
-
-
-@_memo("induced_lattice")
-def _induced_lattice(group, d, kernel):
-    # Coset i of G/D holds g iff g·D is coset i; its least such g is its representative.
-    images, mul, inv = _coset_action(group, d).images, group.table, group.inverse
-    k, kernel = len(images[0]), frozenset(kernel)
-    reps = [next(g for g in range(group.order) if images[g][0] == i) for i in range(k)]
-    eye = IntMatrix.identity(k)
-    plus, minus = eye._data, (-eye)._data
-    mats = (
-        IntMatrix._trusted(tuple(
-            (plus if mul[inv[reps[j]]][mul[g][reps[i]]] in kernel else minus)[i]
-            for j, i in enumerate(images[inv[g]])
-        ), k)
-        for g in range(group.order)
-    )
-    lattice = ZGLattice(group, k, mats, check=False)
-    lattice._cache["avg_gram"] = group.order * eye
-    return lattice
+    return _gset_lattice(group, _coset_action(group, d.elements).images, kernel.elements)
 
 
 def _block_diagonal(blocks):

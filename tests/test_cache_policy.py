@@ -3,9 +3,9 @@
 `grp._memo(family)` caches `fn(owner, *args)` in `owner._cache` under
 `(family, *args)`. Its contract is tested on a stub owner. Every other cache on
 a group or module goes through it, so no library code reads or writes
-`._cache` itself; the one exception is the averaged gram, which the
-permutation and signed coset lattices seed with |G|·I and `_averaged_gram`
-reads. That is read from each module's syntax tree.
+`._cache` itself; the one exception is the averaged gram, which the one
+builder of signed G-set lattices, `_gset_lattice`, seeds with |G|·I and
+`_averaged_gram` reads. That is read from each module's syntax tree.
 """
 
 import ast
@@ -75,10 +75,7 @@ def test_memo_keys_by_family_and_arguments_per_owner():
     assert first.__name__ == "first"
 
 
-AVG_GRAM_SITES = {
-    ("zgmod.py", "_permutation_lattice"), ("zgmod.py", "_induced_lattice"),
-    ("zgmod.py", "_averaged_gram"),
-}
+AVG_GRAM_SITES = {("zgmod.py", "_gset_lattice"), ("zgmod.py", "_averaged_gram")}
 
 
 def _is_avg_gram_site(parent, node):

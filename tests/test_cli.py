@@ -405,7 +405,9 @@ def test_cli_non_relation_exits_3(v4_file, trivial_module_file, tmp_path, capsys
         ["regconst", v4_file, "--module", trivial_module_file, "--relation", str(rel)]
     )
     assert code == 3
-    assert "precondition violated" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "precondition violated: basis vector is not a Brauer relation of this group\n"
+    )
 
 
 def test_cli_not_rationally_isomorphic_exits_3(tmp_path, capsys):

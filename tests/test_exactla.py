@@ -296,7 +296,6 @@ def test_intmatrix_arithmetic():
     assert (-a) * -1 == a
     assert a @ b == IntMatrix([[2, 1], [4, 3]])
     assert a.transpose().transpose() == a
-    assert a.apply((1, 0)) == (1, 3)
 
 
 def test_intmatrix_stacking_and_columns():
