@@ -10,8 +10,8 @@ determinant or a rational solution read off an integer one. No floating
 point is used anywhere, so all equalities downstream are exact.
 `integer_kernel`, `column_lattice_basis`, `lattice_index`, `determinant` and
 `_solver` (the `ImageSolver` of every library solve) keep LRU caches keyed on
-content, of `_CACHE` = 32 entries each: a hit shares the earlier immutable
-result, and a refusal is raised again, never cached.
+content, of `_CACHE` = 32 entries each (`IntMatrix.identity` on its size): a
+hit shares the earlier immutable result; a refusal is raised again, uncached.
 """
 
 import math
@@ -75,6 +75,7 @@ class IntMatrix:
         return cls._trusted(((0,) * cols,) * rows, cols)
 
     @classmethod
+    @lru_cache(maxsize=_CACHE, typed=True)
     def identity(cls, n):
         return cls._trusted(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), n)
 
@@ -148,8 +149,8 @@ class IntMatrix:
     def __matmul__(self, other):
         """Product as row combinations: row i of A·B is Σ_j a_ij·(row j of B).
 
-        Zero entries of the left factor are skipped, so products with
-        permutation actions and fixed-point bases cost about their nonzeros.
+        The loop visits every entry of A (n² for an n x n permutation action);
+        only A's nonzeros cost a row operation, and a first nonzero 1 shares B's row.
         """
         if self.cols != other.rows:
             raise ExactLinAlgError("shape mismatch in product")

@@ -14,22 +14,24 @@ class GroupError(ValueError):
 
 
 CLOSURE_BOUND = 2000
+_MISSING = object()
 
 
 def _memo(family):
     """Cache `fn(owner, *args)` in `owner._cache` under `(family, *args)`.
 
-    The one cache policy of groups and modules. A miss is `key not in cache`,
-    so falsy results are cached too; a call that raises stores nothing.
+    The one cache policy of groups and modules. A miss is a lookup that gives
+    `_MISSING`, so falsy results are cached too; a raising call stores nothing.
     """
 
     def decorate(fn):
         @wraps(fn)
         def cached(owner, *args):
             cache, key = owner._cache, (family, *args)
-            if key not in cache:
-                cache[key] = fn(owner, *args)
-            return cache[key]
+            result = cache.get(key, _MISSING)
+            if result is _MISSING:
+                result = cache[key] = fn(owner, *args)
+            return result
 
         return cached
 

@@ -8,7 +8,8 @@ its axioms hold exactly; an FpModule carries the torsion information the
 factor-equivalence lemma needs. Both share one constructor, `_Module`, and
 one action check on G's generators, `_checked_action`, which also completes an
 action given on a generating set; fixed points of both go through one routine,
-`fixed_sublattice`. Both answer `lattice_quotient()` (a lattice is its own
+`fixed_sublattice`, down a chain of steps L_H = L_K·C that skips (C = None)
+each step fixing L_K. Both answer `lattice_quotient()` (a lattice is its own
 M/tors), and `_fixed_quotient` gives M^H/tors inside M/tors with |M^H_tors|,
 so no caller outside this module asks which kind of module it holds. Every
 per-group and per-module cache here is `grp._memo`; public entry points run
@@ -116,8 +117,7 @@ class ZGLattice(_Module):
 
     def lattice_quotient(self):
         """(self, I, I), cached nowhere, so the module's cache never refers back to it."""
-        eye = IntMatrix.identity(self.rank)
-        return self, eye, eye
+        return self, IntMatrix.identity(self.rank), IntMatrix.identity(self.rank)
 
     def __repr__(self):
         return f"ZGLattice(rank={self.rank}, |G|={self.group.order})"
@@ -301,22 +301,28 @@ def fixed_sublattice(module, h):
     L_H = {x ∈ L_K : (ρ(s_k) − I)x ∈ im(R)}, since the action preserves im(R)
     and is a homomorphism modulo im(R). That is one preimage step: L_H = L_K·C
     for C = `_preimage((ρ(s_k) − I)·L_K, R)`, and `_fixed_chain` caches
-    (L_H, K, C) for each L_K on the way. `h` is a Subgroup of the module's
-    group or the element set of one, else `grp._subgroup` raises GroupError.
+    (L_H, K, C) for each L_K on the way: L_H = C out of K = 1 (L_K = I), and
+    (L_K, K, None), with no preimage, when (ρ(s_k) − I)·L_K = 0, so L_K and its
+    Gram are kept. `h` is a Subgroup of the module's group or the element set
+    of one, else `grp._subgroup` raises GroupError.
     """
     return _fixed_chain(module, _subgroup(module.group, h).elements)[0]
 
 
 @_memo("fixed")
 def _fixed_chain(module, elems):
-    """(L_H, K, C) with L_H = L_K·C, or (I, None, None) for the trivial subgroup."""
+    """The chain record (L_H, K, C) of `fixed_sublattice`, or (I, None, None) for H = 1."""
     gens, parent = _generating_set(module.group, elems)
     if not gens:
         return IntMatrix.identity(module.relations.rows), None, None
     # The greedy generating set of K is gens[:-1], so the chain reuses entries.
-    lk = _fixed_chain(module, parent)[0]
-    c = _preimage(module.action[gens[-1]] @ lk - lk, module.relations)
-    return lk @ c, parent, c
+    lk, grandparent, _ = _fixed_chain(module, parent)
+    rho = module.action[gens[-1]]
+    step = rho - lk if grandparent is None else rho @ lk - lk
+    if not any(map(any, step._data)):
+        return lk, parent, None
+    c = _preimage(step, module.relations)
+    return (c if grandparent is None else lk @ c), parent, c
 
 
 def character(m):
@@ -414,9 +420,10 @@ def _fixed_gram(module, gram, h):
 
 @_memo("fixed_gram")
 def _chain_gram(lattice, gram, elems):
-    """Gram of L_H: `gram` for H = 1, else Cᵀ·(Gram(L_K)·C) for the chain record L_H = L_K·C."""
+    """Gram of L_H: `gram` for H = 1, Gram(L_K) itself for C = None, else Cᵀ·(Gram(L_K)·C)."""
     _, parent, c = _fixed_chain(lattice, elems)
-    return gram if c is None else c.transpose() @ (_chain_gram(lattice, gram, parent) @ c)
+    gk = gram if parent is None else _chain_gram(lattice, gram, parent)
+    return gk if c is None else c.transpose() @ (gk @ c)
 
 
 def fp_fixed_data(module, h):

@@ -780,11 +780,21 @@ def test_every_exact_cache_is_listed():
 
 
 def test_caches_stay_bounded_over_verify_all():
+    # The shared identities live on the class, out of the conftest scan's reach.
+    IntMatrix.identity.cache_clear()
     run_suites("all", seed=1)
-    for fn in CACHED:
+    for fn in CACHED + (IntMatrix.identity,):
         info = fn.cache_info()
         assert info.maxsize == 32 and info.currsize <= info.maxsize, fn
         assert info.hits, fn
+
+
+def test_identity_is_shared_and_matches_the_coercing_constructor():
+    for n in range(4):
+        eye = IntMatrix.identity(n)
+        assert eye == IntMatrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+        assert (eye.rows, eye.cols) == (n, n)
+        assert IntMatrix.identity(n) is eye
 
 
 def test_cached_solver_matches_a_fresh_solver():

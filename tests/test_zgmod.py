@@ -20,6 +20,7 @@ from factoreq import (
     Subgroup,
     ZGLattice,
     all_subgroups,
+    brauer_relation_basis,
     character,
     column_lattice_basis,
     conjugated_lattice,
@@ -40,15 +41,24 @@ from factoreq import (
     random_invariant_pairing,
     rationally_isomorphic,
     regular_lattice,
+    regulator_constants_table,
     sublattice_action,
     sunit_lattice,
     trivial_lattice,
     zero_lattice,
 )
-from factoreq.exactla import _snf_engine
+from factoreq.exactla import _preimage, _snf_engine
 from factoreq.suites import _random_module, _random_unimodular, _torsion_twist
 from factoreq.grp import _generated, _generating_set
-from factoreq.zgmod import _Module, _averaged_gram, _averaged_map, _fixed_gram, _fixed_quotient
+from factoreq.zgmod import (
+    _Module,
+    _averaged_gram,
+    _averaged_map,
+    _chain_gram,
+    _fixed_chain,
+    _fixed_gram,
+    _fixed_quotient,
+)
 from test_grp import _group
 
 
@@ -879,6 +889,66 @@ def test_fixed_gram_matches_the_ambient_product(name):
         for h in (e for cls in table for e in cls.members):
             b = _fixed_quotient(m, h)[0]
             assert _fixed_gram(m, gram, h) == b.transpose() @ gram @ b
+
+
+@pytest.mark.parametrize("name", ["V4", "D4", "A4", "S4"])
+def test_no_op_chain_steps_keep_the_fixed_points_and_their_gram(name):
+    """Modules where some chain step s already fixes L_K, which records C = None.
+
+    Z, Z[G/N] for a normal N ≠ 1, Ind_D(χ) for the largest D with a ±1
+    character χ ≠ 1, and a torsion twist of Z[G/N]: L_H against the
+    all-elements stack, and every Gram against Bᵀ·gram·B. A no-op record
+    shares its parent's L_K and, on a lattice, its parent's Gram object.
+    """
+    group = _group(name)
+    table = all_subgroups(group)
+    rng = random.Random(name)
+    normal = next(c.representative for c in table if len(c.members) == 1 and c.order > 1)
+    quotient = induced_lattice(group, normal)
+    d = next(c.representative for c in reversed(table) if _index2_kernels(group, c.representative))
+    signed = induced_lattice(group, d, _index2_kernels(group, d)[0])
+    modules = [trivial_lattice(group), quotient, signed, _torsion_twist(quotient, 3, rng)]
+    no_ops = 0
+    for m in modules:
+        lattice = m.lattice_quotient()[0]
+        grams = (_averaged_gram(lattice), random_invariant_pairing(m, rng).gram)
+        for h in (Subgroup(group, e) for cls in table for e in cls.members):
+            assert column_lattice_basis(fixed_sublattice(m, h)) == _all_elements_fixed_basis(m, h)
+            b = _fixed_quotient(m, h.elements)[0]
+            lh, parent, c = _fixed_chain(m, h.elements)
+            no_op = c is None and parent is not None
+            no_ops += no_op
+            assert not no_op or lh is _fixed_chain(m, parent)[0]
+            for gram in grams:
+                assert _fixed_gram(m, gram, h) == b.transpose() @ gram @ b
+                if no_op and m is lattice:
+                    assert _chain_gram(m, gram, h.elements) is _chain_gram(m, gram, parent)
+    assert no_ops
+
+
+def test_chain_skips_preimages_of_fixed_steps_and_products_by_the_identity(monkeypatch):
+    """Work-count pin on a fresh S4: C_Θ(Z) runs no preimage; no chain product of C_Θ(Z[G]) has a factor I."""
+    group = group_from_table(_group("S4").table)
+    basis = brauer_relation_basis(group)
+    preimages, factors = [], []
+    real_matmul = IntMatrix.__matmul__
+
+    def preimage(al, rel):
+        preimages.append(al)
+        return _preimage(al, rel)
+
+    def matmul(a, b):
+        factors.extend((a, b))
+        return real_matmul(a, b)
+
+    monkeypatch.setattr("factoreq.zgmod._preimage", preimage)
+    regulator_constants_table(basis, trivial_lattice(group))
+    assert preimages == []
+    reg = regular_lattice(group)
+    monkeypatch.setattr(IntMatrix, "__matmul__", matmul)
+    regulator_constants_table(basis, reg)
+    assert preimages and factors
+    assert not any(f.rows == f.cols and f == IntMatrix.identity(f.rows) for f in factors)
 
 
 @pytest.mark.parametrize("name", corpus_names())
