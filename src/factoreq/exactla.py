@@ -8,10 +8,12 @@ the Brauer relation basis, and the public `invariant_factors`) and Bareiss
 (determinants). Fractions appear only in results, such as a scaled Gram
 determinant or a rational solution read off an integer one. No floating
 point is used anywhere, so all equalities downstream are exact.
-`integer_kernel`, `column_lattice_basis`, `lattice_index`, `determinant` and
-`_solver` (the `ImageSolver` of every library solve) keep LRU caches keyed on
-content, of `_CACHE` = 32 entries each (`IntMatrix.identity` on its size): a
-hit shares the earlier immutable result; a refusal is raised again, uncached.
+`column_lattice_basis`, `lattice_index`, `determinant` and `_solver` (the
+`ImageSolver` of every library solve) keep LRU caches keyed on content, of
+`_CACHE` = 32 entries each (`IntMatrix.identity` on its size): a hit shares
+the earlier immutable result; a refusal is raised again, uncached.
+`integer_kernel` keeps none: each kernel has one owner, the fixed-point chain
+record or quotient that zgmod memoizes on its module, or a one-shot caller.
 """
 
 import math
@@ -276,7 +278,6 @@ def rank(a):
     return _hnf_rows([list(r) for r in a._data], a.cols)
 
 
-@lru_cache(maxsize=_CACHE)
 def integer_kernel(a):
     """Basis of {x in Z^cols : A x = 0} as matrix columns, from `_hermite_transform`."""
     rows, r = _hermite_transform(a)
@@ -505,8 +506,8 @@ def _hermite_transform(a):
     column span, and the u parts of rows[r:] are a basis of A's integer
     kernel (a saturated sublattice).
     """
-    n = a.cols
-    rows = [list(c) + [0] * j + [1] + [0] * (n - j - 1) for j, c in enumerate(a.transpose()._data)]
+    eye = IntMatrix.identity(a.cols)._data
+    rows = [[*c, *e] for c, e in zip(a.transpose()._data, eye)]
     return rows, _hnf_rows(rows, a.rows)
 
 

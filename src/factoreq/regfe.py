@@ -168,25 +168,34 @@ def _validate_equivariant(m, n, t, rel_m, rel_n):
 
 
 def index_function(m, n, t):
-    """f(H) = [N^H : T(M^H)] / |ker(T on M^H)|: a tuple of Fractions in `all_subgroups` order."""
+    """f(H) = [N^H : T(M^H)] / |ker(T on M^H)|: a tuple of Fractions in `all_subgroups` order.
+
+    Given T and the two relation matrices, f(H) depends only on the pair
+    (L_H(M), L_H(N)) of fixed lattices, so each distinct pair, keyed by
+    content, is evaluated once and its value reused by every later class
+    with the same pair. A refusal names the first class that hits it.
+    """
     rel_m, rel_n = m.relations, n.relations
     _validate_equivariant(m, n, t, rel_m, rel_n)
-    values = []
+    by_pair, values = {}, []
     for ci, cls in enumerate(all_subgroups(m.group)):
         h = cls.representative
-        lm = fixed_sublattice(m, h)
-        tl = t @ lm
-        try:
-            num = lattice_index(tl.hstack(rel_n), fixed_sublattice(n, h))
-        except ExactLinAlgError as exc:
-            raise ModuleError(f"infinite cokernel at subgroup class {ci}") from exc
-        # ker(T on M^H) = V / im(R_M) for V the preimage in L_H(M) of im(R_N);
-        # im(R_M) ⊆ V always, so a rank difference is exactly an infinite kernel.
-        try:
-            korder = lattice_index(rel_m, lm @ _preimage(tl, rel_n))
-        except ExactLinAlgError as exc:
-            raise ModuleError(f"infinite kernel at subgroup class {ci}") from exc
-        values.append(Fraction(num, korder))
+        pair = lm, ln = fixed_sublattice(m, h), fixed_sublattice(n, h)
+        value = by_pair.get(pair)
+        if value is None:
+            tl = t @ lm
+            try:
+                num = lattice_index(tl.hstack(rel_n), ln)
+            except ExactLinAlgError as exc:
+                raise ModuleError(f"infinite cokernel at subgroup class {ci}") from exc
+            # ker(T on M^H) = V / im(R_M) for V the preimage in L_H(M) of im(R_N);
+            # im(R_M) ⊆ V always, so a rank difference is exactly an infinite kernel.
+            try:
+                korder = lattice_index(rel_m, lm @ _preimage(tl, rel_n))
+            except ExactLinAlgError as exc:
+                raise ModuleError(f"infinite kernel at subgroup class {ci}") from exc
+            value = by_pair[pair] = Fraction(num, korder)
+        values.append(value)
     return tuple(values)
 
 

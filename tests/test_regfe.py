@@ -9,6 +9,7 @@ import gc
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ from factoreq import (
     fixed_sublattice,
     fp_fixed_data,
     gram_determinant,
+    group_from_generators,
     index_function,
     induced_lattice,
     integer_kernel,
@@ -66,7 +68,7 @@ from factoreq.suites import (
     _random_module,
     _torsion_twist,
 )
-from test_grp import _group
+from test_grp import LADDER, _group
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -479,6 +481,57 @@ def test_index_function_kernel_order_matches_reference_route(name):
             orders.add(korder)
     assert orders > {1}, "no instance had a nontrivial kernel"
 
+
+
+def test_index_function_evaluates_each_pair_of_fixed_lattices_once(monkeypatch):
+    """Two `lattice_index` calls per distinct pair (L_H(M), L_H(N)); a repeated pair reuses its value."""
+    calls = []
+
+    def counted(sub, sup):
+        calls.append((sub, sup))
+        return lattice_index(sub, sup)
+
+    monkeypatch.setattr("factoreq.regfe.lattice_index", counted)
+    group = group_from_generators(LADDER["S4"])
+    classes = all_subgroups(group)
+    triv = trivial_lattice(group)
+    assert index_function(triv, triv, IntMatrix([[2]])) == (Fraction(2),) * len(classes)
+    assert len(calls) == 2
+    shared = False
+    for m, n, t in _lemma_shaped_instances(group, random.Random(24)):
+        calls.clear()
+        f = index_function(m, n, t)
+        pairs = set()
+        for ci, cls in enumerate(classes):
+            h = cls.representative
+            lm, ln = fixed_sublattice(m, h), fixed_sublattice(n, h)
+            pairs.add((lm, ln))
+            num = lattice_index((t @ lm).hstack(n.relations), ln)
+            assert f[ci] == Fraction(num, _reference_kernel_order(m, n, t, h))
+        assert len(calls) == 2 * len(pairs)
+        shared |= 2 <= len(pairs) < len(classes)
+    assert shared, "no instance had two distinct pairs and a repeated one"
+
+
+def test_regulator_constants_of_a_dropped_group_leave_little_behind():
+    """Once a group is dropped, only the bounded content caches keep anything of its C_Θ(Z[G]).
+
+    Z[C2×S4] has rank 48; every chain kernel and fixed lattice belongs to the
+    module's memo and goes with it. The identity of rank 48 is built first,
+    as the shared identity cache keeps it for later callers.
+    """
+    IntMatrix.identity(48)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = group_from_generators(LADDER["C2xS4"])
+        assert set(regulator_constants_table(brauer_relation_basis(group), regular_lattice(group))) == {1}
+        del group
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 128 * 1024, retained
 
 def test_index_function_rejects_non_equivariant():
     # Over C2 the identity's block of the stacked defects is always zero, so
