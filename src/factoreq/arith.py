@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactla import IntMatrix, integer_solve, lattice_index
+from .exactla import ExactLinAlgError, IntMatrix, lattice_index
 from .grp import _subgroup, all_subgroups
 from .burnside import PermAction, coset_action
 from .regfe import InvariantPairing, _evaluate, regulator_constant, regulator_constants_table
@@ -135,15 +135,14 @@ class SUnitIndexCheck(NamedTuple):
 
 
 def verify_sunit_index(sunit, h):
-    """Compare [(I_S)^H : image of subfield lattice] with n(H)/l(H)."""
+    """Compare [(I_S)^H : subfield image] with n(H)/l(H), both in Z[S] (the basis is injective)."""
     h = _subgroup(sunit.model.group, h)
     rd = residue_degrees(sunit.model, h)
-    ambient_vectors = subfield_lattice_embedding(sunit, h)
-    coords = integer_solve(sunit.basis, ambient_vectors)
-    if coords is None:
-        raise ArithmeticModelError("subfield image escapes the augmentation kernel")
-    fixed = fixed_sublattice(sunit.lattice, h)
-    index = Fraction(lattice_index(coords, fixed))
+    fixed = sunit.basis @ fixed_sublattice(sunit.lattice, h)
+    try:
+        index = Fraction(lattice_index(subfield_lattice_embedding(sunit, h), fixed))
+    except ExactLinAlgError as exc:
+        raise ArithmeticModelError("subfield image is not of finite index in (I_S)^H") from exc
     expected = Fraction(rd.n, rd.l)
     return SUnitIndexCheck(index=index, expected=expected, ok=index == expected)
 

@@ -8,12 +8,12 @@ the Brauer relation basis, and the public `invariant_factors`) and Bareiss
 (determinants). Fractions appear only in results, such as a scaled Gram
 determinant or a rational solution read off an integer one. No floating
 point is used anywhere, so all equalities downstream are exact.
-`column_lattice_basis`, `lattice_index`, `determinant` and `_solver` (the
-`ImageSolver` of every library solve) keep LRU caches keyed on content, of
-`_CACHE` = 32 entries each (`IntMatrix.identity` on its size): a hit shares
-the earlier immutable result; a refusal is raised again, uncached.
-`integer_kernel` keeps none: each kernel has one owner, the fixed-point chain
-record or quotient that zgmod memoizes on its module, or a one-shot caller.
+No function here keeps a cache keyed on matrix content: a result that is
+reused lives with its owner, such as the fixed-point chain record that zgmod
+memoizes on its module, or the one call that repeats it. The one cache is
+`IntMatrix.identity`'s, on its size: each [Aᵀ | I] Hermite transform takes
+its rows from the shared I, and without it every 720-wide transform of
+C_Θ(Z[S6]) builds its own I_720 (peak RSS 77 → 84 MB).
 """
 
 import math
@@ -21,9 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, index as _as_int, mul, neg, sub
-
-
-_CACHE = 32
 
 
 class ExactLinAlgError(ValueError):
@@ -77,7 +74,7 @@ class IntMatrix:
         return cls._trusted(((0,) * cols,) * rows, cols)
 
     @classmethod
-    @lru_cache(maxsize=_CACHE, typed=True)
+    @lru_cache(maxsize=32, typed=True)
     def identity(cls, n):
         return cls._trusted(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), n)
 
@@ -339,7 +336,6 @@ def _bareiss_pivots(a):
         prev = p
 
 
-@lru_cache(maxsize=_CACHE)
 def determinant(a):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:
@@ -408,12 +404,9 @@ class ImageSolver:
         return self._ut @ IntMatrix._trusted(tuple(y), b.cols)
 
 
-_solver = lru_cache(maxsize=_CACHE)(ImageSolver)
-
-
 def integer_solve(a, b):
     """Integer solution X of A X = B, or None."""
-    return _solver(a).solve(b)
+    return ImageSolver(a).solve(b)
 
 
 def rational_solve(a, b):
@@ -424,7 +417,7 @@ def rational_solve(a, b):
     pivot block), so A Y = d·B is solvable over Z exactly when A X = B is
     solvable over Q, and X = Y / d.
     """
-    solver = _solver(a)
+    solver = ImageSolver(a)
     d = 1
     for _, pivot, _ in solver._steps:
         d *= pivot
@@ -511,19 +504,21 @@ def _hermite_transform(a):
     return rows, _hnf_rows(rows, a.rows)
 
 
-@lru_cache(maxsize=_CACHE)
 def column_lattice_basis(a):
     """Canonical basis (as matrix columns) of the lattice spanned by A's columns.
 
     Computed as the row Hermite form of the transpose; the result has full
     column rank and spans exactly the integer column span of A.
     """
+    return IntMatrix._trusted(tuple(map(tuple, _hermite_rows(a))), a.rows).transpose()
+
+
+def _hermite_rows(a):
+    """The columns of `column_lattice_basis(a)` as row lists, which `_hnf_rows` never mutates."""
     rows = [list(r) for r in a.transpose()._data]
-    r = _hnf_rows(rows, a.rows)
-    return IntMatrix._trusted(tuple(map(tuple, rows[:r])), a.rows).transpose()
+    return rows[: _hnf_rows(rows, a.rows)]
 
 
-@lru_cache(maxsize=_CACHE)
 def lattice_index(sub, sup):
     """Index [L_sup : L_sub] of one lattice in another, given by basis columns.
 
@@ -536,18 +531,18 @@ def lattice_index(sub, sup):
     """
     if sub.rows != sup.rows:
         raise ExactLinAlgError("lattices live in different ambient spaces")
-    sb = column_lattice_basis(sub)
-    pb = column_lattice_basis(sup)
-    if sb.cols != pb.cols:
+    sb, pb = _hermite_rows(sub), _hermite_rows(sup)
+    if len(sb) != len(pb):
         raise ExactLinAlgError("infinite index: ranks differ")
-    if column_lattice_basis(pb.hstack(sb)) != pb:
+    both = pb + sb
+    if _hnf_rows(both, sup.rows) != len(pb) or both[: len(pb)] != pb:
         raise ExactLinAlgError("not a sublattice: spans differ or sub is not contained")
     return _pivot_product(sb) // _pivot_product(pb)
 
 
-def _pivot_product(basis):
-    """Product of the pivots (leading nonzero entries) of a Hermite basis's columns."""
-    return math.prod(next(filter(None, col)) for col in zip(*basis._data))
+def _pivot_product(rows):
+    """Product of the pivots (leading nonzero entries) of Hermite basis rows."""
+    return math.prod(next(filter(None, row)) for row in rows)
 
 
 def gram_determinant(pairing, basis, scale=1):

@@ -5,12 +5,12 @@ from typing import NamedTuple
 
 from .exactla import (
     ExactLinAlgError,
+    ImageSolver,
     IntMatrix,
     determinant,
     is_positive_definite,
     lattice_index,
     _preimage,
-    _solver,
 )
 from .grp import _generators, _memo, all_subgroups
 from .burnside import BrauerRelationBasis, RelationError, brauer_relation_basis
@@ -89,11 +89,13 @@ def _check_pairing(module, pairing):
 
 @_memo("class_dets")
 def _class_dets(module, gram):
-    """Per-subgroup-class det((1/|H|)·gram on M^H/tors) from `_fixed_gram`, cached by gram."""
-    dets = []
+    """det((1/|H|)·gram on M^H/tors) per subgroup class from `_fixed_gram`, one per distinct Gram."""
+    by_gram, dets = {}, []
     for cls in all_subgroups(module.group):
         g = _fixed_gram(module, gram, cls.representative)
-        dets.append(Fraction(determinant(g), cls.order ** g.rows))
+        if g not in by_gram:
+            by_gram[g] = determinant(g)
+        dets.append(Fraction(by_gram[g], cls.order ** g.rows))
     return tuple(dets)
 
 
@@ -155,7 +157,7 @@ def _validate_equivariant(m, n, t, rel_m, rel_n):
         raise ModuleError("modules live over different groups")
     if t.rows != rel_n.rows or t.cols != rel_m.rows:
         raise ModuleError("map matrix has wrong shape")
-    solver = _solver(rel_n)
+    solver = ImageSolver(rel_n)
     if solver.solve(t @ rel_m) is None:
         raise ModuleError("map does not send relations into relations")
     # T·ρ_M(s) ≡ ρ_N(s)·T on G's generators gives it for every g, by induction on

@@ -25,6 +25,7 @@ from operator import index
 
 from .exactla import (
     ExactLinAlgError,
+    ImageSolver,
     IntMatrix,
     column_lattice_basis,
     determinant,
@@ -32,7 +33,6 @@ from .exactla import (
     integer_solve,
     lattice_index,
     _preimage,
-    _solver,
 )
 from .grp import _generating_set, _generators, _memo, _subgroup
 from .burnside import PermAction, _coset_action, coset_action
@@ -75,7 +75,7 @@ def _checked_action(group, known, gens, rel):
     product that reaches it, breadth first from 1. With R = n x 0 every test
     is exact equality.
     """
-    known, eye, solver = dict(known), IntMatrix.identity(rel.rows), _solver(rel)
+    known, eye, solver = dict(known), IntMatrix.identity(rel.rows), ImageSolver(rel)
 
     def differ(a, b):
         # Equal matrices need no solve.
@@ -279,7 +279,7 @@ def sublattice_action(m, basis):
     """
     if isinstance(m, FpModule):
         raise ModuleError("sublattice action requires a Z-free lattice")
-    solver = _solver(basis)
+    solver = ImageSolver(basis)
     if solver.rank < basis.cols:
         raise ModuleError("basis columns are linearly dependent")
     mats = []
@@ -393,15 +393,14 @@ def fp_fixed_lattice(module, h):
 
 
 @_memo("fixed_quotient")
-def _fixed_quotient(module, elems):
-    """(basis of M^H/tors inside M/tors, |M^H_tors|), cached per element tuple of H.
+def _fixed_quotient(module, basis):
+    """(basis of M^H/tors inside M/tors, |M^H_tors|) for `basis` = L_H, cached per L_H.
 
     Without relations that is (M^H, 1), as proj = I. Otherwise, with L_H the
     preimage of M^H and proj the projection of `lattice_quotient` (whose
     kernel is the saturation of im(R)), M^H/tors is spanned by proj·L_H, and
     the torsion of M^H is (L_H ∩ ker proj) / im(R), one lattice index.
     """
-    basis = _fixed_chain(module, elems)[0]
     if not module.relations.cols:
         return basis, 1
     image = module.lattice_quotient()[1] @ basis
@@ -410,11 +409,11 @@ def _fixed_quotient(module, elems):
 
 
 def _fixed_gram(module, gram, h):
-    """Gram matrix under `gram` of `_fixed_quotient(module, h)[0]`: Bᵀ·gram·B, or down the chain."""
+    """Gram under `gram` of B, M^H/tors from `_fixed_quotient`: Bᵀ·gram·B, or down the chain."""
     elems = _subgroup(module.group, h).elements
     if not module.relations.cols:
         return _chain_gram(module, gram, elems)
-    basis = _fixed_quotient(module, elems)[0]
+    basis = _fixed_quotient(module, _fixed_chain(module, elems)[0])[0]
     return basis.transpose() @ gram @ basis
 
 
@@ -428,5 +427,6 @@ def _chain_gram(lattice, gram, elems):
 
 def fp_fixed_data(module, h):
     """(free rank, torsion cardinality) of M^H, read off `_fixed_quotient`."""
-    basis, torsion = _fixed_quotient(module, _subgroup(module.group, h).elements)
+    elems = _subgroup(module.group, h).elements
+    basis, torsion = _fixed_quotient(module, _fixed_chain(module, elems)[0])
     return basis.cols, torsion

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import factoreq.arith
 import factoreq.suites
 
 from factoreq import (
@@ -27,7 +28,9 @@ from factoreq import (
     double_cosets,
     fixed_sublattice,
     induced_lattice,
+    integer_solve,
     kgroup_comparison_module,
+    lattice_index,
     permutation_lattice,
     place_model,
     regular_lattice,
@@ -191,6 +194,38 @@ def test_sunit_index_identity_across_classes(name):
         su = sunit_lattice(group, [cls.representative])
         for hc in table:
             assert verify_sunit_index(su, hc.representative).ok
+
+
+@pytest.mark.parametrize("name", corpus_names() + ("A4",))
+def test_sunit_index_matches_the_coordinate_route(name):
+    """The Z[S] route gives the old route's index, on the image's coordinates in the difference basis."""
+    group = _group(name)
+    table = all_subgroups(group)
+    place_sets = [[cls.representative] for cls in table]
+    place_sets.append([table[0].representative, table[-1].representative])
+    for d_list in place_sets:
+        su = sunit_lattice(group, d_list)
+        for hc in table:
+            h = hc.representative
+            coords = integer_solve(su.basis, subfield_lattice_embedding(su, h))
+            assert coords is not None
+            want = lattice_index(coords, fixed_sublattice(su.lattice, h))
+            assert verify_sunit_index(su, h).index == want
+
+
+def test_sunit_index_refuses_an_image_outside_the_augmentation_kernel(monkeypatch):
+    s3 = corpus_group("S3")
+    su = sunit_lattice(s3, [s3.trivial_subgroup()])
+    embedding = factoreq.arith.subfield_lattice_embedding
+
+    def patched(sunit, h):
+        cols = embedding(sunit, h).transpose().tolist()
+        cols[0][0] += 1  # the first column now sums to 1
+        return IntMatrix.from_columns(cols, rows=sunit.basis.rows)
+
+    monkeypatch.setattr(factoreq.arith, "subfield_lattice_embedding", patched)
+    with pytest.raises(ArithmeticModelError, match="finite index"):
+        verify_sunit_index(su, s3.trivial_subgroup())
 
 
 @pytest.mark.parametrize("name", corpus_names())

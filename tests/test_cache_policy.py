@@ -5,7 +5,9 @@
 a group or module goes through it, so no library code reads or writes
 `._cache` itself; the one exception is the averaged gram, which the one
 builder of signed G-set lattices, `_gset_lattice`, seeds with |G|·I and
-`_averaged_gram` reads. That is read from each module's syntax tree.
+`_averaged_gram` reads. That is read from each module's syntax tree. The exact
+linear algebra keeps no cache keyed on matrix content: its one cache is
+`IntMatrix.identity`'s, on the size.
 """
 
 import ast
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from factoreq import exactla
 from factoreq.grp import _memo
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "factoreq"
@@ -130,3 +133,12 @@ def test_only_memo_and_the_averaged_gram_touch_module_caches():
         for name, kinds in _cache_touches((SRC / module).read_text(encoding="utf-8")).items()
     }
     assert touches == {("grp.py", "_memo"): {"other"}, **{site: {"avg_gram"} for site in AVG_GRAM_SITES}}
+
+
+def test_exactla_caches_only_the_identity():
+    """Every function of exactla and every method of its classes, by `cache_clear`."""
+    cached = {name for name, value in vars(exactla).items() if hasattr(value, "cache_clear")}
+    for name, cls in vars(exactla).items():
+        if isinstance(cls, type) and cls.__module__ == exactla.__name__:
+            cached |= {f"{name}.{attr}" for attr in vars(cls) if hasattr(getattr(cls, attr), "cache_clear")}
+    assert cached == {"IntMatrix.identity"}

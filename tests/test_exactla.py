@@ -30,7 +30,6 @@ from factoreq import (
     rational_solve,
     run_suites,
 )
-from factoreq import exactla
 from factoreq.exactla import _bareiss_pivots, _hnf_rows, _snf_engine
 
 
@@ -710,46 +709,7 @@ def test_lazy_bareiss_matches_the_eager_loop(kind):
         assert is_positive_definite(a) == all(p > 0 and not s for p, s in want)
 
 
-# --- content-keyed caches on the exact kernels ------------------------------------
-
-CACHED = (column_lattice_basis, lattice_index, determinant, exactla._solver)
-
-
-def _twin(a):
-    """An equal matrix held in a different object, so a second call is a hit by content."""
-    return IntMatrix(a.tolist(), cols=a.cols)
-
-
-def _same_result(fn, *args):
-    """fn's answer, or its refusal, matches the uncached function's on a miss and a hit."""
-    try:
-        want = fn.__wrapped__(*args)
-    except ExactLinAlgError:
-        for call in (args, tuple(map(_twin, args))):
-            with pytest.raises(ExactLinAlgError):
-                fn(*call)
-        return
-    assert fn(*args) == want
-    assert fn(*map(_twin, args)) == want
-
-
-@pytest.mark.parametrize("n", range(9))
-def test_cached_kernels_match_the_uncached_functions(n):
-    rng = random.Random(f"cache-{n}")
-    for _ in range(4):
-        m = rng.randint(0, 8)
-        a = _from_rows(_random_rows(rng, m, n), n)
-        _same_result(column_lattice_basis, a)
-        _same_result(determinant, _from_rows(_random_rows(rng, n, n), n))
-        _same_result(determinant, a)  # non-square unless m == n: a refusal
-        sup = _from_rows(_random_rows(rng, m, n), n)
-        _same_result(lattice_index, sup @ _from_rows(_random_rows(rng, n, n), n), sup)
-        _same_result(lattice_index, a, sup)
-        b = _from_rows(_random_rows(rng, m, 2), 2)
-        assert exactla._solver(a).solve(b) == ImageSolver(a).solve(b)
-        assert exactla._solver(_twin(a)).solve(a @ _from_rows(_random_rows(rng, n, 2), 2)) is not None
-    for fn in CACHED:
-        assert fn.cache_info().hits
+# --- exactla keeps no content-keyed cache ----------------------------------------
 
 
 @pytest.mark.parametrize("first,second", [((0, 5), (0, 3)), ((3, 0), (2, 0))])
@@ -769,23 +729,14 @@ def test_refusals_are_not_cached():
             lattice_index(outside, sup)
         with pytest.raises(ExactLinAlgError, match="non-square"):
             determinant(IntMatrix.zeros(2, 3))
-    assert lattice_index.cache_info().currsize == 0
-    assert determinant.cache_info().currsize == 0
-
-
-def test_every_exact_cache_is_listed():
-    # The autouse fixture in conftest.py clears what this scan finds.
-    assert {fn for fn in vars(exactla).values() if hasattr(fn, "cache_clear")} == set(CACHED)
 
 
 def test_caches_stay_bounded_over_verify_all():
-    # The shared identities live on the class, out of the conftest scan's reach.
     IntMatrix.identity.cache_clear()
     run_suites("all", seed=1)
-    for fn in CACHED + (IntMatrix.identity,):
-        info = fn.cache_info()
-        assert info.maxsize == 32 and info.currsize <= info.maxsize, fn
-        assert info.hits, fn
+    info = IntMatrix.identity.cache_info()
+    assert info.maxsize == 32 and info.currsize <= info.maxsize
+    assert info.hits
 
 
 def test_identity_is_shared_and_matches_the_coercing_constructor():
@@ -794,18 +745,6 @@ def test_identity_is_shared_and_matches_the_coercing_constructor():
         assert eye == IntMatrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
         assert (eye.rows, eye.cols) == (n, n)
         assert IntMatrix.identity(n) is eye
-
-
-def test_cached_solver_matches_a_fresh_solver():
-    rng = random.Random("solver")
-    for m, n, k in SOLVE_SHAPES:
-        a, x0 = _random_system(rng, m, n, k)
-        cached = exactla._solver(a)
-        assert exactla._solver(_twin(a)) is cached
-        fresh = ImageSolver(a)
-        assert cached.rank == fresh.rank
-        for b in (a @ x0, _from_rows(_random_rows(rng, m, k), k), a @ x0 * 3):
-            assert cached.solve(b) == fresh.solve(b)
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (4, 5)])

@@ -33,6 +33,7 @@ from factoreq import (
     corpus_names,
     column_lattice_basis,
     coset_action,
+    determinant,
     direct_sum,
     double_cosets,
     factor_equivalent,
@@ -286,6 +287,24 @@ def test_empty_relation_basis_computes_no_class_determinants():
         regulator_constants_table(basis, m, averaged_pairing(regular_lattice(c6)))
 
 
+def test_class_determinants_are_evaluated_once_per_distinct_gram(monkeypatch):
+    """On S4 (11 classes) every fixed Gram of Z is (24), and Z[G] has 8 distinct ones."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return determinant(a)
+
+    monkeypatch.setattr("factoreq.regfe.determinant", counted)
+    group = group_from_generators(LADDER["S4"])
+    basis = brauer_relation_basis(group)
+    assert len(all_subgroups(group)) == 11
+    for m, want in ((trivial_lattice(group), 1), (regular_lattice(group), 8)):
+        calls.clear()
+        regulator_constants_table(basis, m)
+        assert len(calls) == len(set(calls)) == want
+
+
 def _refers_to(value, target):
     """True if `target` is reachable from `value` through object references (types skipped)."""
     seen, stack = set(), [value]
@@ -331,10 +350,10 @@ def test_fp_fixed_data_and_regulator_constants_share_one_cache_entry(name):
     m = _torsion_twist(regular_lattice(group), 5, random.Random(name))
     regulator_constants_table(brauer_relation_basis(group), m)
     entries = {k[1]: v for k, v in m._cache.items() if k[0] == "fixed_quotient"}
-    assert set(entries) == {cls.representative.elements for cls in table}
+    assert set(entries) == {fixed_sublattice(m, cls.representative) for cls in table}
     keys = set(m._cache)
     for cls in table:
-        basis, torsion = entries[cls.representative.elements]
+        basis, torsion = entries[fixed_sublattice(m, cls.representative)]
         assert fp_fixed_data(m, cls.representative) == (basis.cols, torsion)
     assert set(m._cache) == keys
 
@@ -514,7 +533,7 @@ def test_index_function_evaluates_each_pair_of_fixed_lattices_once(monkeypatch):
 
 
 def test_regulator_constants_of_a_dropped_group_leave_little_behind():
-    """Once a group is dropped, only the bounded content caches keep anything of its C_Θ(Z[G]).
+    """Once a group is dropped, next to nothing of its C_Θ(Z[G]) stays behind.
 
     Z[C2×S4] has rank 48; every chain kernel and fixed lattice belongs to the
     module's memo and goes with it. The identity of rank 48 is built first,

@@ -887,7 +887,7 @@ def test_fixed_gram_matches_the_ambient_product(name):
     ]
     for m, gram in cases:
         for h in (e for cls in table for e in cls.members):
-            b = _fixed_quotient(m, h)[0]
+            b = _fixed_quotient(m, fixed_sublattice(m, h))[0]
             assert _fixed_gram(m, gram, h) == b.transpose() @ gram @ b
 
 
@@ -914,8 +914,8 @@ def test_no_op_chain_steps_keep_the_fixed_points_and_their_gram(name):
         grams = (_averaged_gram(lattice), random_invariant_pairing(m, rng).gram)
         for h in (Subgroup(group, e) for cls in table for e in cls.members):
             assert column_lattice_basis(fixed_sublattice(m, h)) == _all_elements_fixed_basis(m, h)
-            b = _fixed_quotient(m, h.elements)[0]
             lh, parent, c = _fixed_chain(m, h.elements)
+            b = _fixed_quotient(m, lh)[0]
             no_op = c is None and parent is not None
             no_ops += no_op
             assert not no_op or lh is _fixed_chain(m, parent)[0]

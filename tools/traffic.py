@@ -6,8 +6,8 @@ Runs in this one process what the benchmark's three workloads run in child
 processes, each operation checked by its workload's own check: one pass of
 the cli-queries mix of `bench/workloads.py` at seed 1, each query through
 `factoreq.cli.main`; `verify all` at seeds 0 and 1; and `bench/ladder.py
---seed 0`. The process-wide caches, which a child starts without, are
-emptied before each operation. Only lines of `src/factoreq/` are traced,
+--seed 0`. The process-wide caches, `corpus_group` and `IntMatrix.identity`,
+which a child starts without, are emptied before each operation. Only lines of `src/factoreq/` are traced,
 the package's import included.
 
 From each module's syntax tree it then prints every function whose body
@@ -130,9 +130,7 @@ def main():
     def run(op):
         """One operation in-process, its check's error or None; caches start empty, as in a child."""
         corpus.corpus_group.cache_clear()
-        for fn in vars(exactla).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+        exactla.IntMatrix.identity.cache_clear()
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = (cli.main if op.target == "cli" else ladder.main)(op.args)
