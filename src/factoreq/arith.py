@@ -2,7 +2,8 @@
 
 The place model is a disjoint union of coset spaces G/D_i; the S-unit
 analogue is the augmentation kernel I_S inside Z[S], and the residue-degree
-surrogate of an H-orbit is |H ∩ Stab(q)| (everywhere-unramified model).
+surrogate of an H-orbit is f = |H ∩ Stab(q)| = |H|/|orbit| for q in it
+(everywhere-unramified model), read off the orbit by orbit-stabilizer.
 """
 
 import math
@@ -28,7 +29,7 @@ from .zgmod import (
 
 
 class ArithmeticModelError(ValueError):
-    """Raised when a place-model invariant fails at runtime."""
+    """Raised for a place model without places, or a subfield image of infinite index in (I_S)^H."""
 
 
 class PlaceModel(NamedTuple):
@@ -52,31 +53,17 @@ def place_model(group, d_list):
 
 class ResidueData(NamedTuple):
     orbits: tuple
-    degrees: tuple  # f per orbit, |H ∩ Stab(q)| for q its least point
+    degrees: tuple  # f per orbit, |H ∩ Stab(q)| = |H|/|orbit|
     n: int          # product of the degrees
     l: int          # lcm of the degrees
 
 
 def residue_degrees(model, h):
-    """Orbit/degree data of H acting on S, with the orbit-stabilizer identity asserted."""
+    """Orbit/degree data of H acting on S: f = |H ∩ Stab(q)| = |H|/|orbit| per orbit."""
     h = _subgroup(model.group, h)
-    orbits = model.action.orbits(h)
-    degs = []
-    for orbit in orbits:
-        q = orbit[0]
-        f = sum(1 for x in h.elements if model.action.images[x][q] == q)
-        if f * len(orbit) != h.order:
-            raise ArithmeticModelError("orbit-stabilizer identity failed on the place model")
-        degs.append(f)
-    n = 1
-    for f in degs:
-        n *= f
-    return ResidueData(
-        orbits=tuple(orbits),
-        degrees=tuple(degs),
-        n=n,
-        l=math.lcm(*degs),
-    )
+    orbits = tuple(model.action.orbits(h))
+    degs = tuple(h.order // len(orbit) for orbit in orbits)
+    return ResidueData(orbits=orbits, degrees=degs, n=math.prod(degs), l=math.lcm(*degs))
 
 
 class SUnitLattice(NamedTuple):

@@ -53,28 +53,18 @@ class PermAction:
     def orbits(self, elements=None):
         """Orbits under a subgroup of G or the element set of one (default: all of G).
 
-        Returned as sorted tuples, ordered by least point.
+        The orbit of x is its image {h·x : h ∈ H}, read off H's element list;
+        returned as sorted tuples, ordered by least point.
         """
         group = self.group
         elements = range(group.order) if elements is None else _subgroup(group, elements)
-        gens = [self.images[g] for g in elements]
-        seen = [False] * self.size
-        out = []
+        perms = [self.images[g] for g in elements]
+        seen, out = set(), []
         for x in range(self.size):
-            if seen[x]:
-                continue
-            orbit = {x}
-            queue = [x]
-            while queue:
-                y = queue.pop()
-                for img in gens:
-                    z = img[y]
-                    if z not in orbit:
-                        orbit.add(z)
-                        queue.append(z)
-            for y in orbit:
-                seen[y] = True
-            out.append(tuple(sorted(orbit)))
+            if x not in seen:
+                orbit = {p[x] for p in perms}
+                seen |= orbit
+                out.append(tuple(sorted(orbit)))
         return out
 
     def disjoint_union(self, other):

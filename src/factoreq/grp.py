@@ -327,9 +327,7 @@ def group_from_generators(perms, bound=CLOSURE_BOUND):
     identity = tuple(range(deg))
     elements = [identity]
     index = {identity: 0}
-    queue = [identity]
-    while queue:
-        cur = queue.pop(0)
+    for cur in elements:  # grows as it runs: breadth-first discovery order
         for p in perms:
             nxt = tuple(p[cur[i]] for i in range(deg))
             if nxt not in index:
@@ -337,8 +335,6 @@ def group_from_generators(perms, bound=CLOSURE_BOUND):
                     raise GroupError(f"group too large: order exceeds bound {bound}")
                 index[nxt] = len(elements)
                 elements.append(nxt)
-                queue.append(nxt)
-    n = len(elements)
     table = [
         [index[tuple(a[b[i]] for i in range(deg))] for b in elements]
         for a in elements
@@ -408,28 +404,12 @@ def double_cosets(group, h, k):
     for i, coset in enumerate(cosets):
         for x in coset:
             coset_of[x] = i
-    out = []
-    assigned = [False] * len(cosets)
+    seen, out = set(), []
     for i, coset in enumerate(cosets):
-        if assigned[i]:
-            continue
-        orbit = {i}
-        queue = [i]
-        while queue:
-            j = queue.pop()
-            rep = cosets[j][0]
-            for x in h.elements:
-                jj = coset_of[group.table[x][rep]]
-                if jj not in orbit:
-                    orbit.add(jj)
-                    queue.append(jj)
-        for j in orbit:
-            assigned[j] = True
-        g = coset[0]
-        stab = sum(
-            1
-            for x in h.elements
-            if group.conj(group.inverse[g], x) in k
-        )
-        out.append(DoubleCoset(representative=g, size=len(orbit), stabilizer_order=stab))
+        if i not in seen:
+            g = coset[0]
+            orbit = {coset_of[group.table[x][g]] for x in h.elements}  # the H-orbit of gK
+            seen |= orbit
+            stab = sum(1 for x in h.elements if group.conj(group.inverse[g], x) in k)
+            out.append(DoubleCoset(representative=g, size=len(orbit), stabilizer_order=stab))
     return out

@@ -432,28 +432,24 @@ def _sunit_d_lists(group):
     return lists
 
 
-def _sunit_index_checks(group, label, gi):
+def _sunit_checks(group, label, gi):
+    """The index formula on every I_S of `_sunit_d_lists`, and the closed form on the first few."""
     table = all_subgroups(group)
-    lattices = (
+    basis = brauer_relation_basis(group)
+    lattices = [
         sunit_lattice(group, [table[ci].representative for ci in d_list])
         for d_list in _sunit_d_lists(group)
-    )
+    ]
     ok, cases = _until_failure(
         verify_sunit_index(su, cls.representative).ok for su in lattices for cls in table
     )
-    return [_check("sunit.index", label, ok, cases=cases)]
-
-
-def _sunit_closed_form_checks(group, label, gi):
-    table = all_subgroups(group)
-    basis = brauer_relation_basis(group)
+    checks = [_check("sunit.index", label, ok, cases=cases)]
     if basis.rank == 0:
-        return []
-    d_lists = _sunit_d_lists(group)[: max(3, min(5, len(table)))]
+        return checks
+    lattices = lattices[: max(3, min(5, len(table)))]
 
     def trials():
-        for d_list in d_lists:
-            su = sunit_lattice(group, [table[ci].representative for ci in d_list])
+        for su in lattices:
             averaged = averaged_pairing(su.lattice)
             for theta in basis:
                 res = verify_sunit_closed_form(su, theta)
@@ -463,11 +459,12 @@ def _sunit_closed_form_checks(group, label, gi):
                 yield res.ok and agree
 
     ok, cases = _until_failure(trials())
-    return [_check("sunit.closed-form", label, ok, d_lists=len(d_lists), cases=cases)]
+    checks.append(_check("sunit.closed-form", label, ok, d_lists=len(lattices), cases=cases))
+    return checks
 
 
 def suite_sunit(seed=0):
-    return _over(None, _sunit_index_checks, _sunit_closed_form_checks)
+    return _over(None, _sunit_checks)
 
 
 # --- K-group comparison suite ----------------------------------------------

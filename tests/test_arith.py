@@ -6,6 +6,7 @@ the l/n corrections straight from orbit/stabilizer counts.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -29,6 +30,7 @@ from factoreq import (
     fixed_sublattice,
     induced_lattice,
     integer_solve,
+    left_cosets,
     kgroup_comparison_module,
     lattice_index,
     permutation_lattice,
@@ -125,6 +127,73 @@ def test_place_functions_refuse_a_subgroup_of_another_group():
         kgroup_comparison_module(s3, [foreign], 0, "odd")
     a3 = Subgroup(s3, (0, 1, 3))
     assert residue_degrees(model, a3) == residue_degrees(model, (0, 1, 3))
+
+
+# --- H-orbits by direct image, against the closure loop and the stabilizers ----
+
+ORBIT_GROUPS = corpus_names() + ("A4", "D8", "S4")
+
+
+def _closure_orbits(action, h):
+    """H-orbits grown breadth-first from each unseen point under H's elements."""
+    seen, out = set(), []
+    for x in range(action.size):
+        if x in seen:
+            continue
+        orbit, queue = {x}, [x]
+        for y in queue:
+            for g in h.elements:
+                z = action.images[g][y]
+                if z not in orbit:
+                    orbit.add(z)
+                    queue.append(z)
+        seen |= orbit
+        out.append(tuple(sorted(orbit)))
+    return out
+
+
+def _place_models(group):
+    """The place model of every decomposition list the S-unit suite runs."""
+    reps = [cls.representative for cls in all_subgroups(group)]
+    return [place_model(group, [reps[ci] for ci in d]) for d in factoreq.suites._sunit_d_lists(group)]
+
+
+@pytest.mark.parametrize("name", ORBIT_GROUPS)
+def test_orbits_match_the_closure_loop(name):
+    """Every coset action G/K and every suite place model, under every class representative H."""
+    group = _group(name)
+    reps = [cls.representative for cls in all_subgroups(group)]
+    actions = [coset_action(group, k) for k in reps] + [m.action for m in _place_models(group)]
+    for action in actions:
+        assert action.orbits() == _closure_orbits(action, group.full_subgroup())
+        for h in reps:
+            assert action.orbits(h) == _closure_orbits(action, h)
+
+
+@pytest.mark.parametrize("name", ORBIT_GROUPS)
+def test_double_cosets_match_the_coset_action_orbits(name):
+    group = _group(name)
+    reps = [cls.representative for cls in all_subgroups(group)]
+    for h, k in product(reps, reps):
+        dcs = double_cosets(group, h, k)
+        orbits = coset_action(group, k).orbits(h)
+        cosets = left_cosets(group, k)
+        assert [(dc.representative, dc.size) for dc in dcs] == [(cosets[o[0]][0], len(o)) for o in orbits]
+        assert all(dc.size * dc.stabilizer_order == h.order for dc in dcs)
+
+
+@pytest.mark.parametrize("name", ORBIT_GROUPS)
+def test_residue_degrees_are_stabilizer_orders(name):
+    """f of an orbit is |{x ∈ H : x·q = q}| for q its least point."""
+    group = _group(name)
+    reps = [cls.representative for cls in all_subgroups(group)]
+    for model in _place_models(group):
+        images = model.action.images
+        for h in reps:
+            rd = residue_degrees(model, h)
+            assert rd.degrees == tuple(
+                sum(1 for x in h.elements if images[x][q] == q) for q, *_ in rd.orbits
+            )
 
 
 # --- S-unit lattices -----------------------------------------------------------

@@ -4,6 +4,7 @@ The subgroup enumeration is cross-checked against a brute-force oracle that
 walks every subset of the group (fine for the small corpus orders).
 """
 
+import hashlib
 import time
 from itertools import combinations
 
@@ -490,3 +491,19 @@ def test_ladder_relation_rank_is_non_cyclic_class_count(name, rank):
     group = group_from_generators(LADDER[name])
     table = all_subgroups(group)
     assert brauer_relation_basis(group).rank == len(table) - table.cyclic_class_count() == rank
+
+
+# sha256 of repr(group.table), first 16 hex digits: the element numbering of
+# group_from_generators' breadth-first closure.
+TABLE_HASHES = {
+    "C2": "a0e10c7a00c7e25d", "C4": "031f409039ede13a", "C6": "ba5bf2265dd7e782",
+    "V4": "03dc126565fc1335", "S3": "13b618cb964c988d", "D4": "9b2a3396e776d95b",
+    "Q8": "60319c65b9135720", "A4": "e495d01ccbeca1cc", "D8": "b54b50540f457681",
+    "C2_4": "483a401e05102f03", "S4": "7bea5514af9f3fdd", "C2xS4": "647b3d5e0ada3d60",
+}
+
+
+@pytest.mark.parametrize("name", TABLE_HASHES)
+def test_generated_tables_keep_their_numbering(name):
+    table = _group(name).table
+    assert hashlib.sha256(repr(table).encode()).hexdigest()[:16] == TABLE_HASHES[name]

@@ -91,7 +91,7 @@ def test_corollary_counts_stop_at_the_failing_pair(monkeypatch, call):
 def test_sunit_index_counts_stop_at_the_failing_case(monkeypatch, call):
     # Five classes per decomposition list: call 7 is in the second list.
     _fail_on_call(monkeypatch, "verify_sunit_index", call, _not_ok)
-    (check,) = suites._sunit_index_checks(V4, "V4", 3)
+    check = suites._sunit_checks(V4, "V4", 3)[0]
     assert check["ok"] is (call is None)
     assert check["cases"] == (call or 55)
 
@@ -100,7 +100,7 @@ def test_sunit_index_counts_stop_at_the_failing_case(monkeypatch, call):
 def test_sunit_closed_form_counts_stop_at_the_failing_case(monkeypatch, call):
     # Three relations per decomposition list: call 5 is in the second list.
     _fail_on_call(monkeypatch, "verify_sunit_closed_form", call, _not_ok)
-    (check,) = suites._sunit_closed_form_checks(corpus_group("D4"), "D4", 5)
+    check = suites._sunit_checks(corpus_group("D4"), "D4", 5)[1]
     assert check["ok"] is (call is None)
     assert (check["cases"], check["d_lists"]) == (call or 15, 5)
 
@@ -131,8 +131,7 @@ FAMILIES = (
     suites._linearity_checks,
     suites._lemma_checks,
     partial(suites._corollary_checks, seed=0),
-    suites._sunit_index_checks,
-    suites._sunit_closed_form_checks,
+    suites._sunit_checks,
 )
 
 
@@ -164,7 +163,7 @@ def test_sweep_fails_without_the_residue_degree_correction(monkeypatch):
         return rd._replace(l=rd.n)
 
     monkeypatch.setattr(arith, "residue_degrees", uncorrected)
-    checks = _sweep("S4", (suites._sunit_index_checks, suites._sunit_closed_form_checks))
+    checks = _sweep("S4", (suites._sunit_checks,))
     assert [(c["name"], c["ok"]) for c in checks] == [("sunit.index", False), ("sunit.closed-form", False)]
 
 
