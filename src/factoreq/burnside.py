@@ -10,14 +10,14 @@ on the group (`grp._memo`); `coset_action` checks its subgroup before its lookup
 from operator import index as _as_int, mul
 
 from .exactla import IntMatrix, _snf_engine, column_lattice_basis, integer_kernel
-from .grp import GroupError, _generators, _memo, _subgroup, all_subgroups, left_cosets
+from .grp import GroupError, _Frozen, _generators, _memo, _subgroup, all_subgroups, left_cosets
 
 
 class RelationError(ValueError):
     """Raised when a Burnside element fails a Brauer-relation precondition."""
 
 
-class PermAction:
+class PermAction(_Frozen):
     """A G-action on {0..size-1}: one permutation (tuple of images) per element.
 
     `images[g][x]` is g·x. Checked: the identity fixes every point, and
@@ -42,9 +42,6 @@ class PermAction:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PermAction is immutable")
 
     def fixed_point_count(self, g):
         img = self.images[g]
@@ -97,7 +94,7 @@ def _coset_action(group, elems):
     ))
 
 
-class BurnsideElement:
+class BurnsideElement(_Frozen):
     """Integer coefficient vector over the subgroup classes of a group."""
 
     __slots__ = ("group", "coeffs")
@@ -108,9 +105,6 @@ class BurnsideElement:
             raise RelationError("coefficient count does not match subgroup class count")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BurnsideElement is immutable")
 
     @classmethod
     def zero(cls, group):
@@ -176,7 +170,7 @@ def fixed_point_matrix(group):
     return IntMatrix._trusted(tuple(zip(*columns)), len(columns))
 
 
-class BrauerRelationBasis(tuple):
+class BrauerRelationBasis(_Frozen, tuple):
     """A Z-basis of K(G): a tuple of verified, sign-normalized relations.
 
     It carries `group` too, since an empty basis has no relation to read it from.
@@ -187,7 +181,7 @@ class BrauerRelationBasis(tuple):
         for theta in basis:
             if theta.group is not group or not is_brauer_relation(theta):
                 raise RelationError("basis vector is not a Brauer relation of this group")
-        basis.group = group
+        object.__setattr__(basis, "group", group)
         return basis
 
     @property

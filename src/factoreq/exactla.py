@@ -7,7 +7,9 @@ pivots by `lattice_index`), Smith normal form (only for the kernel that is
 the Brauer relation basis, and the public `invariant_factors`) and Bareiss
 (determinants). Fractions appear only in results, such as a scaled Gram
 determinant or a rational solution read off an integer one. No floating
-point is used anywhere, so all equalities downstream are exact.
+point is used anywhere, so all equalities downstream are exact. A size
+passed in (`IntMatrix`'s explicit `cols`, `zeros`, `identity`) goes through
+`operator.index`, so a float is a TypeError, and a negative one is refused.
 No function here keeps a cache keyed on matrix content: a result that is
 reused lives with its owner, such as the fixed-point chain record that zgmod
 memoizes on its module, or the one call that repeats it. The one cache is
@@ -22,12 +24,22 @@ from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, index as _as_int, mul, neg, sub
 
+from .grp import _Frozen
+
 
 class ExactLinAlgError(ValueError):
     """Raised when a lattice/matrix precondition is violated."""
 
 
-class IntMatrix:
+def _size(n):
+    """A row or column count: an int (else TypeError, as for entries) that is not negative."""
+    n = _as_int(n)
+    if n < 0:
+        raise ExactLinAlgError("matrix size must be non-negative")
+    return n
+
+
+class IntMatrix(_Frozen):
     """Immutable dense integer matrix.
 
     Rows and columns may be zero; the empty 0x0 matrix has determinant 1.
@@ -37,6 +49,7 @@ class IntMatrix:
 
     def __init__(self, data, cols=None):
         data = tuple(tuple(_as_int(x) for x in row) for row in data)
+        cols = None if cols is None else _size(cols)
         if data:
             ncols = len(data[0])
             if any(len(row) != ncols for row in data):
@@ -66,16 +79,15 @@ class IntMatrix:
         _set_hash(m, None)
         return m
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
     @classmethod
     def zeros(cls, rows, cols):
-        return cls._trusted(((0,) * cols,) * rows, cols)
+        cols = _size(cols)
+        return cls._trusted(((0,) * cols,) * _size(rows), cols)
 
     @classmethod
     @lru_cache(maxsize=32, typed=True)
     def identity(cls, n):
+        n = _size(n)
         return cls._trusted(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), n)
 
     @classmethod
@@ -175,7 +187,7 @@ class IntMatrix:
         return f"IntMatrix({self.tolist()!r})"
 
 
-# Slot setters bound once for `_trusted`; they bypass the guard in __setattr__.
+# Slot setters bound once for `_trusted`; they bypass `_Frozen`'s guard.
 _set_rows, _set_cols, _set_data, _set_hash = (
     getattr(IntMatrix, name).__set__ for name in IntMatrix.__slots__
 )

@@ -2,6 +2,8 @@
 
 Element 0 is always the identity. Groups are built either by closing a set of
 permutations under composition or from an explicit multiplication table.
+Beside the one cache policy, `_memo`, is the one immutability rule, `_Frozen`:
+what a memo entry lives on, is keyed by or holds refuses assignment and `del`.
 """
 
 from functools import wraps
@@ -38,7 +40,19 @@ def _memo(family):
     return decorate
 
 
-class FiniteGroup:
+class _Frozen:
+    """Base of every immutable record; its constructor sets each field once by `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class FiniteGroup(_Frozen):
     """Immutable group given by its multiplication table.
 
     `table[a][b]` is the product a*b. Construction validates the axioms
@@ -65,9 +79,6 @@ class FiniteGroup:
         object.__setattr__(self, "element_classes", classes)
         object.__setattr__(self, "class_of_element", class_of)
         object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroup is immutable")
 
     def conj(self, x, g):
         """x * g * x^-1."""
@@ -176,7 +187,7 @@ def _element_classes(table, inv):
     return tuple(classes), tuple(class_of)
 
 
-class Subgroup:
+class Subgroup(_Frozen):
     """A validated subgroup, stored as a sorted element tuple."""
 
     __slots__ = ("group", "elements", "_set")
@@ -193,9 +204,6 @@ class Subgroup:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_set", eset)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subgroup is immutable")
 
     @property
     def order(self):
@@ -247,7 +255,7 @@ class SubgroupClass(NamedTuple):
         return self.representative.order
 
 
-class SubgroupClassTable(tuple):
+class SubgroupClassTable(_Frozen, tuple):
     """All subgroups of `group`: a tuple of its `SubgroupClass` records.
 
     Classes are ordered by (subgroup order, lexicographically least member),
@@ -256,7 +264,7 @@ class SubgroupClassTable(tuple):
 
     def __new__(cls, group, classes):
         table = super().__new__(cls, classes)
-        table.group = group
+        object.__setattr__(table, "group", group)
         return table
 
     def cyclic_class_count(self):

@@ -12,7 +12,7 @@ from .exactla import (
     lattice_index,
     _preimage,
 )
-from .grp import _generators, _memo, all_subgroups
+from .grp import _Frozen, _generators, _memo, all_subgroups
 from .burnside import BrauerRelationBasis, RelationError, brauer_relation_basis
 from .zgmod import (
     ModuleError,
@@ -34,7 +34,7 @@ class InternalError(RuntimeError):
     """Raised when two routes that theory proves equal disagree: a library bug."""
 
 
-class InvariantPairing:
+class InvariantPairing(_Frozen):
     """Symmetric, positive-definite, G-invariant integer form on a lattice."""
 
     __slots__ = ("module", "gram")
@@ -61,9 +61,6 @@ class InvariantPairing:
                     raise PairingError("pairing is not G-invariant")
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "gram", gram)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvariantPairing is immutable")
 
 
 def averaged_pairing(module):

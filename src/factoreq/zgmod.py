@@ -34,7 +34,7 @@ from .exactla import (
     lattice_index,
     _preimage,
 )
-from .grp import _generating_set, _generators, _memo, _subgroup
+from .grp import _Frozen, _generating_set, _generators, _memo, _subgroup
 from .burnside import PermAction, _coset_action, coset_action
 
 
@@ -42,7 +42,7 @@ class ModuleError(ValueError):
     """Raised for invalid module data or violated map preconditions."""
 
 
-class _Module:
+class _Module(_Frozen):
     """Z^n / im(relations) with G acting by n x n integer matrices."""
 
     __slots__ = ("group", "action", "relations", "_cache")
@@ -61,9 +61,6 @@ class _Module:
         object.__setattr__(self, "_cache", {})
         if check:
             _checked_action(group, dict(enumerate(action)), _generators(group), relations)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def _checked_action(group, known, gens, rel):

@@ -8,15 +8,39 @@ builder of signed G-set lattices, `_gset_lattice`, seeds with |G|·I and
 `_averaged_gram` reads. That is read from each module's syntax tree. The exact
 linear algebra keeps no cache keyed on matrix content: its one cache is
 `IntMatrix.identity`'s, on the size.
+
+Its other half is one immutability rule, `grp._Frozen`: every record a memo
+entry lives on, is keyed by or holds refuses assignment and `del`, so no entry
+goes stale after it is stored.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from factoreq import exactla
-from factoreq.grp import _memo
+from factoreq import (
+    BrauerRelationBasis,
+    BurnsideElement,
+    FiniteGroup,
+    IntMatrix,
+    InvariantPairing,
+    PermAction,
+    Subgroup,
+    SubgroupClassTable,
+    all_subgroups,
+    averaged_pairing,
+    brauer_relation_basis,
+    corpus_group,
+    corpus_names,
+    coset_action,
+    exactla,
+    regular_lattice,
+    regulator_constants_table,
+)
+from factoreq.grp import _Frozen, _memo
+from factoreq.zgmod import _Module
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "factoreq"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
@@ -142,3 +166,109 @@ def test_exactla_caches_only_the_identity():
         if isinstance(cls, type) and cls.__module__ == exactla.__name__:
             cached |= {f"{name}.{attr}" for attr in vars(cls) if hasattr(getattr(cls, attr), "cache_clear")}
     assert cached == {"IntMatrix.identity"}
+
+
+# --- the immutability rule ----------------------------------------------------------
+
+FROZEN_TYPES = (
+    IntMatrix, FiniteGroup, Subgroup, PermAction, BurnsideElement, _Module,
+    InvariantPairing, BrauerRelationBasis, SubgroupClassTable,
+)
+
+
+def test_one_base_defines_the_guard():
+    defined = {
+        (module, top.name, item.name)
+        for module in MODULES
+        for top in ast.parse((SRC / module).read_text(encoding="utf-8")).body
+        if isinstance(top, ast.ClassDef)
+        for item in top.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__delattr__")
+    }
+    assert defined == {("grp.py", "_Frozen", "__setattr__"), ("grp.py", "_Frozen", "__delattr__")}
+    assert all(issubclass(cls, _Frozen) for cls in FROZEN_TYPES)
+
+
+def _fields(obj):
+    """Every slot of the object's classes and every key of its `__dict__`."""
+    slots = {name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())}
+    return sorted(slots | set(getattr(obj, "__dict__", ())))
+
+
+@pytest.mark.parametrize("build,fields", [
+    (lambda g: g, {"order", "table", "inverse", "element_classes", "class_of_element", "_cache"}),
+    (lambda g: g.trivial_subgroup(), {"group", "elements", "_set"}),
+    (lambda g: coset_action(g, g.trivial_subgroup()), {"group", "size", "images"}),
+    (lambda g: brauer_relation_basis(g)[0], {"group", "coeffs"}),
+    (lambda g: averaged_pairing(regular_lattice(g)), {"module", "gram"}),
+    (brauer_relation_basis, {"group"}),
+    (all_subgroups, {"group"}),
+], ids=["FiniteGroup", "Subgroup", "PermAction", "BurnsideElement", "InvariantPairing",
+        "BrauerRelationBasis", "SubgroupClassTable"])
+def test_records_refuse_assignment_and_deletion(build, fields):
+    obj = build(corpus_group("V4"))
+    assert set(_fields(obj)) == fields
+    before = {name: getattr(obj, name) for name in fields}
+    for name in (*sorted(fields), "extra"):
+        with pytest.raises(AttributeError, match=f"{type(obj).__name__} is immutable"):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=f"{type(obj).__name__} is immutable"):
+            delattr(obj, name)
+    assert all(getattr(obj, name) is value for name, value in before.items())
+
+
+@pytest.mark.parametrize("table", [brauer_relation_basis, all_subgroups])
+def test_memoized_tables_keep_their_group(table):
+    v4, s3 = corpus_group("V4"), corpus_group("S3")
+    record = table(v4)
+    with pytest.raises(AttributeError, match=f"{type(record).__name__} is immutable"):
+        record.group = s3
+    with pytest.raises(AttributeError, match=f"{type(record).__name__} is immutable"):
+        del record.group
+    assert table(v4) is record and record.group is v4
+    assert regulator_constants_table(brauer_relation_basis(v4), regular_lattice(v4))
+
+
+def _immutable_parts(x, modules):
+    """True iff `x` is built only from ints, Fractions, strings, None, `_Frozen` records,
+    and tuples or frozensets of these; every module met is appended to `modules`.
+
+    A tuple subclass whose instances take new attributes counts only if it is `_Frozen`.
+    """
+    if isinstance(x, (tuple, frozenset)):
+        if type(x) not in (tuple, frozenset) and hasattr(x, "__dict__") and not isinstance(x, _Frozen):
+            return False
+        return all(_immutable_parts(y, modules) for y in x)
+    if isinstance(x, _Module):
+        modules.append(x)
+    return x is None or isinstance(x, (int, Fraction, str, _Frozen))
+
+
+def test_detector_refuses_mutable_parts():
+    class Record(tuple):
+        pass
+
+    class Frozen(_Frozen, tuple):
+        pass
+
+    assert _immutable_parts((1, Fraction(1, 2), True, "s", None, frozenset({(2,)})), [])
+    assert _immutable_parts(Frozen((IntMatrix.identity(1),)), [])
+    for bad in ([1], {1: 2}, {1}, (1, [2]), Record((1,)), object()):
+        assert not _immutable_parts(bad, [])
+
+
+def test_every_memo_entry_is_immutable(suite_report):
+    """After `verify all`, every key and value in the corpus groups' caches, and in
+    the caches of every module found there, is built from immutable parts."""
+    owners = [corpus_group(name) for name in corpus_names()]
+    seen, families = set(), set()
+    for owner in owners:  # grows as modules are found
+        if id(owner) in seen:
+            continue
+        seen.add(id(owner))
+        for key, value in owner._cache.items():
+            families.add(key if isinstance(key, str) else key[0])
+            assert _immutable_parts(key, owners), (owner, key)
+            assert _immutable_parts(value, owners), (owner, key)
+    assert len(seen) > len(corpus_names())
+    assert {"subgroup_table", "brauer_basis", "gset_lattice", "fixed", "avg_gram"} <= families

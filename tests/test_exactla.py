@@ -323,6 +323,28 @@ def test_intmatrix_is_immutable():
     a = IntMatrix([[1]])
     with pytest.raises(AttributeError):
         a.rows = 2
+    hash(a)  # the one slot written after construction, by object.__setattr__
+    for attr in (*IntMatrix.__slots__, "extra"):
+        with pytest.raises(AttributeError, match="IntMatrix is immutable"):
+            setattr(a, attr, None)
+        with pytest.raises(AttributeError, match="IntMatrix is immutable"):
+            delattr(a, attr)
+    assert (a.rows, a.cols, a.tolist()) == (1, 1, [[1]])
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: IntMatrix([], cols=-3), ExactLinAlgError),
+    (lambda: IntMatrix([], cols=2.0), TypeError),
+    (lambda: IntMatrix.zeros(2, -1), ExactLinAlgError),
+    (lambda: IntMatrix.zeros(-1, 2), ExactLinAlgError),
+    (lambda: IntMatrix.identity(-2), ExactLinAlgError),
+    (lambda: IntMatrix.from_columns([], rows=-2), ExactLinAlgError),
+], ids=["cols-negative", "cols-float", "zeros-cols", "zeros-rows", "identity", "from_columns"])
+def test_intmatrix_refuses_bad_sizes(build, error):
+    before = IntMatrix.identity.cache_info().currsize
+    with pytest.raises(error, match="matrix size must be non-negative|cannot be interpreted"):
+        build()
+    assert IntMatrix.identity.cache_info().currsize == before
 
 
 # --- products and sums against a naive triple loop ---------------------------------

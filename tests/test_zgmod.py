@@ -49,7 +49,7 @@ from factoreq import (
 )
 from factoreq.exactla import _preimage, _snf_engine
 from factoreq.suites import _random_module, _random_unimodular, _torsion_twist
-from factoreq.grp import _generated, _generating_set
+from factoreq.grp import _Frozen, _generated, _generating_set
 from factoreq.zgmod import (
     _Module,
     _averaged_gram,
@@ -418,7 +418,12 @@ def test_modules_are_immutable_and_share_one_base():
         for attr in ("group", "action", "relations", "rank", "gens"):
             with pytest.raises(AttributeError, match=f"{name} is immutable"):
                 setattr(m, attr, None)
+        for attr in ("group", "action", "relations", "_cache"):
+            with pytest.raises(AttributeError, match=f"{name} is immutable"):
+                delattr(m, attr)
+        assert m.group is c2 and len(m.action) == 2 and isinstance(m._cache, dict)
     assert ZGLattice.__bases__ == FpModule.__bases__ == (_Module,)
+    assert _Module.__bases__ == (_Frozen,) and "__setattr__" not in vars(_Module)
     assert not isinstance(lat, FpModule) and not isinstance(fp, ZGLattice)
 
 
